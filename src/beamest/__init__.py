@@ -9,7 +9,7 @@ Cramer-Rao bounds and a seeded Monte-Carlo harness round out the package.
 
 __version__ = "0.1.0"
 
-from ._kernels import active_backend, use_backend
+from ._kernels import active_backend
 from .arrays import (ArrayConfig, ScatteringMatrix2x2, butler_matrix, dft_beam,
                      dft_codebook, hybrid_coupler, steering_vector)
 from .channel import (ChannelRealization, PathParams, ReceiveMatrix, ScenarioConfig,

@@ -1,24 +1,21 @@
-"""Hot numeric kernels: numba-compiled fast path with a pure-numpy fallback.
+"""Hot numeric kernels, in numpy.
 
 The raised-cosine pulse evaluation, fractional-delay pilot rows and the 1-D
-peak searches inside the refinement stage dominate the Monte-Carlo runtime,
-so they live here in two interchangeable implementations.  The backend is
-chosen at import time from the ``BEAMEST_BACKEND`` environment variable
-(``numba`` or ``numpy``; default ``numba`` when importable) and can be
-switched at runtime with :func:`use_backend`.
+peak searches inside the refinement stage dominate the Monte-Carlo runtime.
+The search objectives take a whole array of points per call, so each search
+costs a handful of numpy calls rather than one call per point.
 
 All delay arguments are in symbol units (t / T_s).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-import os
 
 import numpy as np
 
-GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
+# points evaluated across the bracket in each zoom round of a search
+_ZOOM_POINTS = 16
 
 # below this distance an argument counts as sitting on an exact sample /
 # singular point and the analytic limit is used instead of the raw quotient
@@ -27,11 +24,7 @@ _SING_EPS = 1e-8
 _ZERO_EPS = 1e-7
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def _np_sinc_deriv(x):
+def _sinc_deriv(x):
     x = np.asarray(x, dtype=float)
     small = np.abs(x) < _ZERO_EPS
     safe = np.where(small, 1.0, x)
@@ -41,7 +34,7 @@ def _np_sinc_deriv(x):
     return np.where(small, series, out)
 
 
-def _np_rc_samples(x, rolloff):
+def rc_samples(x, rolloff):
     """Raised-cosine pulse h(x) with removable singularities by their limits."""
     x = np.asarray(x, dtype=float)
     xr = np.rint(x)
@@ -60,10 +53,10 @@ def _np_rc_samples(x, rolloff):
     return np.where(on_sample, exact, out)
 
 
-def _np_rc_deriv_samples(x, rolloff):
+def rc_deriv_samples(x, rolloff):
     """dh/dx of the raised-cosine pulse, limits at x=0 and the roll-off poles."""
     x = np.asarray(x, dtype=float)
-    sp = _np_sinc_deriv(x)
+    sp = _sinc_deriv(x)
     if rolloff > 0.0:
         x0 = 1.0 / (2.0 * rolloff)
         sing = np.abs(np.abs(x) - x0) < _SING_EPS
@@ -89,27 +82,27 @@ def _tap_range(tau, halfwidth):
     return np.arange(u0, u1 + 1)
 
 
-def _np_pilot_row(cbase, tau, rolloff, halfwidth):
+def pilot_row(cbase, tau, rolloff, halfwidth):
     """Base pilot sequence delayed by ``tau`` symbols with cyclic wrap-around."""
     ell = cbase.shape[0]
     tr = round(tau)
     if abs(tau - tr) < _INT_EPS:
         return np.roll(cbase, int(tr) % ell)
     u = _tap_range(tau, halfwidth)
-    taps = _np_rc_samples(u - tau, rolloff)
+    taps = rc_samples(u - tau, rolloff)
     idx = (np.arange(ell)[:, None] - u[None, :]) % ell
     return (cbase[idx] * taps[None, :]).sum(axis=1)
 
 
-def _np_pilot_row_deriv(cbase, tau, rolloff, halfwidth):
+def pilot_row_deriv(cbase, tau, rolloff, halfwidth):
     ell = cbase.shape[0]
     u = _tap_range(tau, halfwidth)
-    taps = -_np_rc_deriv_samples(u - tau, rolloff)
+    taps = -rc_deriv_samples(u - tau, rolloff)
     idx = (np.arange(ell)[:, None] - u[None, :]) % ell
     return (cbase[idx] * taps[None, :]).sum(axis=1)
 
 
-def _np_tau_objective(w, tau, rolloff, halfwidth, ell):
+def tau_objective(w, tau, rolloff, halfwidth, ell):
     """Delay-search objective |sum_u h(u - tau) w[u mod L]|^2 / ||v(tau)||^2.
 
     ``tau`` is a scalar or a 1-D array; an array is evaluated as one
@@ -122,7 +115,7 @@ def _np_tau_objective(w, tau, rolloff, halfwidth, ell):
     """
     t = np.asarray(tau, dtype=float)[..., None]
     u = np.ceil(t - halfwidth).astype(np.intp) + np.arange(2 * halfwidth)
-    taps = _np_rc_samples(u - t, rolloff)
+    taps = rc_samples(u - t, rolloff)
     num = abs((taps * w[u % ell]).sum(axis=-1)) ** 2
     # ||v||^2 = L * sum of tap products over pairs congruent mod L
     energy = (taps ** 2).sum(axis=-1)
@@ -131,7 +124,7 @@ def _np_tau_objective(w, tau, rolloff, halfwidth, ell):
     return num / (ell * energy)
 
 
-def _np_mu_objective(qt, mu):
+def mu_objective(qt, mu):
     """Angle-search objective |sum_m exp(-j m mu) qt[m]|^2 / M.
 
     ``mu`` is a scalar or a 1-D array; an array is evaluated as one (N x M)
@@ -142,341 +135,44 @@ def _np_mu_objective(qt, mu):
     return abs(np.dot(ph, qt)) ** 2 / m
 
 
-def _golden_max(f, a, b, tol):
-    c = b - GOLDEN_RATIO * (b - a)
-    d = a + GOLDEN_RATIO * (b - a)
-    fc = f(c)
-    fd = f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN_RATIO * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN_RATIO * (b - a)
-            fd = f(d)
+def _zoom_max(f, lo, hi, n_grid, tol):
+    """Maximize ``f`` over [lo, hi] by a grid, then by zooming into its bracket.
+
+    ``f`` takes a 1-D array of points.  The bracket is the pair of grid
+    neighbours of the argmax (one of them the argmax itself at a window edge);
+    each round evaluates ``_ZOOM_POINTS`` points across the bracket in one call
+    and brackets their argmax the same way.  It stops when the bracket is no
+    wider than ``tol``, or when a round no longer narrows it, which happens
+    once ``tol`` is below the float spacing at the maximizer.  Returns the
+    bracket midpoint and its value.
+    """
+    xs = np.linspace(lo, hi, n_grid)
+    width = math.inf
+    while True:
+        i = int(np.argmax(f(xs)))
+        a = xs[max(i - 1, 0)]
+        b = xs[min(i + 1, xs.size - 1)]
+        if b - a <= tol or b - a >= width:
+            break
+        width = b - a
+        xs = np.linspace(a, b, _ZOOM_POINTS)
     x = 0.5 * (a + b)
     return x, f(x)
 
 
-def _np_search_tau(w, rolloff, halfwidth, ell, lo, hi, n_grid, tol):
-    xs = np.linspace(lo, hi, n_grid)
-    vals = np.array([_np_tau_objective(w, t, rolloff, halfwidth, ell) for t in xs])
-    i = int(np.argmax(vals))
-    a = xs[max(0, i - 1)]
-    b = xs[min(n_grid - 1, i + 1)]
-    return _golden_max(lambda t: _np_tau_objective(w, t, rolloff, halfwidth, ell), a, b, tol)
-
-
-def _np_search_mu(qt, center, half_window, n_grid, tol):
-    xs = np.linspace(center - half_window, center + half_window, n_grid)
-    vals = np.array([_np_mu_objective(qt, x) for x in xs])
-    i = int(np.argmax(vals))
-    a = xs[max(0, i - 1)]
-    b = xs[min(n_grid - 1, i + 1)]
-    return _golden_max(lambda x: _np_mu_objective(qt, x), a, b, tol)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # numba is optional: the numpy fallback serves every kernel
-    HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _nb_sinc(x):
-        if abs(x) < _ZERO_EPS:
-            z = (math.pi * x) ** 2
-            return 1.0 - z / 6.0 * (1.0 - z / 20.0)
-        return math.sin(math.pi * x) / (math.pi * x)
-
-    @njit(cache=True)
-    def _nb_sinc_deriv(x):
-        if abs(x) < _ZERO_EPS:
-            z = (math.pi * x) ** 2
-            return -(math.pi ** 2) * x / 3.0 * (1.0 - z / 10.0)
-        return (math.cos(math.pi * x) - _nb_sinc(x)) / x
-
-    @njit(cache=True)
-    def _nb_rc(x, rolloff):
-        xr = round(x)
-        if abs(x - xr) < _INT_EPS:
-            return 1.0 if abs(xr) < 0.5 else 0.0
-        if rolloff > 0.0:
-            x0 = 1.0 / (2.0 * rolloff)
-            if abs(abs(x) - x0) < _SING_EPS:
-                g = (math.pi / 4.0) * (1.0 - rolloff * (abs(x) - x0))
-            else:
-                g = math.cos(rolloff * math.pi * x) / (1.0 - (2.0 * rolloff * x) ** 2)
-        else:
-            g = 1.0
-        return _nb_sinc(x) * g
-
-    @njit(cache=True)
-    def _nb_rc_deriv(x, rolloff):
-        sp = _nb_sinc_deriv(x)
-        if rolloff > 0.0:
-            x0 = 1.0 / (2.0 * rolloff)
-            if abs(abs(x) - x0) < _SING_EPS:
-                sgn = 1.0 if x > 0.0 else -1.0
-                u = abs(x) - x0
-                g = (math.pi / 4.0) * (1.0 - rolloff * u)
-                gp = sgn * (math.pi / 4.0) * (-rolloff + 2.0 * rolloff ** 2 * u * (1.0 - math.pi ** 2 / 6.0))
-            else:
-                den = 1.0 - (2.0 * rolloff * x) ** 2
-                g = math.cos(rolloff * math.pi * x) / den
-                gp = (-rolloff * math.pi * math.sin(rolloff * math.pi * x) * den
-                      + math.cos(rolloff * math.pi * x) * 8.0 * rolloff ** 2 * x) / den ** 2
-        else:
-            g = 1.0
-            gp = 0.0
-        return sp * g + _nb_sinc(x) * gp
-
-    @njit(cache=True)
-    def _nb_rc_samples(xs, rolloff):
-        out = np.empty(xs.shape[0])
-        for i in range(xs.shape[0]):
-            out[i] = _nb_rc(xs[i], rolloff)
-        return out
-
-    @njit(cache=True)
-    def _nb_rc_deriv_samples(xs, rolloff):
-        out = np.empty(xs.shape[0])
-        for i in range(xs.shape[0]):
-            out[i] = _nb_rc_deriv(xs[i], rolloff)
-        return out
-
-    @njit(cache=True)
-    def _nb_pilot_row(cbase, tau, rolloff, halfwidth):
-        ell = cbase.shape[0]
-        v = np.zeros(ell, dtype=np.complex128)
-        tr = round(tau)
-        if abs(tau - tr) < _INT_EPS:
-            shift = int(tr) % ell
-            for s in range(ell):
-                v[s] = cbase[(s - shift) % ell]
-            return v
-        u0 = int(math.ceil(tau - halfwidth))
-        u1 = int(math.floor(tau + halfwidth))
-        for u in range(u0, u1 + 1):
-            h = _nb_rc(u - tau, rolloff)
-            for s in range(ell):
-                v[s] += cbase[(s - u) % ell] * h
-        return v
-
-    @njit(cache=True)
-    def _nb_pilot_row_deriv(cbase, tau, rolloff, halfwidth):
-        ell = cbase.shape[0]
-        v = np.zeros(ell, dtype=np.complex128)
-        u0 = int(math.ceil(tau - halfwidth))
-        u1 = int(math.floor(tau + halfwidth))
-        for u in range(u0, u1 + 1):
-            h = -_nb_rc_deriv(u - tau, rolloff)
-            for s in range(ell):
-                v[s] += cbase[(s - u) % ell] * h
-        return v
-
-    @njit(cache=True)
-    def _nb_tau_objective(w, tau, rolloff, halfwidth, ell):
-        u0 = int(math.ceil(tau - halfwidth))
-        u1 = int(math.floor(tau + halfwidth))
-        nt = u1 - u0 + 1
-        taps = np.empty(nt)
-        for i in range(nt):
-            taps[i] = _nb_rc(u0 + i - tau, rolloff)
-        acc = 0.0j
-        energy = 0.0
-        for i in range(nt):
-            acc += taps[i] * w[(u0 + i) % ell]
-            energy += taps[i] * taps[i]
-        if nt > ell:
-            for i in range(nt - ell):
-                energy += 2.0 * taps[i] * taps[i + ell]
-        return (acc.real * acc.real + acc.imag * acc.imag) / (ell * energy)
-
-    @njit(cache=True)
-    def _nb_search_tau(w, rolloff, halfwidth, ell, lo, hi, n_grid, tol):
-        best = -1.0
-        ib = 0
-        step = (hi - lo) / (n_grid - 1)
-        for i in range(n_grid):
-            val = _nb_tau_objective(w, lo + i * step, rolloff, halfwidth, ell)
-            if val > best:
-                best = val
-                ib = i
-        a = lo + max(0, ib - 1) * step
-        b = lo + min(n_grid - 1, ib + 1) * step
-        c = b - GOLDEN_RATIO * (b - a)
-        d = a + GOLDEN_RATIO * (b - a)
-        fc = _nb_tau_objective(w, c, rolloff, halfwidth, ell)
-        fd = _nb_tau_objective(w, d, rolloff, halfwidth, ell)
-        while b - a > tol:
-            if fc >= fd:
-                b = d
-                d = c
-                fd = fc
-                c = b - GOLDEN_RATIO * (b - a)
-                fc = _nb_tau_objective(w, c, rolloff, halfwidth, ell)
-            else:
-                a = c
-                c = d
-                fc = fd
-                d = a + GOLDEN_RATIO * (b - a)
-                fd = _nb_tau_objective(w, d, rolloff, halfwidth, ell)
-        x = 0.5 * (a + b)
-        return x, _nb_tau_objective(w, x, rolloff, halfwidth, ell)
-
-    @njit(cache=True)
-    def _nb_mu_objective(qt, mu):
-        m = qt.shape[0]
-        rot = cmath.exp(-1j * mu)
-        ph = 1.0 + 0.0j
-        acc = 0.0j
-        for i in range(m):
-            acc += ph * qt[i]
-            ph *= rot
-        return (acc.real * acc.real + acc.imag * acc.imag) / m
-
-    @njit(cache=True)
-    def _nb_search_mu(qt, center, half_window, n_grid, tol):
-        lo = center - half_window
-        hi = center + half_window
-        best = -1.0
-        ib = 0
-        step = (hi - lo) / (n_grid - 1)
-        for i in range(n_grid):
-            val = _nb_mu_objective(qt, lo + i * step)
-            if val > best:
-                best = val
-                ib = i
-        a = lo + max(0, ib - 1) * step
-        b = lo + min(n_grid - 1, ib + 1) * step
-        c = b - GOLDEN_RATIO * (b - a)
-        d = a + GOLDEN_RATIO * (b - a)
-        fc = _nb_mu_objective(qt, c)
-        fd = _nb_mu_objective(qt, d)
-        while b - a > tol:
-            if fc >= fd:
-                b = d
-                d = c
-                fd = fc
-                c = b - GOLDEN_RATIO * (b - a)
-                fc = _nb_mu_objective(qt, c)
-            else:
-                a = c
-                c = d
-                fc = fd
-                d = a + GOLDEN_RATIO * (b - a)
-                fd = _nb_mu_objective(qt, d)
-        x = 0.5 * (a + b)
-        return x, _nb_mu_objective(qt, x)
-
-
-# ---------------------------------------------------------------------------
-# backend dispatch
-# ---------------------------------------------------------------------------
-
-_NUMPY_IMPL = {
-    "rc_samples": _np_rc_samples,
-    "rc_deriv_samples": _np_rc_deriv_samples,
-    "pilot_row": _np_pilot_row,
-    "pilot_row_deriv": _np_pilot_row_deriv,
-    "tau_objective": _np_tau_objective,
-    "mu_objective": _np_mu_objective,
-    "search_tau": _np_search_tau,
-    "search_mu": _np_search_mu,
-}
-
-_BACKENDS = {"numpy": _NUMPY_IMPL}
-
-if HAVE_NUMBA:
-    _BACKENDS["numba"] = {
-        "rc_samples": lambda x, r: _nb_rc_samples(np.ascontiguousarray(x, dtype=float), r),
-        "rc_deriv_samples": lambda x, r: _nb_rc_deriv_samples(np.ascontiguousarray(x, dtype=float), r),
-        "pilot_row": _nb_pilot_row,
-        "pilot_row_deriv": _nb_pilot_row_deriv,
-        "tau_objective": _nb_tau_objective,
-        "mu_objective": _nb_mu_objective,
-        "search_tau": _nb_search_tau,
-        "search_mu": _nb_search_mu,
-    }
-
-
-def _default_backend() -> str:
-    name = os.environ.get("BEAMEST_BACKEND", "").strip().lower()
-    if name:
-        if name not in _BACKENDS:
-            raise ValueError(
-                f"BEAMEST_BACKEND={name!r} not available; choose from {sorted(_BACKENDS)}"
-            )
-        return name
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-_active = _default_backend()
-
-
-def active_backend() -> str:
-    """Name of the backend currently serving the hot kernels."""
-    return _active
-
-
-def use_backend(name: str) -> str:
-    """Switch kernel backend at runtime; returns the previous backend name."""
-    global _active
-    if name not in _BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; choose from {sorted(_BACKENDS)}")
-    previous = _active
-    _active = name
-    return previous
-
-
-def rc_samples(x, rolloff):
-    return _BACKENDS[_active]["rc_samples"](x, rolloff)
-
-
-def rc_deriv_samples(x, rolloff):
-    return _BACKENDS[_active]["rc_deriv_samples"](x, rolloff)
-
-
-def pilot_row(cbase, tau, rolloff, halfwidth):
-    return _BACKENDS[_active]["pilot_row"](cbase, float(tau), rolloff, halfwidth)
-
-
-def pilot_row_deriv(cbase, tau, rolloff, halfwidth):
-    return _BACKENDS[_active]["pilot_row_deriv"](cbase, float(tau), rolloff, halfwidth)
-
-
-def tau_objective(w, tau, rolloff, halfwidth, ell):
-    """Delay-search objective at ``tau``.
-
-    A 1-D array of delays is evaluated in one call by the numpy formula,
-    whatever the backend; a scalar goes to the active backend.
-    """
-    if np.ndim(tau):
-        return _np_tau_objective(w, tau, rolloff, halfwidth, ell)
-    return _BACKENDS[_active]["tau_objective"](w, float(tau), rolloff, halfwidth, ell)
-
-
-def mu_objective(qt, mu):
-    """Spatial-frequency search objective at ``mu``; arrays as in :func:`tau_objective`."""
-    if np.ndim(mu):
-        return _np_mu_objective(qt, mu)
-    return _BACKENDS[_active]["mu_objective"](qt, float(mu))
-
-
 def search_tau(w, rolloff, halfwidth, ell, lo, hi, n_grid, tol):
-    return _BACKENDS[_active]["search_tau"](w, rolloff, halfwidth, ell,
-                                            float(lo), float(hi), n_grid, tol)
+    """Delay in [lo, hi] maximizing :func:`tau_objective`, and its value."""
+    return _zoom_max(lambda t: tau_objective(w, t, rolloff, halfwidth, ell),
+                     lo, hi, n_grid, tol)
 
 
 def search_mu(qt, center, half_window, n_grid, tol):
-    return _BACKENDS[_active]["search_mu"](qt, float(center), float(half_window), n_grid, tol)
+    """Spatial frequency within ``center`` +/- ``half_window`` maximizing
+    :func:`mu_objective`, and its value."""
+    return _zoom_max(lambda x: mu_objective(qt, x),
+                     center - half_window, center + half_window, n_grid, tol)
+
+
+def active_backend() -> str:
+    """Name of the kernel implementation, recorded in run provenance."""
+    return "numpy"

@@ -10,7 +10,9 @@ by raised-cosine interpolation of the wrapped sequence, truncated to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import isqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -47,6 +49,9 @@ class CazacConfig:
             raise ConfigurationError(f"symbol period must be positive, got {self.ts}")
         if not 0.0 <= self.rolloff <= 1.0:
             raise ConfigurationError(f"roll-off must lie in [0, 1], got {self.rolloff}")
+        if not isinstance(self.pulse_halfwidth, Integral):
+            raise ConfigurationError(
+                f"pulse halfwidth must be an integer number of symbols, got {self.pulse_halfwidth!r}")
         if self.pulse_halfwidth < 1:
             raise ConfigurationError(
                 f"pulse halfwidth must be at least 1 symbol, got {self.pulse_halfwidth}")
@@ -112,13 +117,15 @@ def rc_pulse_derivative(cfg: CazacConfig, t: float) -> float:
     return float(_kernels.rc_deriv_samples(np.array([t / cfg.ts]), cfg.rolloff)[0]) / cfg.ts
 
 
+@lru_cache(maxsize=8)
 def sidelobe_power_ratios(cfg: CazacConfig) -> np.ndarray:
     """Worst-case pulse sidelobe-to-mainlobe power ratio per integer delay offset.
 
     Entry d-1 bounds how much post-correlation power a single path at any
     fractional delay can deposit d symbols away from its strongest integer
     sample, relative to that strongest sample.  Used by the coarse stage to
-    recognise detections that are explainable as pulse sidelobes.
+    recognise detections that are explainable as pulse sidelobes.  Cached per
+    configuration, so the array is read-only.
     """
     fs = np.linspace(0.0, 1.0, 201)[:-1]
     main = np.maximum(_kernels.rc_samples(-fs, cfg.rolloff) ** 2,
@@ -128,4 +135,5 @@ def sidelobe_power_ratios(cfg: CazacConfig) -> np.ndarray:
         upper = _kernels.rc_samples(d - fs, cfg.rolloff) ** 2
         lower = _kernels.rc_samples(d + fs, cfg.rolloff) ** 2
         out[d - 1] = np.max(np.maximum(upper, lower) / main)
+    out.setflags(write=False)
     return out

@@ -3,8 +3,9 @@
 Each path owns a hidden single-path observation; the expectation step
 attributes to path r the residual after subtracting every other path's
 reconstruction, and the maximization step updates that path's delay, spatial
-frequency and complex gain one coordinate at a time.  The two 1-D searches use
-a coarse grid followed by golden-section refinement.
+frequency and complex gain one coordinate at a time.  The two 1-D searches
+evaluate a coarse grid and then zoom into the bracket around its best point,
+each round evaluating a fixed number of points in one array call.
 
 The trace objectives reduce to small vector forms.  Writing X_g[k, s] =
 X[k, (s + k) mod L] (undoing the per-beam pilot shift) and v for the delayed
@@ -140,8 +141,9 @@ def maximize_tau(x_hat: np.ndarray, mu_fixed: float, cfg: SageConfig, search_cen
     """Delay maximizing |tr{C(tau)^H A(mu)^H X}| ** 2 / (beta sigma^2 tr{C^H A^H A C}).
 
     The search covers ``search_center`` +/- the configured window, clipped to
-    [0, L); a coarse grid bracket is refined by golden section.  An all-zero
-    hidden observation returns the center unchanged.
+    [0, L); the bracket around the best point of a ``grid_points`` grid is
+    zoomed until it is no wider than ``refine_tol``.  An all-zero hidden
+    observation returns the center unchanged.
     """
     ws = _Workspace(arr, caz)
     z = (beam_gains(arr, mu_fixed).conj()[:, None] * ws.gathered(x_hat)).sum(axis=0)

@@ -320,5 +320,5 @@ def test_criterion_9_maximizers_match_brute_force():
         worst = max(worst, abs((mu_hat - brute_mu + np.pi) % (2 * np.pi) - np.pi))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-5 and elapsed < 60.0
-    assert verdict(9, "grid+golden matches dense scans", ok,
+    assert verdict(9, "grid+zoom matches dense scans", ok,
                    f"worst gap {worst:.2e}, {elapsed:.1f}s")

@@ -3,6 +3,7 @@ import pytest
 
 from beamest import (CazacConfig, ConfigurationError, cazac_base, pilot_matrix,
                      pilot_matrix_derivative, rc_pulse, rc_pulse_derivative)
+from beamest.harness import config_from_dict
 from beamest.pilots import sidelobe_power_ratios
 
 CFG = CazacConfig()
@@ -24,6 +25,15 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         CazacConfig(pulse_halfwidth=0)
     CazacConfig(length=9)  # any perfect square is fine
+
+
+def test_pulse_halfwidth_must_be_integer():
+    # the tap matrices hold 2 * halfwidth taps; a fractional value cannot be honoured
+    with pytest.raises(ConfigurationError, match="integer number of symbols"):
+        CazacConfig(pulse_halfwidth=8.5)
+    with pytest.raises(ConfigurationError, match="'cazac'.*integer number of symbols"):
+        config_from_dict({"cazac": {"pulse_halfwidth": 8.5}})
+    assert CazacConfig(pulse_halfwidth=np.int64(6)).pulse_halfwidth == 6
 
 
 def test_base_sequence_first_entry():
@@ -146,3 +156,12 @@ def test_sidelobe_power_ratios_shape_and_decay():
     assert ratios[0] == pytest.approx(1.0, abs=1e-6)
     assert np.all(np.diff(ratios) <= 0)
     assert ratios[1] < 0.1
+
+
+def test_sidelobe_power_ratios_cached_read_only():
+    cfg = CazacConfig(rolloff=0.3, pulse_halfwidth=6)
+    cached = sidelobe_power_ratios(cfg)
+    assert sidelobe_power_ratios(CazacConfig(rolloff=0.3, pulse_halfwidth=6)) is cached
+    np.testing.assert_array_equal(cached, sidelobe_power_ratios.__wrapped__(cfg))
+    with pytest.raises(ValueError):
+        cached[0] = 1.0

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from beamest import (ArrayConfig, CazacConfig, ConfigurationError, PathEstimate,
                      run_sage_from, synthesize, update_alpha)
 from beamest.channel import ChannelRealization, PathParams, spatial_frequency
 from beamest.coarse import mu_to_theta_deg
-from beamest.sage import mu_objective_value, tau_objective_value
+from beamest.sage import _tau_bounds, mu_objective_value, tau_objective_value
 from beamest import _kernels
 
 ARR = ArrayConfig(m=16)
@@ -339,3 +341,47 @@ def test_grid_plus_golden_matches_brute_force():
         worst_mu = max(worst_mu, abs((mu_hat - mu_brute + np.pi) % (2 * np.pi) - np.pi))
     assert worst_tau <= 1e-5
     assert worst_mu <= 1e-5
+
+
+def returns_within(fn, seconds=20.0):
+    # a search that cannot narrow its bracket would spin forever: fail instead
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn()), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), "search did not return"
+    return out[0]
+
+
+def test_searches_stop_at_tolerance_below_float_spacing():
+    # adjacent floats are 8.9e-16 apart near tau = 6.3 and 2.2e-16 near
+    # mu = 1.46, so a 1e-16 bracket is out of reach
+    rng = np.random.default_rng(23)
+    y = observe([(1.0 + 0j, 1.48, 6.3)], pt=3.0, noise_var=1.0, rng=rng)
+    fine = SageConfig(refine_tol=1e-16)
+    ref = SageConfig(refine_tol=1e-9)
+    tau = returns_within(lambda: maximize_tau(y.y, 1.48, fine, 6.0, arr=ARR, caz=CAZ))
+    mu = returns_within(lambda: maximize_mu(y.y, 6.3, fine, 1.48, arr=ARR, caz=CAZ))
+    assert abs(tau - maximize_tau(y.y, 1.48, ref, 6.0, arr=ARR, caz=CAZ)) <= 1e-8
+    assert abs(mu - maximize_mu(y.y, 6.3, ref, 1.48, arr=ARR, caz=CAZ)) <= 1e-8
+
+
+@pytest.mark.parametrize("tau_true, center, edge", [(15.6, 0.5, 0.0),    # window [0, 1.5]
+                                                    (0.3, 15.5, 16.0)])  # window [14.5, L]
+def test_delay_search_returns_clipped_window_edge(tau_true, center, edge):
+    # the peak lies across the cyclic wrap, just past the clipped edge
+    cfg = SageConfig()
+    assert edge in _tau_bounds(center, cfg, 16)
+    y = observe([(1.0 + 0j, 2.2, tau_true)])
+    tau = maximize_tau(y.y, 2.2, cfg, center, arr=ARR, caz=CAZ)
+    assert abs(tau - edge) <= cfg.refine_tol
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_angle_search_returns_window_edge(side):
+    # the peak sits 0.6 rad from the center, beyond the 2*pi/16 half-window
+    cfg = SageConfig()
+    y = observe([(1.0 + 0j, 2.0, 4.0)])
+    center = 2.0 - side * 0.6
+    mu = maximize_mu(y.y, 4.0, cfg, center, arr=ARR, caz=CAZ)
+    assert abs(mu - (center + side * 2 * np.pi / 16)) <= cfg.refine_tol
