@@ -14,8 +14,10 @@ import math
 
 import numpy as np
 
-# points evaluated across the bracket in each zoom round of a search
+# points evaluated evenly across the bracket in a zoom round without a vertex
 _ZOOM_POINTS = 16
+# ratio of the bracket width to the stencil spacing around a parabola vertex
+_VERTEX_SHRINK = 256.0
 
 # below this distance an argument counts as sitting on an exact sample /
 # singular point and the analytic limit is used instead of the raw quotient
@@ -135,40 +137,74 @@ def mu_objective(qt, mu):
     return abs(np.dot(ph, qt)) ** 2 / m
 
 
+def _vertex_stencil(x, y, tol):
+    """Zoom points around the vertex of the parabola through three points.
+
+    ``y[1]`` is the highest of the three values, so the vertex ``v`` lies
+    within half a gap of ``x[1]`` (three equal values have none, and ``x[1]``
+    stands in).  Returns the bracket ends ``x[0], x[2]`` and ``v - e, v, v + e``
+    with ``e = max((x[2] - x[0]) / _VERTEX_SHRINK, tol / 4)``, or None when
+    these five points are not strictly increasing: the stencil would need
+    clipping at a bracket end, or ``e`` is below the float spacing at ``v``.
+    """
+    d0, d2 = x[1] - x[0], x[2] - x[1]
+    g0, g2 = y[1] - y[0], y[1] - y[2]
+    den = d0 * g2 + d2 * g0
+    v = x[1] if den == 0.0 else x[1] + 0.5 * (d2 * d2 * g0 - d0 * d0 * g2) / den
+    e = max((x[2] - x[0]) / _VERTEX_SHRINK, 0.25 * tol)
+    if x[0] < v - e < v < v + e < x[2]:
+        return np.array([x[0], v - e, v, v + e, x[2]])
+    return None
+
+
 def _zoom_max(f, lo, hi, n_grid, tol):
     """Maximize ``f`` over [lo, hi] by a grid, then by zooming into its bracket.
 
-    ``f`` takes a 1-D array of points.  The bracket is the pair of grid
-    neighbours of the argmax (one of them the argmax itself at a window edge);
-    each round evaluates ``_ZOOM_POINTS`` points across the bracket in one call
-    and brackets their argmax the same way.  It stops when the bracket is no
-    wider than ``tol``, or when a round no longer narrows it, which happens
-    once ``tol`` is below the float spacing at the maximizer.  Returns the
-    bracket midpoint and its value.
+    ``f`` takes a 1-D array of points.  The bracket is the pair of neighbours
+    of the best point of the last call (the point itself standing in for a
+    missing neighbour at a window edge).  Each zoom round fits a parabola
+    through the best point and its two neighbours and evaluates, in one call,
+    the bracket ends and three points packed around the parabola's vertex
+    (:func:`_vertex_stencil`); on a smooth peak the next bracket is
+    ``_VERTEX_SHRINK / 2`` times narrower, from function values alone
+    (successive parabolic interpolation).  A round evaluates ``_ZOOM_POINTS``
+    even points across the bracket instead when the best point is a bracket
+    end, when the stencil does not fit, or when the last round did not halve
+    the bracket, which bounds the cost of a peak far from parabolic to about
+    twice that of even rounds alone.  It stops when the bracket is no wider
+    than ``tol``, or when a round no longer narrows it, which happens once
+    ``tol`` is below the float spacing at the maximizer.  Returns the bracket
+    midpoint.
     """
     xs = np.linspace(lo, hi, n_grid)
+    fs = f(xs)
     width = math.inf
     while True:
-        i = int(np.argmax(f(xs)))
+        i = int(np.argmax(fs))
         a = xs[max(i - 1, 0)]
         b = xs[min(i + 1, xs.size - 1)]
         if b - a <= tol or b - a >= width:
             break
+        # a vertex that did not halve the bracket sits on a poor parabola
+        trusted = 2.0 * (b - a) <= width
         width = b - a
-        xs = np.linspace(a, b, _ZOOM_POINTS)
-    x = 0.5 * (a + b)
-    return x, f(x)
+        stencil = None
+        if trusted and 0 < i < xs.size - 1:
+            stencil = _vertex_stencil(xs[i - 1:i + 2], fs[i - 1:i + 2], tol)
+        xs = np.linspace(a, b, _ZOOM_POINTS) if stencil is None else stencil
+        fs = f(xs)
+    return 0.5 * (a + b)
 
 
 def search_tau(w, rolloff, halfwidth, ell, lo, hi, n_grid, tol):
-    """Delay in [lo, hi] maximizing :func:`tau_objective`, and its value."""
+    """Delay in [lo, hi] maximizing :func:`tau_objective`."""
     return _zoom_max(lambda t: tau_objective(w, t, rolloff, halfwidth, ell),
                      lo, hi, n_grid, tol)
 
 
 def search_mu(qt, center, half_window, n_grid, tol):
     """Spatial frequency within ``center`` +/- ``half_window`` maximizing
-    :func:`mu_objective`, and its value."""
+    :func:`mu_objective`."""
     return _zoom_max(lambda x: mu_objective(qt, x),
                      center - half_window, center + half_window, n_grid, tol)
 

@@ -9,6 +9,7 @@ the codebook is realised in analog hardware without adaptive phase shifters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,15 +85,23 @@ def dft_codebook(cfg: ArrayConfig) -> np.ndarray:
     return np.exp(-2j * np.pi * np.outer(m, m) / cfg.m) / np.sqrt(cfg.m)
 
 
+@lru_cache(maxsize=8)
+def _cached_codebook(cfg: ArrayConfig) -> np.ndarray:
+    """Read-only :func:`dft_codebook`, built once per array configuration."""
+    out = dft_codebook(cfg)
+    out.setflags(write=False)
+    return out
+
+
 def beam_gains(cfg: ArrayConfig, mu: float) -> np.ndarray:
     """Diagonal of A(mu): inner products a(mu)^H w_k for every beam k."""
-    return np.exp(1j * np.arange(cfg.m) * mu) @ dft_codebook(cfg)
+    return np.exp(1j * np.arange(cfg.m) * mu) @ _cached_codebook(cfg)
 
 
 def beam_gain_derivs(cfg: ArrayConfig, mu: float) -> np.ndarray:
     """Entrywise derivative of :func:`beam_gains` with respect to mu."""
     m = np.arange(cfg.m)
-    return (1j * m * np.exp(1j * m * mu)) @ dft_codebook(cfg)
+    return (1j * m * np.exp(1j * m * mu)) @ _cached_codebook(cfg)
 
 
 def _is_power_of_two(n: int) -> bool:

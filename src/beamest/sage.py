@@ -5,7 +5,8 @@ attributes to path r the residual after subtracting every other path's
 reconstruction, and the maximization step updates that path's delay, spatial
 frequency and complex gain one coordinate at a time.  The two 1-D searches
 evaluate a coarse grid and then zoom into the bracket around its best point,
-each round evaluating a fixed number of points in one array call.
+each round evaluating, in one array call, a few points around the vertex of
+the parabola through the best point and its neighbours.
 
 The trace objectives reduce to small vector forms.  Writing X_g[k, s] =
 X[k, (s + k) mod L] (undoing the per-beam pilot shift) and v for the delayed
@@ -20,6 +21,7 @@ base pilot row:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -55,8 +57,17 @@ class SageConfig:
             raise ConfigurationError(f"beta must lie in (0, 1], got {self.beta}")
         if self.gamma_stop <= 0:
             raise ConfigurationError(f"stopping threshold must be positive, got {self.gamma_stop}")
+        for name in ("max_iterations", "grid_points"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ConfigurationError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_iterations < 1:
             raise ConfigurationError(f"need at least one iteration, got {self.max_iterations}")
+        if not self.tau_window_symbols > 0:
+            raise ConfigurationError(
+                f"tau_window_symbols must be positive, got {self.tau_window_symbols}")
+        if self.mu_window is not None and not self.mu_window > 0:
+            raise ConfigurationError(f"mu_window must be positive, got {self.mu_window}")
         if self.grid_points < 8:
             raise ConfigurationError(f"grid needs at least 8 points, got {self.grid_points}")
         if self.refine_tol <= 0:
@@ -151,8 +162,8 @@ def maximize_tau(x_hat: np.ndarray, mu_fixed: float, cfg: SageConfig, search_cen
         return float(search_center)
     w = ws.corr @ z
     lo, hi = _tau_bounds(search_center, cfg, ws.ell)
-    tau, _ = _kernels.search_tau(w, caz.rolloff, caz.pulse_halfwidth, ws.ell,
-                                 lo, hi, cfg.grid_points, cfg.refine_tol)
+    tau = _kernels.search_tau(w, caz.rolloff, caz.pulse_halfwidth, ws.ell,
+                              lo, hi, cfg.grid_points, cfg.refine_tol)
     return float(tau)
 
 
@@ -170,7 +181,7 @@ def maximize_mu(x_hat: np.ndarray, tau_fixed: float, cfg: SageConfig, search_cen
         return float(np.mod(search_center, 2.0 * np.pi))
     qt = arr.m * np.fft.ifft(q)
     half = cfg.mu_window if cfg.mu_window is not None else 2.0 * np.pi / arr.m
-    mu, _ = _kernels.search_mu(qt, search_center, half, cfg.grid_points, cfg.refine_tol)
+    mu = _kernels.search_mu(qt, search_center, half, cfg.grid_points, cfg.refine_tol)
     return float(np.mod(mu, 2.0 * np.pi))
 
 
@@ -251,15 +262,15 @@ def run_sage_from(y: ReceiveMatrix, initial: Sequence[PathEstimate], cfg: SageCo
                 continue
             w = ws.corr @ z
             lo, hi = _tau_bounds(est[r].tau_hat, cfg, ws.ell)
-            tau, _ = _kernels.search_tau(
+            tau = _kernels.search_tau(
                 w, y.caz.rolloff, y.caz.pulse_halfwidth, ws.ell,
                 lo, hi, cfg.grid_points, cfg.refine_tol)
 
             v = ws.pilot_row(tau)
             q = (xg * v.conj()[None, :]).sum(axis=1)
             qt = m * np.fft.ifft(q)
-            mu, _ = _kernels.search_mu(qt, est[r].mu_hat, half_mu,
-                                       cfg.grid_points, cfg.refine_tol)
+            mu = _kernels.search_mu(qt, est[r].mu_hat, half_mu,
+                                    cfg.grid_points, cfg.refine_tol)
             mu = float(np.mod(mu, 2.0 * np.pi))
 
             gains = beam_gains(y.arr, mu)
@@ -267,7 +278,7 @@ def run_sage_from(y: ReceiveMatrix, initial: Sequence[PathEstimate], cfg: SageCo
             den = m * float(np.sum(np.abs(v) ** 2))
             alpha = num / den
             est[r] = PathEstimate(mu_hat=mu, tau_hat=float(tau), alpha_hat=alpha)
-            recon[r] = ws.reconstruct(est[r])
+            recon[r] = alpha * gains[:, None] * _stack_shifted(v, m)
 
         if _max_relative_change(previous, est) <= cfg.gamma_stop:
             converged = True

@@ -4,7 +4,7 @@ import pytest
 from beamest import (ArrayConfig, ConfigurationError, ScatteringMatrix2x2,
                      butler_matrix, dft_beam, dft_codebook, hybrid_coupler,
                      steering_vector)
-from beamest.arrays import beam_gains
+from beamest.arrays import _cached_codebook, beam_gains
 
 
 def test_beam_phases_exact():
@@ -125,3 +125,15 @@ def test_butler_columns_match_dft_beams(m):
 def test_butler_requires_power_of_two():
     with pytest.raises(ConfigurationError):
         butler_matrix(ArrayConfig(m=12))
+
+
+def test_cached_codebook_is_read_only_copy():
+    cfg = ArrayConfig(m=8)
+    cached = _cached_codebook(cfg)
+    assert _cached_codebook(ArrayConfig(m=8)) is cached
+    np.testing.assert_array_equal(cached, dft_codebook(cfg))
+    with pytest.raises(ValueError):
+        cached[0, 0] = 0.0
+    fresh = dft_codebook(cfg)       # the public codebook stays writable
+    fresh[0, 0] = 0.0
+    assert cached[0, 0] != 0.0

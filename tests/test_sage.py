@@ -10,6 +10,7 @@ from beamest import (ArrayConfig, CazacConfig, ConfigurationError, PathEstimate,
                      run_sage_from, synthesize, update_alpha)
 from beamest.channel import ChannelRealization, PathParams, spatial_frequency
 from beamest.coarse import mu_to_theta_deg
+from beamest.harness import config_from_dict
 from beamest.sage import _tau_bounds, mu_objective_value, tau_objective_value
 from beamest import _kernels
 
@@ -40,6 +41,21 @@ def test_config_validation():
         SageConfig(gamma_stop=0.0)
     with pytest.raises(ConfigurationError):
         SageConfig(grid_points=4)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau_window_symbols", -1.0),   # would return an unrefined grid point
+    ("tau_window_symbols", 0.0),
+    ("mu_window", -0.2),            # would search an inverted window
+    ("mu_window", 0.0),
+    ("grid_points", 64.5),          # would fail later inside linspace
+    ("max_iterations", 2.5),
+])
+def test_config_refuses_bad_windows_and_non_integer_counts(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        SageConfig(**{field: value})
+    with pytest.raises(ConfigurationError, match="sage"):
+        config_from_dict({"sage": {field: value}})
 
 
 def test_expectation_step_single_path_is_observation():
@@ -385,3 +401,75 @@ def test_angle_search_returns_window_edge(side):
     center = 2.0 - side * 0.6
     mu = maximize_mu(y.y, 4.0, cfg, center, arr=ARR, caz=CAZ)
     assert abs(mu - (center + side * 2 * np.pi / 16)) <= cfg.refine_tol
+
+
+def counted(monkeypatch, name):
+    # count the array calls a search makes into one of its objectives
+    calls = []
+    inner = getattr(_kernels, name)
+    monkeypatch.setattr(_kernels, name, lambda *a: calls.append(1) or inner(*a))
+    return calls
+
+
+def dense_argmax(f, lo, hi, n_points=100000):
+    # 1e5-point scan of the window, then another across the best cell
+    xs = np.linspace(lo, hi, n_points)
+    best = xs[int(np.argmax(f(xs)))]
+    step = xs[1] - xs[0]
+    xs = np.linspace(best - step, best + step, n_points)
+    return float(xs[int(np.argmax(f(xs)))])
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_searches_need_few_objective_calls(monkeypatch, seed):
+    # a smooth peak is found by parabolic vertex rounds: the grid call plus a
+    # few more, where even 16-point zoom rounds needed nine
+    rng = np.random.default_rng(seed)
+    cfg = SageConfig()
+    assert cfg.refine_tol == 1e-7
+    params = random_two_path(rng)
+    y = observe(params, pt=10.0, noise_var=1.0, rng=rng)
+    x = expectation_step(y, estimates_from(params, pt=10.0), 1, cfg)
+    mu_t, tau_t = params[1][1], params[1][2]
+    center = round(tau_t)
+
+    tau_calls = counted(monkeypatch, "tau_objective")
+    tau_hat = maximize_tau(x, mu_t, cfg, center, arr=ARR, caz=CAZ)
+    mu_calls = counted(monkeypatch, "mu_objective")
+    mu_hat = maximize_mu(x, tau_hat, cfg, mu_t + 0.03, arr=ARR, caz=CAZ)
+    assert len(tau_calls) <= 6
+    assert len(mu_calls) <= 6
+    monkeypatch.undo()
+
+    from beamest.arrays import beam_gains
+    from beamest.sage import _Workspace
+    ws = _Workspace(ARR, CAZ)
+    xg = ws.gathered(x)
+    w = ws.corr @ (beam_gains(ARR, mu_t).conj()[:, None] * xg).sum(axis=0)
+    lo, hi = _tau_bounds(center, cfg, 16)
+    tau_ref = dense_argmax(
+        lambda t: _kernels.tau_objective(w, t, CAZ.rolloff, CAZ.pulse_halfwidth, 16), lo, hi)
+    qt = 16 * np.fft.ifft((xg * ws.pilot_row(tau_hat).conj()[None, :]).sum(axis=1))
+    half = 2 * np.pi / 16
+    mu_ref = dense_argmax(lambda m: _kernels.mu_objective(qt, m),
+                          mu_t + 0.03 - half, mu_t + 0.03 + half)
+    assert abs(tau_hat - tau_ref) <= 1e-6
+    assert abs((mu_hat - mu_ref + np.pi) % (2 * np.pi) - np.pi) <= 1e-6
+
+
+@pytest.mark.parametrize("c", [0.3, 0.123456789, 0.71])
+@pytest.mark.parametrize("left", [1.0, 4.0, 50.0])
+def test_zoom_finds_peak_far_from_parabolic(c, left):
+    # |x - c| ** 1.5 has no curvature at c, and the slopes differ either side:
+    # the vertex rounds miss, and the search must still close in on c
+    calls = []
+
+    def f(x):
+        calls.append(1)
+        d = np.asarray(x) - c
+        return -np.where(d < 0, left, 1.0) * np.abs(d) ** 1.5
+
+    tol = 1e-7
+    x = _kernels._zoom_max(f, 0.0, 1.0, 64, tol)
+    assert abs(x - c) <= tol
+    assert len(calls) <= 20
