@@ -14,7 +14,7 @@ import numpy as np
 
 from .arrays import ArrayConfig, beam_gains
 from .errors import ConfigurationError
-from .pilots import CazacConfig, cazac_base, _stack_shifted
+from .pilots import CazacConfig, _cached_base, _stack_shifted
 from . import _kernels
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, propagation constant for distance-to-delay conversion
@@ -52,6 +52,8 @@ class ScenarioConfig:
         if self.noise_var < 0:
             raise ConfigurationError(f"noise variance must be >= 0, got {self.noise_var}")
         for name in ("d_los_range_m", "delta_nlos_range_m", "theta_range_deg"):
+            # a tuple keeps the config hashable, as the harness's per-trial cache needs
+            object.__setattr__(self, name, tuple(getattr(self, name)))
             lo, hi = getattr(self, name)
             if not lo <= hi:
                 raise ConfigurationError(f"{name} has inverted bounds ({lo}, {hi})")
@@ -148,6 +150,30 @@ def draw_realization(cfg: ScenarioConfig, rng: np.random.Generator,
     return ChannelRealization(paths=tuple(paths), pt=float(pt), noise_var=cfg.noise_var)
 
 
+def unit_power_signal(real: ChannelRealization, arr: ArrayConfig,
+                      caz: CazacConfig) -> np.ndarray:
+    """Noiseless M x L observation at unit transmit power, sum_r alpha_r A(mu_r) C(tau_r).
+
+    The observation at transmit power P_T is sqrt(P_T) times this matrix, so
+    an SNR sweep over one realization builds it once.
+    """
+    if arr.m != caz.length and arr.m > caz.length:
+        raise ConfigurationError(
+            f"more beams ({arr.m}) than pilot shifts ({caz.length}) is not supported")
+    cbase = _cached_base(caz)
+    s = np.zeros((arr.m, caz.length), dtype=complex)
+    for p in real.paths:
+        row0 = _kernels.pilot_row(cbase, p.tau_symbols, caz.rolloff, caz.pulse_halfwidth)
+        s += p.alpha * beam_gains(arr, p.mu)[:, None] * _stack_shifted(row0, arr.m)
+    return s
+
+
+def awgn(rng: np.random.Generator, shape: tuple, noise_var: float) -> np.ndarray:
+    """Circularly-symmetric complex Gaussian noise; real and imaginary parts each carry half."""
+    scale = np.sqrt(noise_var / 2.0)
+    return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 def synthesize(real: ChannelRealization, arr: ArrayConfig, caz: CazacConfig,
                rng: np.random.Generator | None = None) -> ReceiveMatrix:
     """Noisy stacked observation of the given realization.
@@ -156,18 +182,9 @@ def synthesize(real: ChannelRealization, arr: ArrayConfig, caz: CazacConfig,
     variance ``real.noise_var`` (real and imaginary parts each half of it).
     A zero noise variance synthesizes the noiseless forward model.
     """
-    if arr.m != caz.length and arr.m > caz.length:
-        raise ConfigurationError(
-            f"more beams ({arr.m}) than pilot shifts ({caz.length}) is not supported")
-    cbase = cazac_base(caz)
-    y = np.zeros((arr.m, caz.length), dtype=complex)
-    amp = np.sqrt(real.pt)
-    for p in real.paths:
-        row0 = _kernels.pilot_row(cbase, p.tau_symbols, caz.rolloff, caz.pulse_halfwidth)
-        y += amp * p.alpha * beam_gains(arr, p.mu)[:, None] * _stack_shifted(row0, arr.m)
+    y = np.sqrt(real.pt) * unit_power_signal(real, arr, caz)
     if real.noise_var > 0:
         if rng is None:
             raise ConfigurationError("a random generator is required when noise_var > 0")
-        scale = np.sqrt(real.noise_var / 2.0)
-        y += scale * (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape))
+        y += awgn(rng, y.shape, real.noise_var)
     return ReceiveMatrix(y=y, truth=real, arr=arr, caz=caz)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from .arrays import ArrayConfig, beam_gains
 from .channel import ReceiveMatrix
 from .errors import ConfigurationError
-from .pilots import CazacConfig, cazac_base, sidelobe_power_ratios
+from .pilots import CazacConfig, _cached_base, sidelobe_power_ratios
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ class CoarseEstimate:
 
 def correlate(y: ReceiveMatrix) -> PowerMatrix:
     """Correlation matrix Z = Y C(0)^H and its entrywise power."""
-    cbase = cazac_base(y.caz)
+    cbase = _cached_base(y.caz)
     ell = y.caz.length
     idx = (np.arange(ell)[None, :] - np.arange(y.arr.m)[:, None]) % ell
     c0 = cbase[idx]
@@ -113,22 +114,30 @@ def wrap_diagonal(p: np.ndarray, i: int) -> np.ndarray:
     return p[rows, (rows + i - 1) % m]
 
 
+@lru_cache(maxsize=8)
+def _diagonal_index(m: int) -> np.ndarray:
+    # flat index into an M x M matrix: row i - 1 holds wrap-around diagonal i
+    k = np.arange(m)
+    out = k[None, :] * m + (k[None, :] + k[:, None]) % m
+    out.setflags(write=False)
+    return out
+
+
 def detect_paths(pm: PowerMatrix, g: float) -> List[Detection]:
     """Scan all M wrap-around diagonals and report maxima above the threshold.
 
     Diagonal 1 is the main diagonal (zero delay); diagonal i maps to the
-    integer delay i - 1.
+    integer delay i - 1.  All diagonals are gathered into one M x M matrix
+    (row i - 1 is :func:`wrap_diagonal` i) and scanned along rows at once;
+    ``argmax`` keeps the first maximum on ties.
     """
     if g <= 0:
         raise ConfigurationError(f"detection threshold must be positive, got {g}")
-    m = pm.p.shape[0]
-    out = []
-    for i in range(1, m + 1):
-        diag = wrap_diagonal(pm.p, i)
-        k = int(np.argmax(diag))
-        if diag[k] >= g:
-            out.append(Detection(diag_index=i, row_index=k + 1, peak_power=float(diag[k])))
-    return out
+    diags = pm.p.ravel()[_diagonal_index(pm.p.shape[0])]
+    ks = diags.argmax(axis=1).tolist()
+    peaks = diags.max(axis=1).tolist()
+    return [Detection(diag_index=i + 1, row_index=k + 1, peak_power=peak)
+            for i, (k, peak) in enumerate(zip(ks, peaks)) if peak >= g]
 
 
 def build_lut(arr: ArrayConfig, k_points: int) -> Lut:

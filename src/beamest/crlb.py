@@ -9,6 +9,7 @@ S = sum_r g_r A(mu_r) C(tau_r), g_r = sqrt(P_T) alpha_r.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -17,7 +18,7 @@ import numpy as np
 from .arrays import ArrayConfig, beam_gains, beam_gain_derivs
 from .channel import ChannelRealization
 from .errors import ConfigurationError
-from .pilots import CazacConfig, cazac_base, _stack_shifted
+from .pilots import CazacConfig, _cached_base, _stack_shifted
 from . import _kernels
 
 COND_LIMIT = 1e12
@@ -68,7 +69,7 @@ def model_jacobian(real: ChannelRealization, arr: ArrayConfig, caz: CazacConfig)
     """
     n = real.r
     gains = real.gains()
-    cbase = cazac_base(caz)
+    cbase = _cached_base(caz)
     jac = np.empty((arr.m, caz.length, 4 * n), dtype=complex)
     for r, p in enumerate(real.paths):
         if not (np.isfinite(p.mu) and np.isfinite(p.tau_symbols) and np.isfinite(gains[r])):
@@ -95,6 +96,22 @@ def fisher_matrix(real: ChannelRealization, arr: ArrayConfig, caz: CazacConfig) 
     flat = jac.reshape(-1, jac.shape[2])
     f = (2.0 / real.noise_var) * np.real(flat.conj().T @ flat)
     return FisherMatrix(f=0.5 * (f + f.T))
+
+
+def fisher_at_power(f0: FisherMatrix, pt: float, noise_var: float) -> FisherMatrix:
+    """Information matrix at transmit power ``pt`` from the unit-power, unit-noise one.
+
+    Only the delay and angle derivatives carry the gain sqrt(P_T), so
+    F(P_T) = D F0 D / sigma^2 with D = diag(1, 1, sqrt(P_T), sqrt(P_T)) per
+    block; one Jacobian serves a whole SNR sweep.  The weights d_i d_j are
+    formed first, so the result is exactly symmetric.
+    """
+    if noise_var <= 0:
+        raise ConfigurationError("the information matrix needs a positive noise variance")
+    n = 2 * f0.n_paths
+    a = 1.0 / math.sqrt(noise_var)
+    d = np.array([a] * n + [a * math.sqrt(pt)] * n)
+    return FisherMatrix(f=d[:, None] * d * f0.f)
 
 
 def crlb_bounds(f: FisherMatrix) -> CrlbReport:

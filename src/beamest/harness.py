@@ -1,10 +1,14 @@
 """Seeded Monte-Carlo orchestration, scoring against ground truth and CSV output.
 
-Per (SNR point, trial): draw a realization, synthesize the observation, run
-the coarse stage and the refinement, match estimated paths to true paths,
-accumulate squared errors and bound variances, then aggregate to one CSV row
-per (SNR, parameter, path class).  Trials use counter-derived substreams so
-results are bit-identical regardless of worker count or execution order.
+Per trial, once: draw the realization, build its noiseless signal at unit
+transmit power and its information matrix at unit power and unit noise.
+Per SNR point of that trial: scale the signal to the point's transmit power
+and add fresh noise, scale the information matrix to the point's power and
+noise and gate its conditioning, run the coarse stage and the refinement,
+match estimated paths to true paths, and record squared errors and bound
+variances.  Each SNR point's records then aggregate to one CSV row per
+(parameter, path class).  Trials use counter-derived substreams so results
+are bit-identical regardless of worker count or execution order.
 """
 
 from __future__ import annotations
@@ -22,11 +26,11 @@ import numpy as np
 
 from . import __version__
 from .arrays import ArrayConfig
-from .channel import (ChannelRealization, ReceiveMatrix, ScenarioConfig,
-                      draw_realization, synthesize)
+from .channel import (ChannelRealization, ReceiveMatrix, ScenarioConfig, awgn,
+                      draw_realization, unit_power_signal)
 from .coarse import (build_lut, coarse_estimate, correlate, detect_paths,
                      detection_threshold, mu_to_theta_deg)
-from .crlb import crlb_bounds, fisher_matrix, parameter_index
+from .crlb import FisherMatrix, crlb_bounds, fisher_at_power, fisher_matrix
 from .errors import ConfigurationError
 from .pilots import CazacConfig
 from .sage import PathEstimate, SageConfig, run_sage
@@ -236,38 +240,72 @@ def _shared_lut(arr: ArrayConfig, k_points: int):
     return build_lut(arr, k_points)
 
 
+@lru_cache(maxsize=1)
+def _trial_signal(scen: ScenarioConfig, arr: ArrayConfig, caz: CazacConfig,
+                  trial: int) -> Tuple[ChannelRealization, np.ndarray]:
+    # the realization and its unit-power noiseless signal depend on the trial
+    # only, so a trial's consecutive SNR points share one cached draw
+    geom_rng = np.random.default_rng(np.random.SeedSequence(entropy=(scen.seed, trial, 0)))
+    real = draw_realization(scen, geom_rng, arr.spacing_over_lambda)
+    s0 = unit_power_signal(real, arr, caz)
+    s0.setflags(write=False)
+    return real, s0
+
+
 def synthesize_trial(cfg: RunConfig, snr_idx: int, trial: int):
     """Deterministic observation for one (SNR point, trial) pair.
 
     The realization substream depends only on (seed, trial), so geometry is
-    shared across SNR points; the noise substream also keys on the SNR index.
-    Pilot repetitions are averaged before anything downstream sees them,
-    leaving an effective noise variance of noise_var / repetitions.
+    shared across SNR points, and so is the unit-power noiseless signal S0:
+    the observation is sqrt(P_T) * S0 plus noise from a substream that also
+    keys on the SNR index.  Pilot repetitions are averaged before anything
+    downstream sees them, leaving an effective noise variance of
+    noise_var / repetitions.
     """
-    snr_db = float(cfg.snr_sweep_db[snr_idx])
-    seed = cfg.scenario.seed
-    geom_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, trial, 0)))
-    noise_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, trial, 1 + snr_idx)))
-
-    scen = replace(cfg.scenario, snr_db=snr_db)
-    real = draw_realization(scen, geom_rng, cfg.array.spacing_over_lambda)
-
+    real, s0 = _trial_signal(cfg.scenario, cfg.array, cfg.cazac, trial)
+    real = real.with_snr_db(float(cfg.snr_sweep_db[snr_idx]))
     reps = cfg.repetitions_per_beam
-    y_acc = None
-    for _ in range(reps):
-        block = synthesize(real, cfg.array, cfg.cazac,
-                           noise_rng if real.noise_var > 0 else None)
-        y_acc = block.y if y_acc is None else y_acc + block.y
-    y = ReceiveMatrix(y=y_acc / reps, truth=real, arr=cfg.array, caz=cfg.cazac)
-    return real, y, real.noise_var / reps
+    y = np.sqrt(real.pt) * s0
+    if real.noise_var > 0:
+        noise_rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=(cfg.scenario.seed, trial, 1 + snr_idx)))
+        noise = awgn(noise_rng, y.shape, real.noise_var)
+        for _ in range(reps - 1):
+            noise += awgn(noise_rng, y.shape, real.noise_var)
+        y = y + noise / reps
+    return real, ReceiveMatrix(y=y, truth=real, arr=cfg.array, caz=cfg.cazac), \
+        real.noise_var / reps
 
 
 def run_trial(cfg: RunConfig, snr_idx: int, trial: int) -> TrialRecord:
     """Draw, synthesize, estimate and score one trial at one SNR point."""
-    snr_db = float(cfg.snr_sweep_db[snr_idx])
-    real, y, noise_eff = synthesize_trial(cfg, snr_idx, trial)
-    reps = cfg.repetitions_per_beam
+    return _trial_records(cfg, trial, (snr_idx,))[0]
 
+
+def _trial_records(cfg: RunConfig, trial: int,
+                   snr_indices: Sequence[int]) -> List[TrialRecord]:
+    """Score one trial at each of the given SNR points.
+
+    The realization and the noiseless signal come from one draw, and the
+    information matrix from one Jacobian at unit power and unit noise,
+    F0; each SNR point scales F0 to its own transmit power and effective
+    noise and gates its own condition number.
+    """
+    f0 = None
+    records = []
+    for snr_idx in snr_indices:
+        real, y, noise_eff = synthesize_trial(cfg, snr_idx, trial)
+        if f0 is None and noise_eff > 0:
+            f0 = fisher_matrix(replace(real, pt=1.0, noise_var=1.0), cfg.array, cfg.cazac)
+        records.append(_score_point(cfg, snr_idx, trial, real, y, noise_eff, f0))
+    return records
+
+
+def _score_point(cfg: RunConfig, snr_idx: int, trial: int, real: ChannelRealization,
+                 y: ReceiveMatrix, noise_eff: float,
+                 f0: Optional[FisherMatrix]) -> TrialRecord:
+    """Bound, estimate and score one synthesized observation."""
+    snr_db = float(cfg.snr_sweep_db[snr_idx])
     classes = ["los"] + ["nlos"] * (real.r - 1)
     counts = {"los": [0, 1], "nlos": [0, real.r - 1]}
 
@@ -276,21 +314,18 @@ def run_trial(cfg: RunConfig, snr_idx: int, trial: int) -> TrialRecord:
     crlb_vars = []
     fim_invertible = False
     if noise_eff > 0:
-        eff_real = replace(real, noise_var=noise_eff) if reps > 1 else real
-        report = crlb_bounds(fisher_matrix(eff_real, cfg.array, cfg.cazac))
+        report = crlb_bounds(fisher_at_power(f0, real.pt, noise_eff))
         fim_invertible = report.invertible
     if fim_invertible:
+        # rows follow the information matrix's block order [Re g | Im g | mu | tau]
+        var_re, var_im, var_mu, var_tau = (report.bounds ** 2).reshape(4, real.r).tolist()
         for r, p in enumerate(real.paths):
-            var_mu = report.bounds[parameter_index("mu", r, real.r)] ** 2
-            var_re = report.bounds[parameter_index("re", r, real.r)] ** 2
-            var_im = report.bounds[parameter_index("im", r, real.r)] ** 2
-            var_tau = report.bounds[parameter_index("tau", r, real.r)] ** 2
             gain = math.sqrt(real.pt) * abs(p.alpha)
             crlb_vars.append({
                 "cls": classes[r],
-                "aod_deg2": var_mu * _theta_slope_deg_per_rad(p.theta_deg) ** 2,
-                "gain_rel2": (var_re + var_im) / gain ** 2,
-                "delay_sym2": var_tau,
+                "aod_deg2": var_mu[r] * _theta_slope_deg_per_rad(p.theta_deg) ** 2,
+                "gain_rel2": (var_re[r] + var_im[r]) / gain ** 2,
+                "delay_sym2": var_tau[r],
             })
 
     pm = correlate(y)
@@ -362,24 +397,26 @@ def _worker_init(cfg: RunConfig) -> None:
     _WORKER_CFG = cfg
 
 
-def _worker_run(task: Tuple[int, int]) -> TrialRecord:
-    snr_idx, trial = task
-    return run_trial(_WORKER_CFG, snr_idx, trial)
+def _worker_run(trial: int) -> List[TrialRecord]:
+    return _trial_records(_WORKER_CFG, trial, range(len(_WORKER_CFG.snr_sweep_db)))
 
 
 def run_sweep(cfg: RunConfig, threads: int = 1) -> Tuple[List[dict], List[TrialRecord]]:
     """Execute the full sweep; returns aggregated CSV rows and the raw records.
 
-    Aggregation order is canonical (sorted by SNR index then trial id), so the
-    rows are identical for any worker count.
+    One task is one trial at every SNR point.  Records come back sorted by
+    SNR index then trial id, so the rows are identical for any worker count.
     """
-    tasks = [(s, t) for s in range(len(cfg.snr_sweep_db)) for t in range(cfg.trials)]
+    n_snr = len(cfg.snr_sweep_db)
     if threads > 1:
+        # several chunks per worker, so an uneven chunk does not idle the others
+        chunk = max(1, cfg.trials // (4 * threads))
         with ProcessPoolExecutor(max_workers=threads, initializer=_worker_init,
                                  initargs=(cfg,)) as pool:
-            records = list(pool.map(_worker_run, tasks, chunksize=64))
+            by_trial = list(pool.map(_worker_run, range(cfg.trials), chunksize=chunk))
     else:
-        records = [run_trial(cfg, s, t) for s, t in tasks]
+        by_trial = [_trial_records(cfg, t, range(n_snr)) for t in range(cfg.trials)]
+    records = [recs[s] for s in range(n_snr) for recs in by_trial]
 
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_sweep_db):

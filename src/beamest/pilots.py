@@ -78,6 +78,14 @@ def cazac_base(cfg: CazacConfig) -> np.ndarray:
     return np.exp(1j * phase)
 
 
+@lru_cache(maxsize=8)
+def _cached_base(cfg: CazacConfig) -> np.ndarray:
+    """Read-only :func:`cazac_base`, built once per pilot configuration."""
+    out = cazac_base(cfg)
+    out.setflags(write=False)
+    return out
+
+
 def pilot_matrix(cfg: CazacConfig, m: int, tau: float) -> PilotMatrix:
     """M x L pilot matrix at delay ``tau`` symbols; row k is the k-shifted sequence.
 
@@ -87,8 +95,7 @@ def pilot_matrix(cfg: CazacConfig, m: int, tau: float) -> PilotMatrix:
     """
     if m < 1:
         raise ConfigurationError(f"row count must be positive, got {m}")
-    cbase = cazac_base(cfg)
-    row0 = _kernels.pilot_row(cbase, tau, cfg.rolloff, cfg.pulse_halfwidth)
+    row0 = _kernels.pilot_row(_cached_base(cfg), tau, cfg.rolloff, cfg.pulse_halfwidth)
     return PilotMatrix(c=_stack_shifted(row0, m), delay=float(tau))
 
 
@@ -96,8 +103,7 @@ def pilot_matrix_derivative(cfg: CazacConfig, m: int, tau: float) -> np.ndarray:
     """Entrywise derivative of :func:`pilot_matrix` with respect to the delay."""
     if m < 1:
         raise ConfigurationError(f"row count must be positive, got {m}")
-    cbase = cazac_base(cfg)
-    row0 = _kernels.pilot_row_deriv(cbase, tau, cfg.rolloff, cfg.pulse_halfwidth)
+    row0 = _kernels.pilot_row_deriv(_cached_base(cfg), tau, cfg.rolloff, cfg.pulse_halfwidth)
     return _stack_shifted(row0, m)
 
 

@@ -21,6 +21,7 @@ base pilot row:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from numbers import Integral
 from typing import List, Optional, Sequence, Tuple
 
@@ -31,7 +32,7 @@ from .arrays import ArrayConfig, beam_gains
 from .channel import ReceiveMatrix
 from .coarse import CoarseEstimate
 from .errors import ConfigurationError, NumericalDegeneracyError
-from .pilots import CazacConfig, cazac_base, _stack_shifted
+from .pilots import CazacConfig, _cached_base, _stack_shifted
 
 
 @dataclass(frozen=True)
@@ -91,22 +92,25 @@ class RefinedEstimate:
 
 
 class _Workspace:
-    """Per-run cached quantities shared by the searches."""
+    """Per-configuration quantities shared by the searches; its arrays are read-only."""
 
     def __init__(self, arr: ArrayConfig, caz: CazacConfig):
         self.arr = arr
         self.caz = caz
-        self.cbase = cazac_base(caz)
+        self.cbase = _cached_base(caz)
         ell = caz.length
         self.ell = ell
+        self.rows = np.arange(arr.m)[:, None]
         # gather matrix undoing the per-beam shift: Xg[k, s] = X[k, (s + k) % L]
-        self.gather = (np.arange(ell)[None, :] + np.arange(arr.m)[:, None]) % ell
+        self.gather = (np.arange(ell)[None, :] + self.rows) % ell
         # conj pilot shifts for integer-lag correlation: corr[d, s] = conj(c((s - d) % L))
         idx = (np.arange(ell)[None, :] - np.arange(ell)[:, None]) % ell
         self.corr = self.cbase[idx].conj()
+        for a in (self.rows, self.gather, self.corr):
+            a.setflags(write=False)
 
     def gathered(self, x: np.ndarray) -> np.ndarray:
-        return x[np.arange(self.arr.m)[:, None], self.gather]
+        return x[self.rows, self.gather]
 
     def pilot_row(self, tau: float) -> np.ndarray:
         return _kernels.pilot_row(self.cbase, tau, self.caz.rolloff, self.caz.pulse_halfwidth)
@@ -115,6 +119,10 @@ class _Workspace:
         row0 = self.pilot_row(est.tau_hat)
         return est.alpha_hat * beam_gains(self.arr, est.mu_hat)[:, None] \
             * _stack_shifted(row0, self.arr.m)
+
+
+# one workspace per (array, pilot) configuration, shared by every run and step helper
+_workspace = lru_cache(maxsize=8)(_Workspace)
 
 
 def _tau_bounds(center: float, cfg: SageConfig, ell: int) -> Tuple[float, float]:
@@ -132,7 +140,7 @@ def expectation_step(y: ReceiveMatrix, estimates: Sequence[PathEstimate], r: int
     reconstruction; general beta blends in (1 - beta) of path r's own
     reconstruction.
     """
-    ws = _Workspace(y.arr, y.caz)
+    ws = _workspace(y.arr, y.caz)
     others = np.zeros_like(y.y)
     for i, est in enumerate(estimates):
         if i != r and est.alpha_hat != 0:
@@ -156,7 +164,7 @@ def maximize_tau(x_hat: np.ndarray, mu_fixed: float, cfg: SageConfig, search_cen
     zoomed until it is no wider than ``refine_tol``.  An all-zero hidden
     observation returns the center unchanged.
     """
-    ws = _Workspace(arr, caz)
+    ws = _workspace(arr, caz)
     z = (beam_gains(arr, mu_fixed).conj()[:, None] * ws.gathered(x_hat)).sum(axis=0)
     if not np.any(z):
         return float(search_center)
@@ -174,7 +182,7 @@ def maximize_mu(x_hat: np.ndarray, tau_fixed: float, cfg: SageConfig, search_cen
     Searches ``search_center`` +/- the window (default one beam spacing); the
     result is wrapped into [0, 2*pi).
     """
-    ws = _Workspace(arr, caz)
+    ws = _workspace(arr, caz)
     v = ws.pilot_row(tau_fixed)
     q = (ws.gathered(x_hat) * v.conj()[None, :]).sum(axis=1)
     if not np.any(q):
@@ -188,7 +196,7 @@ def maximize_mu(x_hat: np.ndarray, tau_fixed: float, cfg: SageConfig, search_cen
 def tau_objective_value(x_hat: np.ndarray, mu_fixed: float, tau: float, cfg: SageConfig,
                         *, arr: ArrayConfig, caz: CazacConfig, noise_var: float = 1.0) -> float:
     """The delay-search objective evaluated at one point (for ascent checks)."""
-    ws = _Workspace(arr, caz)
+    ws = _workspace(arr, caz)
     z = (beam_gains(arr, mu_fixed).conj()[:, None] * ws.gathered(x_hat)).sum(axis=0)
     w = ws.corr @ z
     raw = _kernels.tau_objective(w, tau, caz.rolloff, caz.pulse_halfwidth, ws.ell)
@@ -198,7 +206,7 @@ def tau_objective_value(x_hat: np.ndarray, mu_fixed: float, tau: float, cfg: Sag
 def mu_objective_value(x_hat: np.ndarray, tau_fixed: float, mu: float, cfg: SageConfig,
                        *, arr: ArrayConfig, caz: CazacConfig, noise_var: float = 1.0) -> float:
     """The spatial-frequency objective evaluated at one point (for ascent checks)."""
-    ws = _Workspace(arr, caz)
+    ws = _workspace(arr, caz)
     v = ws.pilot_row(tau_fixed)
     q = (ws.gathered(x_hat) * v.conj()[None, :]).sum(axis=1)
     qt = arr.m * np.fft.ifft(q)
@@ -210,7 +218,7 @@ def mu_objective_value(x_hat: np.ndarray, tau_fixed: float, mu: float, cfg: Sage
 def update_alpha(x_hat: np.ndarray, mu_fixed: float, tau_fixed: float,
                  *, arr: ArrayConfig, caz: CazacConfig) -> complex:
     """Closed-form combined gain tr{C^H A^H X} / tr{C^H A^H A C}."""
-    ws = _Workspace(arr, caz)
+    ws = _workspace(arr, caz)
     v = ws.pilot_row(tau_fixed)
     gains = beam_gains(arr, mu_fixed)
     num = (gains.conj()[:, None] * ws.gathered(x_hat) * v.conj()[None, :]).sum()
@@ -231,7 +239,7 @@ def run_sage_from(y: ReceiveMatrix, initial: Sequence[PathEstimate], cfg: SageCo
     """
     if not initial:
         raise ConfigurationError("refinement needs at least one initial path")
-    ws = _Workspace(y.arr, y.caz)
+    ws = _workspace(y.arr, y.caz)
     m = y.arr.m
     est: List[PathEstimate] = list(initial)
     recon: List[np.ndarray] = [

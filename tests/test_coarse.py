@@ -232,3 +232,28 @@ def test_coarse_aod_error_below_beamwidth_at_0db():
         sq.append(err ** 2)
     assert len(sq) > 150
     assert np.sqrt(np.mean(sq)) < 2 * np.pi / 16
+
+
+def per_diagonal_detections(p, g):
+    """Reference scan: one ``wrap_diagonal`` and one ``argmax`` per diagonal."""
+    out = []
+    for i in range(1, p.shape[0] + 1):
+        diag = wrap_diagonal(p, i)
+        k = int(np.argmax(diag))
+        if diag[k] >= g:
+            out.append(Detection(diag_index=i, row_index=k + 1, peak_power=float(diag[k])))
+    return out
+
+
+def test_detect_paths_matches_per_diagonal_scan():
+    rng = np.random.default_rng(23)
+    for m in (1, 2, 5, 16):
+        for _ in range(40):
+            # continuous powers, and small integers that tie within and across diagonals
+            for p in (rng.exponential(16.0, (m, m)), rng.integers(0, 4, (m, m)).astype(float)):
+                pm = PowerMatrix(p=p, z=np.sqrt(p).astype(complex))
+                # a threshold equal to one diagonal's peak keeps that diagonal (>= g)
+                peak = float(wrap_diagonal(p, int(rng.integers(1, m + 1))).max())
+                for g in (peak, 0.5, 2.5, 40.0):
+                    if g > 0:
+                        assert detect_paths(pm, g) == per_diagonal_detections(p, g)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from beamest import (ArrayConfig, CazacConfig, ConfigurationError, crlb_bounds,
                      parameter_index)
 from beamest.channel import ChannelRealization, PathParams, spatial_frequency
 from beamest.coarse import mu_to_theta_deg
-from beamest.crlb import FisherMatrix
+from beamest.crlb import FisherMatrix, fisher_at_power
 from beamest.pilots import cazac_base, _stack_shifted
 from beamest import _kernels
 from beamest.arrays import beam_gains
@@ -168,6 +170,21 @@ def test_snr_scaling_of_mu_tau_bounds():
         for r in range(2):
             i = parameter_index(kind, r, 2)
             assert high[i] == pytest.approx(low[i] / 2.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("n_paths", [1, 3])
+def test_unit_power_information_scales_to_any_snr(n_paths):
+    # F(P_T) = D F0 D / sigma^2 with D = diag(1, 1, sqrt(P_T), sqrt(P_T)) per block
+    rng = np.random.default_rng(40 + n_paths)
+    real = random_real(rng, n_paths)
+    f0 = fisher_matrix(replace(real, pt=1.0, noise_var=1.0), ARR, CAZ)
+    for pt, noise_var in ((real.pt, 1.0), (1e-3, 0.25), (250.0, 3.0)):
+        direct = fisher_matrix(replace(real, pt=pt, noise_var=noise_var), ARR, CAZ).f
+        scaled = fisher_at_power(f0, pt, noise_var).f
+        assert np.max(np.abs(scaled - direct)) <= 1e-12 * np.max(np.abs(direct))
+        assert np.array_equal(scaled, scaled.T)
+    with pytest.raises(ConfigurationError):
+        fisher_at_power(f0, 1.0, 0.0)
 
 
 def test_monte_carlo_average_identities():

@@ -7,6 +7,7 @@ from beamest import (ArrayConfig, CazacConfig, ConfigurationError, PathEstimate,
                      RunConfig, ScenarioConfig, match_paths, run_sweep, run_trial)
 from beamest.channel import ChannelRealization, PathParams
 from beamest.coarse import mu_to_theta_deg
+from beamest import harness
 from beamest.harness import (CSV_COLUMNS, PARAMETERS, PATH_CLASSES, CoarseParams,
                              aggregate_snr, config_from_dict, load_config,
                              rows_to_csv_bytes, write_outputs)
@@ -138,6 +139,55 @@ def test_sweep_worker_count_invariance(tmp_path):
     rows1, _ = run_sweep(cfg, threads=1)
     rows2, _ = run_sweep(cfg, threads=2)
     assert rows_to_csv_bytes(rows1) == rows_to_csv_bytes(rows2)
+
+
+@pytest.mark.parametrize("kw", [
+    {},
+    {"repetitions_per_beam": 2},
+    {"scenario": ScenarioConfig(n_nlos=1, seed=11, noise_var=0.0)},
+], ids=["plain", "repetitions", "noiseless"])
+def test_sweep_records_equal_per_point_trials(kw):
+    # the trial-major sweep shares one draw, signal and information matrix
+    # per trial; it must reproduce run_trial at every point bit for bit
+    cfg = small_cfg(trials=4, snr_sweep_db=(0.0, 10.0, 20.0), **kw)
+    rows1, recs1 = run_sweep(cfg, threads=1)
+    rows2, recs2 = run_sweep(cfg, threads=2)
+    assert rows_to_csv_bytes(rows1) == rows_to_csv_bytes(rows2)
+    assert recs1 == recs2
+    expected, rows = [], []
+    for s, snr_db in enumerate(cfg.snr_sweep_db):
+        chunk = [run_trial(cfg, s, t) for t in range(cfg.trials)]
+        expected.extend(chunk)
+        rows.extend(aggregate_snr(cfg.run_id, snr_db, chunk))
+    assert recs1 == expected
+    assert rows_to_csv_bytes(rows1) == rows_to_csv_bytes(rows)
+
+
+def test_sweep_draws_each_trial_once(monkeypatch):
+    cfg = small_cfg(trials=3, snr_sweep_db=(0.0, 5.0, 10.0, 20.0))
+    calls = {"fisher_matrix": 0, "unit_power_signal": 0}
+
+    def counted(name):
+        original = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counted(name))
+    harness._trial_signal.cache_clear()   # an earlier test may have left trial 0 cached
+    run_sweep(cfg)
+    assert calls == {"fisher_matrix": cfg.trials, "unit_power_signal": cfg.trials}
+
+
+def test_range_lists_give_the_tuple_result():
+    # the per-trial draw is cached on the scenario, so list ranges must not break it
+    lists = ScenarioConfig(n_nlos=1, seed=11, d_los_range_m=[30.0, 60.0],
+                           delta_nlos_range_m=[4.5, 24.0], theta_range_deg=[-60.0, 60.0])
+    assert lists == ScenarioConfig(n_nlos=1, seed=11)
+    assert run_trial(small_cfg(scenario=lists), 1, 2) == run_trial(small_cfg(), 1, 2)
 
 
 def test_feedback_log(tmp_path):

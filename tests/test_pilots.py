@@ -165,3 +165,15 @@ def test_sidelobe_power_ratios_cached_read_only():
     np.testing.assert_array_equal(cached, sidelobe_power_ratios.__wrapped__(cfg))
     with pytest.raises(ValueError):
         cached[0] = 1.0
+
+
+def test_cached_base_is_read_only_copy():
+    from beamest.pilots import _cached_base
+    cached = _cached_base(CFG)
+    assert _cached_base(CazacConfig()) is cached
+    np.testing.assert_array_equal(cached, cazac_base(CFG))
+    with pytest.raises(ValueError):
+        cached[0] = 0.0
+    fresh = cazac_base(CFG)         # the public base sequence stays writable
+    fresh[0] = 0.0
+    assert cached[0] != 0.0

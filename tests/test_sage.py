@@ -338,7 +338,7 @@ def test_mu_objective_array_matches_scalar_calls():
     assert isinstance(_kernels.mu_objective(qt, 1.3), float)
 
 
-def test_grid_plus_golden_matches_brute_force():
+def test_grid_plus_zoom_matches_brute_force():
     # 1e5-point scans as the independent maximizer oracle
     rng = np.random.default_rng(17)
     cfg = SageConfig(refine_tol=1e-9)
@@ -473,3 +473,24 @@ def test_zoom_finds_peak_far_from_parabolic(c, left):
     x = _kernels._zoom_max(f, 0.0, 1.0, 64, tol)
     assert abs(x - c) <= tol
     assert len(calls) <= 20
+
+
+def test_cached_workspace_is_read_only_and_equals_fresh():
+    from beamest.sage import _Workspace, _workspace
+    ws = _workspace(ARR, CAZ)
+    assert _workspace(ArrayConfig(m=16), CazacConfig()) is ws
+    ell = CAZ.length
+    cbase = cazac_base(CAZ)
+    np.testing.assert_array_equal(ws.cbase, cbase)
+    np.testing.assert_array_equal(
+        ws.gather, (np.arange(ell)[None, :] + np.arange(ARR.m)[:, None]) % ell)
+    np.testing.assert_array_equal(
+        ws.corr, cbase[(np.arange(ell)[None, :] - np.arange(ell)[:, None]) % ell].conj())
+    fresh = _Workspace(ARR, CAZ)
+    for name in ("cbase", "gather", "corr"):
+        np.testing.assert_array_equal(getattr(ws, name), getattr(fresh, name))
+        with pytest.raises(ValueError):
+            getattr(ws, name)[0, ...] = 0
+    x = np.arange(ARR.m * ell, dtype=complex).reshape(ARR.m, ell)
+    expected = [[x[k, (s + k) % ell] for s in range(ell)] for k in range(ARR.m)]
+    np.testing.assert_array_equal(ws.gathered(x), np.array(expected))
