@@ -12,13 +12,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .channel import draw_realization
-from .coarse import build_lut, coarse_estimate, correlate, detect_paths, detection_threshold, \
-    mu_to_theta_deg
+from .coarse import build_lut, mu_to_theta_deg
 from .crlb import crlb_bounds, fisher_matrix, parameter_index
 from .errors import ConfigurationError
-from .harness import (RunConfig, load_config, run_sweep, run_trial, synthesize_trial,
-                      write_outputs)
-from .sage import run_sage
+from .harness import RunConfig, load_config, run_sweep, run_trial, write_outputs
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -132,32 +129,21 @@ def _cmd_demo(cfg: RunConfig, args) -> int:
     snr_db = float(cfg.snr_sweep_db[0])
     print(f"single trial at SNR {snr_db:+.1f} dB, seed {cfg.scenario.seed}")
     rec = run_trial(cfg, 0, 0)
-    real, y, noise_eff = synthesize_trial(cfg, 0, 0)
-    guard_noise = noise_eff if noise_eff > 0 else 1.0
-
-    pm = correlate(y)
-    detections = detect_paths(pm, detection_threshold(guard_noise, cfg.array.m,
-                                                      cfg.coarse.p_fa))
-    print(f"truth paths ({real.r}):")
-    for i, p in enumerate(real.paths):
-        print(f"  [{i}] theta {p.theta_deg:+8.3f} deg  tau {p.tau_symbols:7.3f} sym  "
-              f"|alpha| {abs(p.alpha):.4f}")
-    if not detections:
+    print(f"truth paths ({len(rec.truth)}):")
+    for i, (theta, gain, tau) in enumerate(rec.truth):
+        print(f"  [{i}] theta {theta:+8.3f} deg  tau {tau:7.3f} sym  |gain| {abs(gain):.4f}")
+    if rec.detection_status == "no_detection":
         print("no diagonal cleared the detection threshold")
         return EXIT_OK
-    lut = build_lut(cfg.array, cfg.coarse.k_points)
-    coarse = coarse_estimate(pm, detections, lut, cfg.array, cfg.cazac,
-                             guard_noise, v=cfg.coarse.v, p_fa=cfg.coarse.p_fa)
-    print(f"coarse estimate (model order {coarse.r_hat}):")
-    for i, p in enumerate(coarse.paths):
-        print(f"  [{i}] theta {p.theta_hat_deg:+8.3f} deg  tau {p.tau_int:7d} sym  "
-              f"beam {p.k_index:2d}  peak {p.peak_power:12.2f}")
-    refined = run_sage(y, coarse, cfg.sage, guard_noise)
-    print(f"refined estimate ({refined.iterations} iterations, "
-          f"converged={refined.converged}):")
-    for i, p in enumerate(refined.paths):
-        print(f"  [{i}] theta {mu_to_theta_deg(p.mu_hat):+8.3f} deg  "
-              f"tau {p.tau_hat:7.3f} sym  |gain| {abs(p.alpha_hat):.4f}")
+    print(f"coarse estimate (model order {rec.r_hat}):")
+    for i, (tau_int, _, theta, peak, beam) in enumerate(rec.coarse):
+        print(f"  [{i}] theta {theta:+8.3f} deg  tau {tau_int:7d} sym  "
+              f"beam {beam:2d}  peak {peak:12.2f}")
+    print(f"refined estimate ({rec.sage_iterations} iterations, "
+          f"converged={rec.detection_status == 'ok'}):")
+    for i, (mu, tau, gain) in enumerate(rec.refined):
+        print(f"  [{i}] theta {mu_to_theta_deg(mu):+8.3f} deg  "
+              f"tau {tau:7.3f} sym  |gain| {abs(gain):.4f}")
     print(f"detection status: {rec.detection_status}")
     return EXIT_OK
 

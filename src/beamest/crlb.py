@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -42,15 +41,6 @@ class CrlbReport:
     bounds: np.ndarray
     condition_number: float
     invertible: bool
-
-
-@dataclass(frozen=True)
-class CrlbAverage:
-    """Variance-averaged square-root bounds over many realizations."""
-
-    bounds: np.ndarray
-    used: int
-    skipped: int
 
 
 def parameter_index(kind: str, r: int, n_paths: int) -> int:
@@ -131,33 +121,3 @@ def crlb_bounds(f: FisherMatrix) -> CrlbReport:
     inv = np.linalg.inv(mat)
     diag = np.clip(np.diag(inv), 0.0, None)
     return CrlbReport(bounds=np.sqrt(diag), condition_number=cond, invertible=True)
-
-
-def crlb_monte_carlo_average(realizations: Sequence[ChannelRealization], arr: ArrayConfig,
-                             caz: CazacConfig, snr_db: float | None = None) -> CrlbAverage:
-    """Average the bound variances over realizations, then take the square root.
-
-    All realizations must share the same path count.  Non-invertible
-    information matrices are skipped and counted; if every realization is
-    skipped the aggregate is an error.
-    """
-    if not realizations:
-        raise ConfigurationError("need at least one realization")
-    n = realizations[0].r
-    if any(real.r != n for real in realizations):
-        raise ConfigurationError("realizations must share the same path count")
-    acc = np.zeros(4 * n)
-    used = 0
-    skipped = 0
-    for real in realizations:
-        if snr_db is not None:
-            real = real.with_snr_db(snr_db)
-        report = crlb_bounds(fisher_matrix(real, arr, caz))
-        if not report.invertible:
-            skipped += 1
-            continue
-        acc += report.bounds ** 2
-        used += 1
-    if used == 0:
-        raise ArithmeticError("every realization produced a singular information matrix")
-    return CrlbAverage(bounds=np.sqrt(acc / used), used=used, skipped=skipped)

@@ -216,7 +216,7 @@ class TrialRecord:
     snr_db: float
     truth_classes: List[str]
     truth: List[tuple]           # per path: (theta_deg, combined gain, tau_symbols)
-    coarse: List[tuple]          # per coarse path: (tau_int, mu_hat, theta_deg, peak)
+    coarse: List[tuple]          # per coarse path: (tau_int, mu_hat, theta_deg, peak, beam)
     refined: List[tuple]         # per refined path: (mu_hat, tau_hat, alpha_hat)
     assignment: List[Tuple[int, int]]
     matched: List[dict]          # per matched pair: class + squared errors
@@ -328,10 +328,10 @@ def _score_point(cfg: RunConfig, snr_idx: int, trial: int, real: ChannelRealizat
                 "delay_sym2": var_tau[r],
             })
 
+    # a noiseless synthesis is detected and refined as if at unit noise
+    guard_noise = noise_eff if noise_eff > 0 else 1.0
     pm = correlate(y)
-    g = detection_threshold(noise_eff, cfg.array.m, cfg.coarse.p_fa) if noise_eff > 0 \
-        else detection_threshold(1.0, cfg.array.m, cfg.coarse.p_fa)
-    detections = detect_paths(pm, g)
+    detections = detect_paths(pm, detection_threshold(guard_noise, cfg.array.m, cfg.coarse.p_fa))
 
     matched_records: List[dict] = []
     feedback_rows: List[dict] = []
@@ -343,7 +343,6 @@ def _score_point(cfg: RunConfig, snr_idx: int, trial: int, real: ChannelRealizat
     status = "no_detection"
     if detections:
         lut = _shared_lut(cfg.array, cfg.coarse.k_points)
-        guard_noise = noise_eff if noise_eff > 0 else 1.0
         coarse = coarse_estimate(pm, detections, lut, cfg.array, cfg.cazac,
                                  guard_noise, v=cfg.coarse.v, p_fa=cfg.coarse.p_fa)
         r_hat = coarse.r_hat
@@ -351,7 +350,7 @@ def _score_point(cfg: RunConfig, snr_idx: int, trial: int, real: ChannelRealizat
         iterations = refined.iterations
         status = "ok" if refined.converged else "not_converged"
 
-        coarse_rows = [(cp.tau_int, cp.mu_hat, cp.theta_hat_deg, cp.peak_power)
+        coarse_rows = [(cp.tau_int, cp.mu_hat, cp.theta_hat_deg, cp.peak_power, cp.k_index)
                        for cp in coarse.paths]
         refined_rows = [(p.mu_hat, p.tau_hat, p.alpha_hat) for p in refined.paths]
         for i, cp in enumerate(coarse.paths):

@@ -16,6 +16,11 @@ base pilot row:
   z(s) = sum_k conj(A_kk) X_g[k, s];
 * tr{C^H A^H A C} = M * ||v_tau||^2, since the beam gains of any spatial
   frequency have total power M (the codebook is unitary).
+
+``run_sage_from`` and the public step helpers call one copy of each step of a
+path update: ``_hidden_observation``, then the ``_Workspace`` methods for the
+delay statistic z -> w and its search, the beam statistic q and the angle
+search over M * ifft(q), the gain quotient and the reconstruction.
 """
 
 from __future__ import annotations
@@ -92,14 +97,13 @@ class RefinedEstimate:
 
 
 class _Workspace:
-    """Per-configuration quantities shared by the searches; its arrays are read-only."""
+    """Per-configuration quantities and the steps of one path update; arrays are read-only."""
 
     def __init__(self, arr: ArrayConfig, caz: CazacConfig):
         self.arr = arr
         self.caz = caz
         self.cbase = _cached_base(caz)
-        ell = caz.length
-        self.ell = ell
+        self.ell = ell = caz.length
         self.rows = np.arange(arr.m)[:, None]
         # gather matrix undoing the per-beam shift: Xg[k, s] = X[k, (s + k) % L]
         self.gather = (np.arange(ell)[None, :] + self.rows) % ell
@@ -115,10 +119,48 @@ class _Workspace:
     def pilot_row(self, tau: float) -> np.ndarray:
         return _kernels.pilot_row(self.cbase, tau, self.caz.rolloff, self.caz.pulse_halfwidth)
 
+    def path_signal(self, alpha: complex, gains: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """alpha * A(mu) * C(tau) from the beam gains A(mu) and the pilot row v(tau)."""
+        return alpha * gains[:, None] * _stack_shifted(v, self.arr.m)
+
     def reconstruct(self, est: PathEstimate) -> np.ndarray:
-        row0 = self.pilot_row(est.tau_hat)
-        return est.alpha_hat * beam_gains(self.arr, est.mu_hat)[:, None] \
-            * _stack_shifted(row0, self.arr.m)
+        return self.path_signal(est.alpha_hat, beam_gains(self.arr, est.mu_hat),
+                                self.pilot_row(est.tau_hat))
+
+    def reconstructions(self, estimates: Sequence[PathEstimate], y: np.ndarray) -> List[np.ndarray]:
+        return [self.reconstruct(e) if e.alpha_hat != 0 else np.zeros_like(y) for e in estimates]
+
+    def delay_statistic(self, xg: np.ndarray, mu: float) -> Optional[np.ndarray]:
+        """w[d] = sum_s corr[d, s] z(s), z(s) = sum_k conj(A_kk(mu)) X_g[k, s]; None if z = 0."""
+        z = (beam_gains(self.arr, mu).conj()[:, None] * xg).sum(axis=0)
+        return self.corr @ z if np.any(z) else None
+
+    def search_delay(self, w: np.ndarray, center: float, cfg: SageConfig) -> float:
+        lo, hi = _tau_bounds(center, cfg, self.ell)
+        return float(_kernels.search_tau(w, self.caz.rolloff, self.caz.pulse_halfwidth,
+                                         self.ell, lo, hi, cfg.grid_points, cfg.refine_tol))
+
+    def beam_statistic(self, xg: np.ndarray, tau: float) -> Tuple[np.ndarray, np.ndarray]:
+        """The pilot row v(tau) and q[k] = sum_s X_g[k, s] conj(v(s))."""
+        v = self.pilot_row(tau)
+        return v, (xg * v.conj()[None, :]).sum(axis=1)
+
+    def angle_spectrum(self, q: np.ndarray) -> np.ndarray:
+        return self.arr.m * np.fft.ifft(q)
+
+    def search_angle(self, q: np.ndarray, center: float, cfg: SageConfig) -> float:
+        """Angle search around ``center``, wrapped to [0, 2*pi); a vanishing q keeps the center."""
+        half = cfg.mu_window if cfg.mu_window is not None else 2.0 * np.pi / self.arr.m
+        mu = _kernels.search_mu(self.angle_spectrum(q), center, half, cfg.grid_points,
+                                cfg.refine_tol) if np.any(q) else center
+        return float(np.mod(mu, 2.0 * np.pi))
+
+    def gain(self, q: np.ndarray, v: np.ndarray, gains: np.ndarray) -> complex:
+        """tr{C^H A^H X} / tr{C^H A^H A C}, the numerator being A(mu)^H q."""
+        den = self.arr.m * _pilot_energy(v)
+        if den < 1e-30:
+            raise NumericalDegeneracyError("vanishing pilot energy in the gain update")
+        return complex(np.dot(gains.conj(), q)) / den
 
 
 # one workspace per (array, pilot) configuration, shared by every run and step helper
@@ -132,6 +174,21 @@ def _tau_bounds(center: float, cfg: SageConfig, ell: int) -> Tuple[float, float]
     return lo, hi
 
 
+def _pilot_energy(v: np.ndarray) -> float:
+    return float(np.sum(np.abs(v) ** 2))
+
+
+def _objective_scale(cfg: SageConfig, m: int) -> float:
+    return 1.0 / (cfg.beta * m)
+
+
+def _hidden_observation(y: np.ndarray, recon: Sequence[np.ndarray], r: int,
+                        beta: float) -> np.ndarray:
+    """The residual after every other path, blended with path r's own by beta."""
+    x_hat = y - sum((x for i, x in enumerate(recon) if i != r), np.zeros_like(y))
+    return x_hat if beta == 1.0 else (1.0 - beta) * recon[r] + beta * x_hat
+
+
 def expectation_step(y: ReceiveMatrix, estimates: Sequence[PathEstimate], r: int,
                      cfg: SageConfig) -> np.ndarray:
     """Expected hidden observation of path r given the current estimates.
@@ -141,23 +198,12 @@ def expectation_step(y: ReceiveMatrix, estimates: Sequence[PathEstimate], r: int
     reconstruction.
     """
     ws = _workspace(y.arr, y.caz)
-    others = np.zeros_like(y.y)
-    for i, est in enumerate(estimates):
-        if i != r and est.alpha_hat != 0:
-            others += ws.reconstruct(est)
-    residual = y.y - others
-    if cfg.beta == 1.0:
-        return residual
-    return (1.0 - cfg.beta) * ws.reconstruct(estimates[r]) + cfg.beta * residual
-
-
-def _objective_scale(cfg: SageConfig, noise_var: float, m: int) -> float:
-    return 1.0 / (cfg.beta * noise_var * m)
+    return _hidden_observation(y.y, ws.reconstructions(estimates, y.y), r, cfg.beta)
 
 
 def maximize_tau(x_hat: np.ndarray, mu_fixed: float, cfg: SageConfig, search_center: float,
-                 *, arr: ArrayConfig, caz: CazacConfig, noise_var: float = 1.0) -> float:
-    """Delay maximizing |tr{C(tau)^H A(mu)^H X}| ** 2 / (beta sigma^2 tr{C^H A^H A C}).
+                 *, arr: ArrayConfig, caz: CazacConfig) -> float:
+    """Delay maximizing |tr{C(tau)^H A(mu)^H X}| ** 2 / (beta tr{C^H A^H A C}).
 
     The search covers ``search_center`` +/- the configured window, clipped to
     [0, L); the bracket around the best point of a ``grid_points`` grid is
@@ -165,71 +211,52 @@ def maximize_tau(x_hat: np.ndarray, mu_fixed: float, cfg: SageConfig, search_cen
     observation returns the center unchanged.
     """
     ws = _workspace(arr, caz)
-    z = (beam_gains(arr, mu_fixed).conj()[:, None] * ws.gathered(x_hat)).sum(axis=0)
-    if not np.any(z):
-        return float(search_center)
-    w = ws.corr @ z
-    lo, hi = _tau_bounds(search_center, cfg, ws.ell)
-    tau = _kernels.search_tau(w, caz.rolloff, caz.pulse_halfwidth, ws.ell,
-                              lo, hi, cfg.grid_points, cfg.refine_tol)
-    return float(tau)
+    w = ws.delay_statistic(ws.gathered(x_hat), mu_fixed)
+    return float(search_center) if w is None else ws.search_delay(w, search_center, cfg)
 
 
 def maximize_mu(x_hat: np.ndarray, tau_fixed: float, cfg: SageConfig, search_center: float,
-                *, arr: ArrayConfig, caz: CazacConfig, noise_var: float = 1.0) -> float:
+                *, arr: ArrayConfig, caz: CazacConfig) -> float:
     """Spatial frequency maximizing the same objective at a fixed delay.
 
     Searches ``search_center`` +/- the window (default one beam spacing); the
     result is wrapped into [0, 2*pi).
     """
     ws = _workspace(arr, caz)
-    v = ws.pilot_row(tau_fixed)
-    q = (ws.gathered(x_hat) * v.conj()[None, :]).sum(axis=1)
-    if not np.any(q):
-        return float(np.mod(search_center, 2.0 * np.pi))
-    qt = arr.m * np.fft.ifft(q)
-    half = cfg.mu_window if cfg.mu_window is not None else 2.0 * np.pi / arr.m
-    mu = _kernels.search_mu(qt, search_center, half, cfg.grid_points, cfg.refine_tol)
-    return float(np.mod(mu, 2.0 * np.pi))
+    _, q = ws.beam_statistic(ws.gathered(x_hat), tau_fixed)
+    return ws.search_angle(q, search_center, cfg)
 
 
 def tau_objective_value(x_hat: np.ndarray, mu_fixed: float, tau: float, cfg: SageConfig,
-                        *, arr: ArrayConfig, caz: CazacConfig, noise_var: float = 1.0) -> float:
+                        *, arr: ArrayConfig, caz: CazacConfig) -> float:
     """The delay-search objective evaluated at one point (for ascent checks)."""
     ws = _workspace(arr, caz)
-    z = (beam_gains(arr, mu_fixed).conj()[:, None] * ws.gathered(x_hat)).sum(axis=0)
-    w = ws.corr @ z
+    w = ws.delay_statistic(ws.gathered(x_hat), mu_fixed)
+    if w is None:
+        return 0.0
     raw = _kernels.tau_objective(w, tau, caz.rolloff, caz.pulse_halfwidth, ws.ell)
-    return raw * _objective_scale(cfg, noise_var, arr.m)
+    return raw * _objective_scale(cfg, arr.m)
 
 
 def mu_objective_value(x_hat: np.ndarray, tau_fixed: float, mu: float, cfg: SageConfig,
-                       *, arr: ArrayConfig, caz: CazacConfig, noise_var: float = 1.0) -> float:
+                       *, arr: ArrayConfig, caz: CazacConfig) -> float:
     """The spatial-frequency objective evaluated at one point (for ascent checks)."""
     ws = _workspace(arr, caz)
-    v = ws.pilot_row(tau_fixed)
-    q = (ws.gathered(x_hat) * v.conj()[None, :]).sum(axis=1)
-    qt = arr.m * np.fft.ifft(q)
-    raw = _kernels.mu_objective(qt, mu)
-    norm = float(np.sum(np.abs(v) ** 2))
-    return raw * _objective_scale(cfg, noise_var, arr.m) / norm
+    v, q = ws.beam_statistic(ws.gathered(x_hat), tau_fixed)
+    raw = _kernels.mu_objective(ws.angle_spectrum(q), mu)
+    return raw * _objective_scale(cfg, arr.m) / _pilot_energy(v)
 
 
 def update_alpha(x_hat: np.ndarray, mu_fixed: float, tau_fixed: float,
                  *, arr: ArrayConfig, caz: CazacConfig) -> complex:
     """Closed-form combined gain tr{C^H A^H X} / tr{C^H A^H A C}."""
     ws = _workspace(arr, caz)
-    v = ws.pilot_row(tau_fixed)
-    gains = beam_gains(arr, mu_fixed)
-    num = (gains.conj()[:, None] * ws.gathered(x_hat) * v.conj()[None, :]).sum()
-    den = arr.m * float(np.sum(np.abs(v) ** 2))
-    if den < 1e-30:
-        raise NumericalDegeneracyError("vanishing pilot energy in the gain update")
-    return complex(num / den)
+    v, q = ws.beam_statistic(ws.gathered(x_hat), tau_fixed)
+    return ws.gain(q, v, beam_gains(arr, mu_fixed))
 
 
 def run_sage_from(y: ReceiveMatrix, initial: Sequence[PathEstimate], cfg: SageConfig,
-                  noise_var: float, order: Optional[Sequence[int]] = None) -> RefinedEstimate:
+                  order: Optional[Sequence[int]] = None) -> RefinedEstimate:
     """Iterate expectation/maximization passes from explicit initial estimates.
 
     ``order`` fixes the within-pass update order (defaults to the given order).
@@ -240,56 +267,28 @@ def run_sage_from(y: ReceiveMatrix, initial: Sequence[PathEstimate], cfg: SageCo
     if not initial:
         raise ConfigurationError("refinement needs at least one initial path")
     ws = _workspace(y.arr, y.caz)
-    m = y.arr.m
     est: List[PathEstimate] = list(initial)
-    recon: List[np.ndarray] = [
-        ws.reconstruct(e) if e.alpha_hat != 0 else np.zeros_like(y.y) for e in est
-    ]
+    recon = ws.reconstructions(est, y.y)
     if order is None:
         order = range(len(est))
-    half_mu = cfg.mu_window if cfg.mu_window is not None else 2.0 * np.pi / m
 
-    iterations = 0
-    converged = False
-    for _ in range(cfg.max_iterations):
-        iterations += 1
+    for iterations in range(1, cfg.max_iterations + 1):
         previous = list(est)
         for r in order:
-            total = np.zeros_like(y.y)
-            for i in range(len(est)):
-                if i != r:
-                    total += recon[i]
-            x_hat = y.y - total
-            if cfg.beta != 1.0:
-                x_hat = (1.0 - cfg.beta) * recon[r] + cfg.beta * x_hat
-            xg = ws.gathered(x_hat)
-
-            gains = beam_gains(y.arr, est[r].mu_hat)
-            z = (gains.conj()[:, None] * xg).sum(axis=0)
-            if not np.any(z):
+            xg = ws.gathered(_hidden_observation(y.y, recon, r, cfg.beta))
+            w = ws.delay_statistic(xg, est[r].mu_hat)
+            if w is None:
                 continue
-            w = ws.corr @ z
-            lo, hi = _tau_bounds(est[r].tau_hat, cfg, ws.ell)
-            tau = _kernels.search_tau(
-                w, y.caz.rolloff, y.caz.pulse_halfwidth, ws.ell,
-                lo, hi, cfg.grid_points, cfg.refine_tol)
-
-            v = ws.pilot_row(tau)
-            q = (xg * v.conj()[None, :]).sum(axis=1)
-            qt = m * np.fft.ifft(q)
-            mu = _kernels.search_mu(qt, est[r].mu_hat, half_mu,
-                                    cfg.grid_points, cfg.refine_tol)
-            mu = float(np.mod(mu, 2.0 * np.pi))
-
+            tau = ws.search_delay(w, est[r].tau_hat, cfg)
+            v, q = ws.beam_statistic(xg, tau)
+            mu = ws.search_angle(q, est[r].mu_hat, cfg)
             gains = beam_gains(y.arr, mu)
-            num = complex(np.dot(gains.conj(), q))
-            den = m * float(np.sum(np.abs(v) ** 2))
-            alpha = num / den
-            est[r] = PathEstimate(mu_hat=mu, tau_hat=float(tau), alpha_hat=alpha)
-            recon[r] = alpha * gains[:, None] * _stack_shifted(v, m)
+            alpha = ws.gain(q, v, gains)
+            est[r] = PathEstimate(mu_hat=mu, tau_hat=tau, alpha_hat=alpha)
+            recon[r] = ws.path_signal(alpha, gains, v)
 
-        if _max_relative_change(previous, est) <= cfg.gamma_stop:
-            converged = True
+        converged = _max_relative_change(previous, est) <= cfg.gamma_stop
+        if converged:
             break
 
     return RefinedEstimate(paths=tuple(est), iterations=iterations, converged=converged)
@@ -315,11 +314,11 @@ def run_sage(y: ReceiveMatrix, init: CoarseEstimate, cfg: SageConfig,
     """Refine a coarse estimate: init at the coarse parameters with zero gains.
 
     Paths are updated strongest-first (by coarse peak power) within each pass;
-    the returned path order matches ``init.paths``.
+    the returned path order matches ``init.paths``.  ``noise_var`` is not read.
     """
     if init.r_hat < 1 or not init.paths:
         raise ConfigurationError("refinement needs a coarse estimate with at least one path")
     initial = [PathEstimate(mu_hat=p.mu_hat, tau_hat=float(p.tau_int), alpha_hat=0.0 + 0.0j)
                for p in init.paths]
     order = np.argsort([-p.peak_power for p in init.paths], kind="stable")
-    return run_sage_from(y, initial, cfg, noise_var, order=[int(i) for i in order])
+    return run_sage_from(y, initial, cfg, order=[int(i) for i in order])

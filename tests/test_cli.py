@@ -1,6 +1,7 @@
 import json
 
 from beamest.cli import EXIT_CONFIG, EXIT_OK, main
+from beamest.harness import config_from_dict, run_trial
 
 
 def write_cfg(tmp_path, **kw):
@@ -65,6 +66,12 @@ def test_demo_deterministic(tmp_path, capsys):
     assert first == second
     assert "truth paths" in first
     assert "refined estimate" in first
+    # the printed gains are the trial record's combined gains sqrt(P_T) * alpha
+    with open(cfg) as fh:
+        rec = run_trial(config_from_dict(dict(json.load(fh), seed=42)), 0, 0)
+    printed = [line.rsplit("|gain| ", 1)[1] for line in first.splitlines() if "|gain|" in line]
+    gains = [g for _, g, _ in rec.truth] + [a for _, _, a in rec.refined]
+    assert rec.refined and printed == [f"{abs(g):.4f}" for g in gains]
 
 
 def test_crlb_subcommand(tmp_path, capsys):

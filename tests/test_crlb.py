@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from beamest import (ArrayConfig, CazacConfig, ConfigurationError, crlb_bounds,
-                     crlb_monte_carlo_average, fisher_matrix, model_jacobian,
-                     parameter_index)
+                     fisher_matrix, model_jacobian, parameter_index)
 from beamest.channel import ChannelRealization, PathParams, spatial_frequency
 from beamest.coarse import mu_to_theta_deg
 from beamest.crlb import FisherMatrix, fisher_at_power
@@ -185,43 +184,6 @@ def test_unit_power_information_scales_to_any_snr(n_paths):
         assert np.array_equal(scaled, scaled.T)
     with pytest.raises(ConfigurationError):
         fisher_at_power(f0, 1.0, 0.0)
-
-
-def test_monte_carlo_average_identities():
-    rng = np.random.default_rng(5)
-    real = random_real(rng, 2)
-    single = crlb_monte_carlo_average([real], ARR, CAZ)
-    assert single.used == 1 and single.skipped == 0
-    direct = crlb_bounds(fisher_matrix(real, ARR, CAZ)).bounds
-    assert np.allclose(single.bounds, direct, rtol=1e-12)
-    double = crlb_monte_carlo_average([real, real], ARR, CAZ)
-    assert np.allclose(double.bounds, direct, rtol=1e-12)
-
-
-def test_monte_carlo_average_decreases_with_snr():
-    rng = np.random.default_rng(6)
-    reals = [random_real(rng, 2) for _ in range(5)]
-    prev = None
-    for snr in (0.0, 10.0, 20.0):
-        avg = crlb_monte_carlo_average(reals, ARR, CAZ, snr_db=snr)
-        if prev is not None:
-            assert np.all(avg.bounds <= prev + 1e-15)
-        prev = avg.bounds
-
-
-def test_monte_carlo_average_counts_skips():
-    rng = np.random.default_rng(7)
-    good = random_real(rng, 2)
-    mu = spatial_frequency(10.0)
-    bad = make_real([(1.0 + 0j, mu, 0.0), (1.0 + 0j, mu + 1e-9, 1e-9)])
-    avg = crlb_monte_carlo_average([good, bad], ARR, CAZ)
-    assert avg.used == 1 and avg.skipped == 1
-    with pytest.raises(ArithmeticError):
-        crlb_monte_carlo_average([bad], ARR, CAZ)
-    with pytest.raises(ConfigurationError):
-        crlb_monte_carlo_average([], ARR, CAZ)
-    with pytest.raises(ConfigurationError):
-        crlb_monte_carlo_average([good, make_real([(1 + 0j, 1.0, 0.0)])], ARR, CAZ)
 
 
 def test_parameter_index_round_trip():

@@ -266,25 +266,38 @@ def test_config_file_errors(tmp_path):
 
 
 def test_aggregation_matches_hand_computed_rmse():
-    # three synthetic trials with pinned squared errors; RMSE over matched
-    # pairs must equal the hand-computed root mean square
+    # three synthetic trials with pinned squared errors and bound variances;
+    # RMSE over matched pairs must equal the hand-computed root mean square,
+    # and the bound the root of the mean variance over invertible trials
     from beamest.harness import TrialRecord
 
-    def rec(trial_id, los_err2, nlos_err2):
+    def rec(trial_id, los_err2, nlos_err2, var=None):
         matched = [{"cls": "los", "aod_coarse_deg2": los_err2, "aod_ml_deg2": los_err2,
                     "gain_ml_rel2": 0.0, "delay_ml_sym2": 0.0}]
         if nlos_err2 is not None:
             matched.append({"cls": "nlos", "aod_coarse_deg2": 0.0, "aod_ml_deg2": 0.0,
                             "gain_ml_rel2": 0.0, "delay_ml_sym2": nlos_err2})
+        crlb_vars = [] if var is None else [
+            {"cls": cls, "aod_deg2": k * var, "gain_rel2": 2 * k * var, "delay_sym2": 3 * k * var}
+            for k, cls in ((1, "los"), (5, "nlos"))]
         return TrialRecord(
             trial_id=trial_id, snr_db=10.0, truth_classes=["los", "nlos"],
             truth=[], coarse=[], refined=[], assignment=[],
-            matched=matched, crlb_vars=[], fim_invertible=False,
+            matched=matched, crlb_vars=crlb_vars, fim_invertible=var is not None,
             detection_counts={"los": [1, 1], "nlos": [1 if nlos_err2 is not None else 0, 1]},
             sage_iterations=3, r_hat=2, detection_status="ok", feedback=[])
 
-    rows = aggregate_snr("t", 10.0, [rec(0, 4.0, 9.0), rec(1, 16.0, None), rec(2, 1.0, 1.0)])
+    # trial 1's information matrix is singular: no bound, but its errors count
+    rows = aggregate_snr("t", 10.0, [rec(0, 4.0, 9.0, var=0.25), rec(1, 16.0, None),
+                                     rec(2, 1.0, 1.0, var=1.0)])
     table = {(r["path_class"], r["parameter"]): r for r in rows}
+    # bounds: sqrt of the mean of (0.25, 1.0) times each parameter's factor
+    for (cls, param), factor in {("los", "aod_coarse_deg"): 1, ("los", "aod_ml_deg"): 1,
+                                 ("los", "gain_ml_rel"): 2, ("los", "delay_ml_sym"): 3,
+                                 ("nlos", "aod_ml_deg"): 5, ("nlos", "gain_ml_rel"): 10,
+                                 ("nlos", "delay_ml_sym"): 15}.items():
+        expected = math.sqrt(factor * (0.25 + 1.0) / 2.0)
+        assert table[(cls, param)]["sqrt_crlb_avg"] == pytest.approx(expected, rel=1e-15)
     # LOS angle: sqrt((4 + 16 + 1) / 3); NLOS delay: sqrt((9 + 1) / 2)
     assert table[("los", "aod_ml_deg")]["rmse"] == pytest.approx(math.sqrt(21.0 / 3.0))
     assert table[("nlos", "delay_ml_sym")]["rmse"] == pytest.approx(math.sqrt(10.0 / 2.0))

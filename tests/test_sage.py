@@ -198,11 +198,31 @@ def test_fixed_point_at_truth():
     params = [(1.0 + 0j, 2.345, 0.0), (0.4 * np.exp(0.7j), 5.1, 7.63)]
     y = observe(params)
     cfg = SageConfig(refine_tol=1e-10)
-    refined = run_sage_from(y, estimates_from(params), cfg, noise_var=1.0)
+    refined = run_sage_from(y, estimates_from(params), cfg)
     for (a, mu, tau), est in zip(params, refined.paths):
         assert abs((est.mu_hat - mu + np.pi) % (2 * np.pi) - np.pi) < 1e-8
         assert abs(est.tau_hat - tau) < 1e-8
         assert abs(est.alpha_hat - a) < 1e-7
+
+
+def test_step_helpers_equal_one_loop_update():
+    # the public helpers chain the loop's own steps, so the first path update
+    # of one pass equals the chain bit for bit, not merely to rounding
+    rng = np.random.default_rng(21)
+    cfg = SageConfig(max_iterations=1)
+    for _ in range(50):
+        real = draw_realization(ScenarioConfig(n_nlos=1, snr_db=10.0), rng)
+        y = synthesize(real, ARR, CAZ, rng)
+        start = [PathEstimate(mu_hat=p.mu + rng.uniform(-0.05, 0.05),
+                              tau_hat=p.tau_symbols + rng.uniform(-0.3, 0.3),
+                              alpha_hat=g * (1.0 + 0.1 * rng.standard_normal()))
+                 for p, g in zip(real.paths, real.gains())]
+        loop = run_sage_from(y, start, cfg).paths[0]
+        x = expectation_step(y, start, 0, cfg)
+        tau = maximize_tau(x, start[0].mu_hat, cfg, start[0].tau_hat, arr=ARR, caz=CAZ)
+        mu = maximize_mu(x, tau, cfg, start[0].mu_hat, arr=ARR, caz=CAZ)
+        alpha = update_alpha(x, mu, tau, arr=ARR, caz=CAZ)
+        assert (loop.tau_hat, loop.mu_hat, loop.alpha_hat) == (tau, mu, alpha)
 
 
 def test_single_path_refinement_not_worse_than_coarse():
@@ -241,7 +261,7 @@ def test_monotone_likelihood_over_iterations():
                    for p in run_pipeline(y)[0].paths]
         prev = residual_power(y, current)
         for _ in range(4):
-            refined = run_sage_from(y, current, SageConfig(max_iterations=1), 1.0)
+            refined = run_sage_from(y, current, SageConfig(max_iterations=1))
             current = list(refined.paths)
             now = residual_power(y, current)
             assert now <= prev + 1e-6 * max(1.0, prev)
@@ -251,7 +271,7 @@ def test_monotone_likelihood_over_iterations():
 def test_run_sage_requires_paths():
     y = observe([(1.0 + 0j, 1.0, 0.0)])
     with pytest.raises(ConfigurationError):
-        run_sage_from(y, [], SageConfig(), 1.0)
+        run_sage_from(y, [], SageConfig())
 
 
 def test_noise_only_input_never_raises():
@@ -260,7 +280,7 @@ def test_noise_only_input_never_raises():
         pt=0.0, noise_var=1.0)
     y = synthesize(real, ARR, CAZ, np.random.default_rng(13))
     init = [PathEstimate(mu_hat=1.0, tau_hat=2.0, alpha_hat=0j)]
-    refined = run_sage_from(y, init, SageConfig(), 1.0)
+    refined = run_sage_from(y, init, SageConfig())
     assert refined.iterations <= SageConfig().max_iterations
     assert all(np.isfinite(abs(p.alpha_hat)) for p in refined.paths)
 
