@@ -17,8 +17,7 @@ from .channel import (ChannelRealization, PathParams, ReceiveMatrix, ScenarioCon
 from .coarse import (CoarseEstimate, CoarsePath, Detection, Feedback, Lut, PowerMatrix,
                      build_lut, coarse_estimate, correlate, detect_paths,
                      detection_threshold, mu_to_theta_deg)
-from .crlb import (CrlbReport, FisherMatrix, crlb_bounds, fisher_matrix, model_jacobian,
-                   parameter_index)
+from .crlb import CrlbReport, FisherMatrix, crlb_bounds, fisher_matrix, parameter_index
 from .errors import ConfigurationError, NumericalDegeneracyError
 from .harness import (CoarseParams, RunConfig, load_config, match_paths, run_sweep,
                       run_trial, write_outputs)

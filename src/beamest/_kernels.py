@@ -26,56 +26,65 @@ _SING_EPS = 1e-8
 _ZERO_EPS = 1e-7
 
 
-def _sinc_deriv(x):
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < _ZERO_EPS
-    safe = np.where(small, 1.0, x)
-    out = (np.cos(np.pi * x) - np.sinc(x)) / safe
-    z = (np.pi * x) ** 2
-    series = -(np.pi ** 2) * x / 3.0 * (1.0 - z / 10.0)
-    return np.where(small, series, out)
+def _rc_factors(x, rolloff):
+    """The pieces of h(x) = sinc(x) g(x) that h and dh/dx share.
+
+    g(x) = cos(beta pi x) / (1 - (2 beta x)^2) takes its limit on the poles
+    |x| = 1/(2 beta).  Returns sinc(x) and g, and for g' the pole mask, the
+    denominator (1 on a pole), cos(beta pi x) and |x| - 1/(2 beta); without
+    roll-off g = 1 and the last four are None.
+    """
+    s = np.sinc(x)
+    if rolloff <= 0.0:
+        return s, np.ones_like(x), None, None, None, None
+    dx0 = np.abs(x) - 1.0 / (2.0 * rolloff)
+    sing = np.abs(dx0) < _SING_EPS
+    den = np.where(sing, 1.0, 1.0 - (2.0 * rolloff * x) ** 2)
+    cb = np.cos(rolloff * np.pi * x)
+    g = np.where(sing, (np.pi / 4.0) * (1.0 - rolloff * dx0), cb / den)
+    return s, g, sing, den, cb, dx0
+
+
+def _exact_on_samples(x, h):
+    """``h`` with the pulse's exact 1 at x = 0 and 0 at the other integers."""
+    xr = np.rint(x)
+    exact = np.where(np.abs(xr) < 0.5, 1.0, 0.0)
+    return np.where(np.abs(x - xr) < _INT_EPS, exact, h)
 
 
 def rc_samples(x, rolloff):
     """Raised-cosine pulse h(x) with removable singularities by their limits."""
     x = np.asarray(x, dtype=float)
-    xr = np.rint(x)
-    on_sample = np.abs(x - xr) < _INT_EPS
-    den = 1.0 - (2.0 * rolloff * x) ** 2
-    if rolloff > 0.0:
-        x0 = 1.0 / (2.0 * rolloff)
-        sing = np.abs(np.abs(x) - x0) < _SING_EPS
-        g = np.where(sing,
-                     (np.pi / 4.0) * (1.0 - rolloff * (np.abs(x) - x0)),
-                     np.cos(rolloff * np.pi * x) / np.where(sing, 1.0, den))
-    else:
-        g = np.ones_like(x)
-    out = np.sinc(x) * g
-    exact = np.where(np.abs(xr) < 0.5, 1.0, 0.0)
-    return np.where(on_sample, exact, out)
+    s, g = _rc_factors(x, rolloff)[:2]
+    return _exact_on_samples(x, s * g)
+
+
+def rc_samples_and_derivs(x, rolloff):
+    """h(x) and dh/dx, limits at x = 0 and the roll-off poles.
+
+    One pass: h and h' share sinc(x), cos(beta pi x) and the roll-off
+    denominator, and h equals :func:`rc_samples` bit for bit.
+    """
+    x = np.asarray(x, dtype=float)
+    s, g, sing, den, cb, dx0 = _rc_factors(x, rolloff)
+    # sinc'(x) = (cos(pi x) - sinc(x)) / x, by its series near 0
+    small = np.abs(x) < _ZERO_EPS
+    z = (np.pi * x) ** 2
+    sp = np.where(small, -(np.pi ** 2) * x / 3.0 * (1.0 - z / 10.0),
+                  (np.cos(np.pi * x) - s) / np.where(small, 1.0, x))
+    h = _exact_on_samples(x, s * g)
+    if sing is None:
+        return h, sp * g
+    gp = (-rolloff * np.pi * np.sin(rolloff * np.pi * x) * den
+          + cb * 8.0 * rolloff ** 2 * x) / den ** 2
+    gp_s = np.sign(x) * (np.pi / 4.0) * (-rolloff + 2.0 * rolloff ** 2 * dx0
+                                         * (1.0 - np.pi ** 2 / 6.0))
+    return h, sp * g + s * np.where(sing, gp_s, gp)
 
 
 def rc_deriv_samples(x, rolloff):
     """dh/dx of the raised-cosine pulse, limits at x=0 and the roll-off poles."""
-    x = np.asarray(x, dtype=float)
-    sp = _sinc_deriv(x)
-    if rolloff > 0.0:
-        x0 = 1.0 / (2.0 * rolloff)
-        sing = np.abs(np.abs(x) - x0) < _SING_EPS
-        den = np.where(sing, 1.0, 1.0 - (2.0 * rolloff * x) ** 2)
-        g = np.cos(rolloff * np.pi * x) / den
-        gp = (-rolloff * np.pi * np.sin(rolloff * np.pi * x) * den
-              + np.cos(rolloff * np.pi * x) * 8.0 * rolloff ** 2 * x) / den ** 2
-        sgn = np.sign(x)
-        u = np.abs(x) - x0
-        g_s = (np.pi / 4.0) * (1.0 - rolloff * u)
-        gp_s = sgn * (np.pi / 4.0) * (-rolloff + 2.0 * rolloff ** 2 * u * (1.0 - np.pi ** 2 / 6.0))
-        g = np.where(sing, g_s, g)
-        gp = np.where(sing, gp_s, gp)
-    else:
-        g = np.ones_like(x)
-        gp = np.zeros_like(x)
-    return sp * g + np.sinc(x) * gp
+    return rc_samples_and_derivs(x, rolloff)[1]
 
 
 def _tap_range(tau, halfwidth):
@@ -96,12 +105,30 @@ def pilot_row(cbase, tau, rolloff, halfwidth):
     return (cbase[idx] * taps[None, :]).sum(axis=1)
 
 
-def pilot_row_deriv(cbase, tau, rolloff, halfwidth):
+def pilot_rows_and_derivs(cbase, taus, rolloff, halfwidth):
+    """Pilot rows v(tau_r) and their delay derivatives dv/dtau_r, (R, L) each.
+
+    One (R x 2*halfwidth+1) tap matrix serves every delay: row r holds
+    u = ceil(tau_r - halfwidth) + k, masked to the truncated support
+    u <= tau_r + halfwidth.  A fractional delay uses 2*halfwidth taps, and an
+    integer one all 2*halfwidth+1, since the pulse's derivative is not zero
+    at the support's end.  Each row matches :func:`pilot_row` at its delay:
+    the masked tap adds an exact zero, so only the grouping of the sum can
+    differ.
+    """
     ell = cbase.shape[0]
-    u = _tap_range(tau, halfwidth)
-    taps = -rc_deriv_samples(u - tau, rolloff)
-    idx = (np.arange(ell)[:, None] - u[None, :]) % ell
-    return (cbase[idx] * taps[None, :]).sum(axis=1)
+    t = np.asarray(taus, dtype=float)[:, None]
+    u = np.ceil(t - halfwidth).astype(np.intp) + np.arange(2 * halfwidth + 1)
+    h, hp = rc_samples_and_derivs(u - t, rolloff)
+    taps = np.stack([h, -hp]) * (u <= np.floor(t + halfwidth))
+    idx = (np.arange(ell)[:, None] - u[:, None, :]) % ell
+    rows = (cbase[idx] * taps[:, :, None, :]).sum(axis=-1)
+    return rows[0], rows[1]
+
+
+def pilot_row_deriv(cbase, tau, rolloff, halfwidth):
+    """Delay derivative of :func:`pilot_row`."""
+    return pilot_rows_and_derivs(cbase, [tau], rolloff, halfwidth)[1][0]
 
 
 def tau_objective(w, tau, rolloff, halfwidth, ell):

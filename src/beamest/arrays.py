@@ -98,12 +98,6 @@ def beam_gains(cfg: ArrayConfig, mu: float) -> np.ndarray:
     return np.exp(1j * np.arange(cfg.m) * mu) @ _cached_codebook(cfg)
 
 
-def beam_gain_derivs(cfg: ArrayConfig, mu: float) -> np.ndarray:
-    """Entrywise derivative of :func:`beam_gains` with respect to mu."""
-    m = np.arange(cfg.m)
-    return (1j * m * np.exp(1j * m * mu)) @ _cached_codebook(cfg)
-
-
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 

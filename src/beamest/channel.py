@@ -157,7 +157,7 @@ def unit_power_signal(real: ChannelRealization, arr: ArrayConfig,
     The observation at transmit power P_T is sqrt(P_T) times this matrix, so
     an SNR sweep over one realization builds it once.
     """
-    if arr.m != caz.length and arr.m > caz.length:
+    if arr.m > caz.length:
         raise ConfigurationError(
             f"more beams ({arr.m}) than pilot shifts ({caz.length}) is not supported")
     cbase = _cached_base(caz)

@@ -5,6 +5,15 @@ imaginary parts, the spatial frequency and the delay, in the block order
 [Re gains | Im gains | mu | tau] (4R entries).  The information matrix is
 F_ij = (2 / sigma^2) Re tr{ dS/d eta_i ^H  dS/d eta_j } with
 S = sum_r g_r A(mu_r) C(tau_r), g_r = sqrt(P_T) alpha_r.
+
+No Jacobian is built.  With A_r = diag(a(mu_r)) and row k of C_r the pilot
+row v(tau_r) shifted by k, tr{(A_i C_i)^H A_j C_j} = (a_i^H a_j)(v_i^H v_j).
+Every derivative lies in the 3R-vector basis a_r (x) v_r, a'_r (x) v_r,
+a_r (x) v'_r, whose Gram matrix K is the Hadamard product of the Gram of
+[a | a'] (2R beam-gain rows) and the Gram of [v | v'] (2R pilot rows),
+indexed into that basis.  With W the 3R x 4R matrix that places 1 and j on
+the gain columns and g_r on the angle and delay columns,
+F = (2 / sigma^2) Re(W^H K W).
 """
 
 from __future__ import annotations
@@ -14,10 +23,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrays import ArrayConfig, beam_gains, beam_gain_derivs
+from .arrays import ArrayConfig, _cached_codebook
 from .channel import ChannelRealization
 from .errors import ConfigurationError
-from .pilots import CazacConfig, _cached_base, _stack_shifted
+from .pilots import CazacConfig, _cached_base
 from . import _kernels
 
 COND_LIMIT = 1e12
@@ -51,40 +60,33 @@ def parameter_index(kind: str, r: int, n_paths: int) -> int:
     return offset * n_paths + r
 
 
-def model_jacobian(real: ChannelRealization, arr: ArrayConfig, caz: CazacConfig) -> np.ndarray:
-    """Partial derivatives of the noiseless observation, shape (M, L, 4R).
-
-    Slices follow the parameter order: d/dRe{g_r} = A_r C_r, d/dIm{g_r} =
-    j A_r C_r, d/dmu_r = g_r A'_r C_r, d/dtau_r = g_r A_r C'_r.
-    """
-    n = real.r
-    gains = real.gains()
-    cbase = _cached_base(caz)
-    jac = np.empty((arr.m, caz.length, 4 * n), dtype=complex)
-    for r, p in enumerate(real.paths):
-        if not (np.isfinite(p.mu) and np.isfinite(p.tau_symbols) and np.isfinite(gains[r])):
-            raise ValueError(f"non-finite parameters on path {r}")
-        a = beam_gains(arr, p.mu)
-        a_d = beam_gain_derivs(arr, p.mu)
-        row0 = _kernels.pilot_row(cbase, p.tau_symbols, caz.rolloff, caz.pulse_halfwidth)
-        row0_d = _kernels.pilot_row_deriv(cbase, p.tau_symbols, caz.rolloff, caz.pulse_halfwidth)
-        c = _stack_shifted(row0, arr.m)
-        c_d = _stack_shifted(row0_d, arr.m)
-        ac = a[:, None] * c
-        jac[:, :, parameter_index("re", r, n)] = ac
-        jac[:, :, parameter_index("im", r, n)] = 1j * ac
-        jac[:, :, parameter_index("mu", r, n)] = gains[r] * a_d[:, None] * c
-        jac[:, :, parameter_index("tau", r, n)] = gains[r] * a[:, None] * c_d
-    return jac
-
-
 def fisher_matrix(real: ChannelRealization, arr: ArrayConfig, caz: CazacConfig) -> FisherMatrix:
-    """Assemble the 4R x 4R information matrix from the model Jacobian."""
+    """Assemble the 4R x 4R information matrix from the Gram factorization."""
     if real.noise_var <= 0:
         raise ConfigurationError("the information matrix needs a positive noise variance")
-    jac = model_jacobian(real, arr, caz)
-    flat = jac.reshape(-1, jac.shape[2])
-    f = (2.0 / real.noise_var) * np.real(flat.conj().T @ flat)
+    n = real.r
+    gains = real.gains()
+    mus = np.array([p.mu for p in real.paths])
+    taus = np.array([p.tau_symbols for p in real.paths])
+    finite = np.isfinite(mus) & np.isfinite(taus) & np.isfinite(gains)
+    if not finite.all():
+        raise ValueError(f"non-finite parameters on path {int(np.argmin(finite))}")
+    m = np.arange(arr.m)
+    phases = np.exp(1j * mus[:, None] * m)
+    # rows a_r then a'_r, and v_r then v'_r
+    a = np.concatenate([phases, 1j * m * phases]) @ _cached_codebook(arr)
+    v = np.concatenate(_kernels.pilot_rows_and_derivs(
+        _cached_base(caz), taus, caz.rolloff, caz.pulse_halfwidth))
+    # each column of the Jacobian is w_c (a_ia[c] (x) v_iv[c]), in the block
+    # order [Re g | Im g | mu | tau]
+    r = np.arange(n)
+    ia = np.concatenate([r, r, r + n, r])
+    iv = np.concatenate([r, r, r, r + n])
+    w = np.concatenate([np.ones(n), np.full(n, 1j), gains, gains])
+    gram_a = a.conj() @ a.T
+    gram_v = v.conj() @ v.T
+    k = gram_a[np.ix_(ia, ia)] * gram_v[np.ix_(iv, iv)]
+    f = (2.0 / real.noise_var) * np.real(w.conj()[:, None] * k * w)
     return FisherMatrix(f=0.5 * (f + f.T))
 
 
@@ -107,15 +109,20 @@ def fisher_at_power(f0: FisherMatrix, pt: float, noise_var: float) -> FisherMatr
 def crlb_bounds(f: FisherMatrix) -> CrlbReport:
     """Square roots of the inverse information diagonal, gated on conditioning.
 
-    Near-singular matrices (condition number beyond 1e12, e.g. two nearly
-    coincident paths) are flagged non-invertible instead of producing
-    pseudo-inverse bounds that understate the uncertainty.
+    The 2-norm condition number of the symmetric matrix is lambda_max /
+    lambda_min from its eigenvalues.  Near-singular matrices (condition
+    number beyond 1e12, e.g. two nearly coincident paths) and matrices with
+    lambda_min <= 0 (an information matrix is positive semi-definite, so
+    that is a singular one rounded below zero) are flagged non-invertible
+    instead of producing pseudo-inverse bounds that understate the
+    uncertainty.
     """
     mat = f.f
     if not np.all(np.isfinite(mat)):
         raise ValueError("information matrix has non-finite entries")
-    cond = float(np.linalg.cond(mat))
-    if not np.isfinite(cond) or cond >= COND_LIMIT:
+    eig = np.linalg.eigvalsh(mat)
+    cond = float(eig[-1] / eig[0]) if eig[0] > 0 else math.inf
+    if cond >= COND_LIMIT:
         return CrlbReport(bounds=np.full(mat.shape[0], np.nan),
                           condition_number=cond, invertible=False)
     inv = np.linalg.inv(mat)

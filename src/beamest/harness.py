@@ -17,6 +17,8 @@ import csv
 import io
 import json
 import math
+import os
+import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
 from functools import lru_cache
@@ -25,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
+from ._kernels import active_backend
 from .arrays import ArrayConfig
 from .channel import (ChannelRealization, ReceiveMatrix, ScenarioConfig, awgn,
                       draw_realization, unit_power_signal)
@@ -89,6 +92,10 @@ class RunConfig:
         if self.scenario.m != self.array.m:
             raise ConfigurationError(
                 f"scenario sub-array size {self.scenario.m} != array size {self.array.m}")
+        if self.array.m > self.cazac.length:
+            raise ConfigurationError(
+                f"array size {self.array.m} exceeds the pilot length {self.cazac.length}: "
+                "each beam needs its own cyclic pilot shift")
         if abs(self.cazac.ts * self.scenario.bandwidth_hz - 1.0) > 1e-6:
             raise ConfigurationError(
                 "pilot symbol period must equal 1/bandwidth "
@@ -170,9 +177,14 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def resolved_config_dict(cfg: RunConfig) -> dict:
+    """The resolved configuration plus the provenance of the run."""
     out = asdict(cfg)
     out["package_version"] = __version__
     out["csv_schema"] = CSV_SCHEMA
+    out["backend"] = active_backend()
+    out["numpy_version"] = np.__version__
+    out["python_version"] = platform.python_version()
+    out["cpu_count"] = os.cpu_count()
     return out
 
 

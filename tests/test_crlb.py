@@ -1,16 +1,17 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from beamest import (ArrayConfig, CazacConfig, ConfigurationError, crlb_bounds,
-                     fisher_matrix, model_jacobian, parameter_index)
+                     fisher_matrix, parameter_index)
 from beamest.channel import ChannelRealization, PathParams, spatial_frequency
 from beamest.coarse import mu_to_theta_deg
-from beamest.crlb import FisherMatrix, fisher_at_power
+from beamest.crlb import COND_LIMIT, FisherMatrix, fisher_at_power
 from beamest.pilots import cazac_base, _stack_shifted
 from beamest import _kernels
-from beamest.arrays import beam_gains
+from beamest.arrays import beam_gains, dft_codebook
 
 ARR = ArrayConfig(m=16)
 CAZ = CazacConfig()
@@ -20,6 +21,63 @@ def make_real(params, pt=1.0, noise_var=1.0):
     paths = tuple(PathParams(alpha=a, theta_deg=mu_to_theta_deg(mu), mu=mu,
                              tau_symbols=tau) for a, mu, tau in params)
     return ChannelRealization(paths=paths, pt=pt, noise_var=noise_var)
+
+
+def reference_rc_deriv(x, rolloff):
+    """dh/dx by its own formula, as written before h and h' shared one pass."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-7
+    z = (np.pi * x) ** 2
+    sp = np.where(small, -(np.pi ** 2) * x / 3.0 * (1.0 - z / 10.0),
+                  (np.cos(np.pi * x) - np.sinc(x)) / np.where(small, 1.0, x))
+    if rolloff == 0.0:
+        return sp
+    x0 = 1.0 / (2.0 * rolloff)
+    sing = np.abs(np.abs(x) - x0) < 1e-8
+    den = np.where(sing, 1.0, 1.0 - (2.0 * rolloff * x) ** 2)
+    g = np.cos(rolloff * np.pi * x) / den
+    gp = (-rolloff * np.pi * np.sin(rolloff * np.pi * x) * den
+          + np.cos(rolloff * np.pi * x) * 8.0 * rolloff ** 2 * x) / den ** 2
+    u = np.abs(x) - x0
+    g = np.where(sing, (np.pi / 4.0) * (1.0 - rolloff * u), g)
+    gp = np.where(sing, np.sign(x) * (np.pi / 4.0)
+                  * (-rolloff + 2.0 * rolloff ** 2 * u * (1.0 - np.pi ** 2 / 6.0)), gp)
+    return sp * g + np.sinc(x) * gp
+
+
+def reference_row_deriv(cbase, tau, rolloff, halfwidth):
+    """d/dtau of the pilot row, one tap per integer u with |u - tau| <= halfwidth."""
+    ell = cbase.shape[0]
+    u = np.arange(math.ceil(tau - halfwidth), math.floor(tau + halfwidth) + 1)
+    taps = -reference_rc_deriv(u - tau, rolloff)
+    idx = (np.arange(ell)[:, None] - u[None, :]) % ell
+    return (cbase[idx] * taps[None, :]).sum(axis=1)
+
+
+def model_jacobian(real, arr, caz):
+    """Partial derivatives of the noiseless observation, shape (M, L, 4R): the oracle.
+
+    Slices follow the parameter order: d/dRe{g_r} = A_r C_r, d/dIm{g_r} =
+    j A_r C_r, d/dmu_r = g_r A'_r C_r, d/dtau_r = g_r A_r C'_r.
+    """
+    n = real.r
+    gains = real.gains()
+    cbase = cazac_base(caz)
+    jac = np.empty((arr.m, caz.length, 4 * n), dtype=complex)
+    m = np.arange(arr.m)
+    for r, p in enumerate(real.paths):
+        a = beam_gains(arr, p.mu)
+        a_d = (1j * m * np.exp(1j * m * p.mu)) @ dft_codebook(arr)
+        c = _stack_shifted(_kernels.pilot_row(cbase, p.tau_symbols, caz.rolloff,
+                                              caz.pulse_halfwidth), arr.m)
+        c_d = _stack_shifted(reference_row_deriv(cbase, p.tau_symbols, caz.rolloff,
+                                                 caz.pulse_halfwidth), arr.m)
+        ac = a[:, None] * c
+        jac[:, :, parameter_index("re", r, n)] = ac
+        jac[:, :, parameter_index("im", r, n)] = 1j * ac
+        jac[:, :, parameter_index("mu", r, n)] = gains[r] * a_d[:, None] * c
+        jac[:, :, parameter_index("tau", r, n)] = gains[r] * a[:, None] * c_d
+    return jac
 
 
 def forward_model(gains, mus, taus):
@@ -184,6 +242,103 @@ def test_unit_power_information_scales_to_any_snr(n_paths):
         assert np.array_equal(scaled, scaled.T)
     with pytest.raises(ConfigurationError):
         fisher_at_power(f0, 1.0, 0.0)
+
+
+# delays on and off the grid, at the roll-off poles |u - tau| = 1/(2 beta)
+# (2 for beta = 0.25 from integer delays, 1.25 for beta = 0.4 from 3.75 and
+# 0.25), past L - 1, negative, and a hair off an integer
+DELAYS = (0.0, 1.0, 5.0, 15.0, 3.75, 0.25, 2.5, 7.3, 15.6, 17.2, -0.4, 4.0 + 1e-13)
+PULSES = [CAZ, CazacConfig(rolloff=0.4), CazacConfig(rolloff=0.0),
+          CazacConfig(rolloff=1.0), CazacConfig(pulse_halfwidth=11)]
+PULSE_IDS = ["default", "rolloff0.4", "rolloff0", "rolloff1", "halfwidth11-wraps"]
+
+
+@pytest.mark.parametrize("n_paths", [1, 2, 3])
+@pytest.mark.parametrize("arr,caz", [(ARR, CAZ), (ARR, CazacConfig(rolloff=0.4)),
+                                     (ARR, CazacConfig(pulse_halfwidth=11)),
+                                     (ArrayConfig(m=4), CAZ)],
+                         ids=["default", "rolloff-poles", "halfwidth11-wraps", "m4-below-L"])
+def test_fisher_equals_jacobian_oracle(n_paths, arr, caz):
+    # F = 2 Re(J^H J) / sigma^2 of the explicit Jacobian, for every delay of
+    # DELAYS taken in groups of n_paths
+    rng = np.random.default_rng(60 + n_paths)
+    for i in range(0, len(DELAYS), n_paths):
+        taus = DELAYS[i:i + n_paths]
+        params = [(rng.uniform(0.2, 1.0) * np.exp(1j * rng.uniform(0, 2 * np.pi)),
+                   rng.uniform(0, 2 * np.pi), tau) for tau in taus]
+        real = make_real(params, pt=rng.uniform(0.5, 50.0), noise_var=rng.uniform(0.5, 2.0))
+        flat = model_jacobian(real, arr, caz).reshape(arr.m * caz.length, -1)
+        oracle = (2.0 / real.noise_var) * np.real(flat.conj().T @ flat)
+        f = fisher_matrix(real, arr, caz).f
+        assert np.max(np.abs(f - oracle)) <= 1e-12 * np.max(np.abs(oracle)), taus
+        assert np.array_equal(f, f.T)
+
+
+@pytest.mark.parametrize("caz", PULSES, ids=PULSE_IDS)
+def test_batched_rows_equal_per_delay_calls(caz):
+    cbase = cazac_base(caz)
+    rows, derivs = _kernels.pilot_rows_and_derivs(cbase, DELAYS, caz.rolloff,
+                                                  caz.pulse_halfwidth)
+    assert rows.shape == derivs.shape == (len(DELAYS), caz.length)
+    for r, tau in enumerate(DELAYS):
+        assert np.array_equal(derivs[r], _kernels.pilot_row_deriv(
+            cbase, tau, caz.rolloff, caz.pulse_halfwidth))
+        # one more (zero) tap than the per-delay sums: equal up to rounding
+        row = _kernels.pilot_row(cbase, tau, caz.rolloff, caz.pulse_halfwidth)
+        assert np.max(np.abs(rows[r] - row)) <= 1e-14 * np.max(np.abs(row))
+        ref = reference_row_deriv(cbase, tau, caz.rolloff, caz.pulse_halfwidth)
+        assert np.max(np.abs(derivs[r] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("caz", PULSES, ids=PULSE_IDS)
+def test_rc_deriv_samples_keep_their_values(caz):
+    poles = [0.5 / caz.rolloff, -0.5 / caz.rolloff] if caz.rolloff > 0 else []
+    x = np.concatenate([np.linspace(-12.0, 12.0, 2401), np.subtract.outer(
+        np.arange(-12, 13), DELAYS).ravel(), poles, [1e-9, -1e-9, 0.0]])
+    h, hp = _kernels.rc_samples_and_derivs(x, caz.rolloff)
+    assert np.array_equal(hp, reference_rc_deriv(x, caz.rolloff))
+    assert np.array_equal(_kernels.rc_deriv_samples(x, caz.rolloff), hp)
+    assert np.array_equal(h, _kernels.rc_samples(x, caz.rolloff))
+
+
+def _symmetric_with_eigenvalues(eig, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(eig), len(eig))))
+    mat = (q * eig) @ q.T
+    return 0.5 * (mat + mat.T)
+
+
+@pytest.mark.parametrize("kind", ["cond1e8", "cond1e11", "cond1e13", "cond1e15",
+                                  "singular", "indefinite"])
+def test_eigenvalue_gate_matches_svd_condition(kind):
+    # the information matrix is symmetric PSD, so lambda_max / lambda_min from
+    # eigvalsh is its 2-norm condition; rounding can leave a singular one
+    # slightly indefinite, which both gates flag
+    eig = {"cond1e8": np.logspace(3, -5, 12), "cond1e11": np.logspace(3, -8, 12),
+           "cond1e13": np.logspace(3, -10, 12), "cond1e15": np.logspace(3, -12, 12),
+           "singular": np.r_[np.logspace(3, 0, 10), 0.0, 0.0],
+           "indefinite": np.r_[np.logspace(3, 0, 11), -1e-11]}[kind]
+    for seed in range(5):
+        mat = _symmetric_with_eigenvalues(eig, seed)
+        svd_cond = np.linalg.cond(mat)
+        report = crlb_bounds(FisherMatrix(f=mat))
+        assert report.invertible == (svd_cond < COND_LIMIT), (kind, seed, svd_cond)
+        if report.invertible:
+            assert report.condition_number == pytest.approx(svd_cond, rel=1e-3)
+            assert np.all(np.isfinite(report.bounds))
+        else:
+            assert not np.any(np.isfinite(report.bounds))
+
+
+def test_eigenvalue_gate_flags_indefinite_and_rejects_non_finite():
+    # no information matrix is markedly indefinite; the SVD condition (1 here)
+    # would pass this one, the eigenvalue gate flags it
+    report = crlb_bounds(FisherMatrix(f=np.diag([1.0, -1.0])))
+    assert not report.invertible and report.condition_number == math.inf
+    for bad in (np.nan, np.inf, -np.inf):
+        mat = np.eye(4)
+        mat[1, 2] = mat[2, 1] = bad
+        with pytest.raises(ValueError):
+            crlb_bounds(FisherMatrix(f=mat))
 
 
 def test_parameter_index_round_trip():

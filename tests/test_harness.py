@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import platform
 
+import numpy as np
 import pytest
 
 from beamest import (ArrayConfig, CazacConfig, ConfigurationError, PathEstimate,
-                     RunConfig, ScenarioConfig, match_paths, run_sweep, run_trial)
+                     RunConfig, ScenarioConfig, active_backend, match_paths, run_sweep,
+                     run_trial)
 from beamest.channel import ChannelRealization, PathParams
 from beamest.coarse import mu_to_theta_deg
 from beamest import harness
@@ -132,6 +136,10 @@ def test_sweep_csv_deterministic_and_stable(tmp_path):
     meta = json.loads((tmp_path / "a.csv.meta").read_text())
     assert meta["trials"] == cfg.trials
     assert meta["scenario"]["seed"] == 11
+    assert meta["backend"] == active_backend()
+    assert meta["numpy_version"] == np.__version__
+    assert meta["python_version"] == platform.python_version()
+    assert meta["cpu_count"] == os.cpu_count()
 
 
 def test_sweep_worker_count_invariance(tmp_path):
@@ -228,6 +236,16 @@ def test_config_validation_cross_checks():
         RunConfig(scenario=ScenarioConfig(m=8), array=ArrayConfig(m=16))
     with pytest.raises(ConfigurationError):
         RunConfig(cazac=CazacConfig(ts=1e-9))  # inconsistent with 200 MHz
+
+
+def test_config_refuses_more_beams_than_pilot_shifts():
+    # each beam transmits its own cyclic shift of the length-L pilot
+    with pytest.raises(ConfigurationError, match="array size 32.*pilot length 16"):
+        RunConfig(array=ArrayConfig(m=32), scenario=ScenarioConfig(m=32))
+    with pytest.raises(ConfigurationError, match="array size 32.*pilot length 16"):
+        config_from_dict({"array": {"m": 32}, "scenario": {"m": 32}})
+    assert RunConfig(array=ArrayConfig(m=16), scenario=ScenarioConfig(m=16)).array.m == 16
+    assert RunConfig(array=ArrayConfig(m=4), scenario=ScenarioConfig(m=4)).array.m == 4
 
 
 def test_config_from_dict_unknown_keys():
