@@ -1,8 +1,10 @@
 """Hot numeric kernels, in numpy.
 
-The raised-cosine pulse evaluation, fractional-delay pilot rows and the 1-D
-peak searches inside the refinement stage dominate the Monte-Carlo runtime.
-The search objectives take a whole array of points per call, so each search
+The raised-cosine pulse evaluation, delayed pilot rows and the 1-D peak
+searches inside the refinement stage dominate the Monte-Carlo runtime.  One
+kernel, batched over delays, builds the delayed pilot (:func:`pilot_rows`);
+the delay derivatives and the delay objective share its tap support.  The
+search objectives take a whole array of points per call, so each search
 costs a handful of numpy calls rather than one call per point.
 
 All delay arguments are in symbol units (t / T_s).
@@ -82,53 +84,48 @@ def rc_samples_and_derivs(x, rolloff):
     return h, sp * g + s * np.where(sing, gp_s, gp)
 
 
-def rc_deriv_samples(x, rolloff):
-    """dh/dx of the raised-cosine pulse, limits at x=0 and the roll-off poles."""
-    return rc_samples_and_derivs(x, rolloff)[1]
+def _support(t, halfwidth, n):
+    """Tap positions u = ceil(t - halfwidth) + k, k = 0..n-1, one row per delay."""
+    return np.ceil(t - halfwidth).astype(np.intp) + np.arange(n)
 
 
-def _tap_range(tau, halfwidth):
-    u0 = int(math.ceil(tau - halfwidth))
-    u1 = int(math.floor(tau + halfwidth))
-    return np.arange(u0, u1 + 1)
-
-
-def pilot_row(cbase, tau, rolloff, halfwidth):
-    """Base pilot sequence delayed by ``tau`` symbols with cyclic wrap-around."""
+def _delayed(cbase, u, taps):
+    """sum_k taps[..., r, k] * cbase[(s - u[r, k]) mod L], shaped (..., R, L)."""
     ell = cbase.shape[0]
-    tr = round(tau)
-    if abs(tau - tr) < _INT_EPS:
-        return np.roll(cbase, int(tr) % ell)
-    u = _tap_range(tau, halfwidth)
-    taps = rc_samples(u - tau, rolloff)
-    idx = (np.arange(ell)[:, None] - u[None, :]) % ell
-    return (cbase[idx] * taps[None, :]).sum(axis=1)
+    idx = (np.arange(ell)[:, None] - u[:, None, :]) % ell
+    return (cbase[idx] * taps[..., None, :]).sum(axis=-1)
+
+
+def pilot_rows(cbase, taus, rolloff, halfwidth):
+    """Base pilot delayed by each of ``taus`` symbols with cyclic wrap-around, (R, L).
+
+    Row r sums the 2*halfwidth taps u = ceil(tau_r - halfwidth) + k, the
+    whole truncated support of a fractional delay.  An integer delay has one
+    more tap, at u = tau + halfwidth, where the pulse is exactly zero; its
+    other taps are an exact 1 at u = tau and exact zeros, so its row is the
+    exact cyclic shift of the base sequence.
+    """
+    t = np.asarray(taus, dtype=float)[:, None]
+    u = _support(t, halfwidth, 2 * halfwidth)
+    return _delayed(cbase, u, rc_samples(u - t, rolloff))
 
 
 def pilot_rows_and_derivs(cbase, taus, rolloff, halfwidth):
     """Pilot rows v(tau_r) and their delay derivatives dv/dtau_r, (R, L) each.
 
-    One (R x 2*halfwidth+1) tap matrix serves every delay: row r holds
-    u = ceil(tau_r - halfwidth) + k, masked to the truncated support
-    u <= tau_r + halfwidth.  A fractional delay uses 2*halfwidth taps, and an
-    integer one all 2*halfwidth+1, since the pulse's derivative is not zero
-    at the support's end.  Each row matches :func:`pilot_row` at its delay:
-    the masked tap adds an exact zero, so only the grouping of the sum can
-    differ.
+    The taps are those of :func:`pilot_rows` plus one at
+    u = ceil(tau_r - halfwidth) + 2*halfwidth, masked to the truncated support
+    u <= tau_r + halfwidth: an integer delay keeps it, since the pulse's
+    derivative is not zero at the support's end.  The masked tap adds an
+    exact zero after the others, so the rows equal :func:`pilot_rows` bit for
+    bit.
     """
-    ell = cbase.shape[0]
     t = np.asarray(taus, dtype=float)[:, None]
-    u = np.ceil(t - halfwidth).astype(np.intp) + np.arange(2 * halfwidth + 1)
+    u = _support(t, halfwidth, 2 * halfwidth + 1)
     h, hp = rc_samples_and_derivs(u - t, rolloff)
     taps = np.stack([h, -hp]) * (u <= np.floor(t + halfwidth))
-    idx = (np.arange(ell)[:, None] - u[:, None, :]) % ell
-    rows = (cbase[idx] * taps[:, :, None, :]).sum(axis=-1)
+    rows = _delayed(cbase, u, taps)
     return rows[0], rows[1]
-
-
-def pilot_row_deriv(cbase, tau, rolloff, halfwidth):
-    """Delay derivative of :func:`pilot_row`."""
-    return pilot_rows_and_derivs(cbase, [tau], rolloff, halfwidth)[1][0]
 
 
 def tau_objective(w, tau, rolloff, halfwidth, ell):
@@ -138,12 +135,10 @@ def tau_objective(w, tau, rolloff, halfwidth, ell):
     (N x 2*halfwidth) tap matrix, ``halfwidth`` being a whole number of
     symbols.  Row n holds the taps
     u = ceil(tau_n - halfwidth) ... ceil(tau_n - halfwidth) + 2*halfwidth - 1,
-    the whole pulse support for a fractional delay.  An integer delay has one
-    more tap in its support, at u = tau + halfwidth, where the pulse is
-    exactly zero, so leaving it out changes none of the sums below.
+    the taps of :func:`pilot_rows`.
     """
     t = np.asarray(tau, dtype=float)[..., None]
-    u = np.ceil(t - halfwidth).astype(np.intp) + np.arange(2 * halfwidth)
+    u = _support(t, halfwidth, 2 * halfwidth)
     taps = rc_samples(u - t, rolloff)
     num = abs((taps * w[u % ell]).sum(axis=-1)) ** 2
     # ||v||^2 = L * sum of tap products over pairs congruent mod L

@@ -150,6 +150,12 @@ def draw_realization(cfg: ScenarioConfig, rng: np.random.Generator,
     return ChannelRealization(paths=tuple(paths), pt=float(pt), noise_var=cfg.noise_var)
 
 
+def path_signal(alpha: complex, gains: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """One path's term alpha * A(mu) * C(tau), from the beam gains A(mu) and the
+    delayed pilot row v(tau); row k of C(tau) is v shifted by k."""
+    return alpha * gains[:, None] * _stack_shifted(v, gains.shape[0])
+
+
 def unit_power_signal(real: ChannelRealization, arr: ArrayConfig,
                       caz: CazacConfig) -> np.ndarray:
     """Noiseless M x L observation at unit transmit power, sum_r alpha_r A(mu_r) C(tau_r).
@@ -160,11 +166,11 @@ def unit_power_signal(real: ChannelRealization, arr: ArrayConfig,
     if arr.m > caz.length:
         raise ConfigurationError(
             f"more beams ({arr.m}) than pilot shifts ({caz.length}) is not supported")
-    cbase = _cached_base(caz)
+    rows = _kernels.pilot_rows(_cached_base(caz), [p.tau_symbols for p in real.paths],
+                               caz.rolloff, caz.pulse_halfwidth)
     s = np.zeros((arr.m, caz.length), dtype=complex)
-    for p in real.paths:
-        row0 = _kernels.pilot_row(cbase, p.tau_symbols, caz.rolloff, caz.pulse_halfwidth)
-        s += p.alpha * beam_gains(arr, p.mu)[:, None] * _stack_shifted(row0, arr.m)
+    for p, v in zip(real.paths, rows):
+        s += path_signal(p.alpha, beam_gains(arr, p.mu), v)
     return s
 
 

@@ -9,13 +9,11 @@ import sys
 from dataclasses import replace
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .channel import draw_realization
 from .coarse import build_lut, mu_to_theta_deg
 from .crlb import crlb_bounds, fisher_matrix, parameter_index
 from .errors import ConfigurationError
-from .harness import RunConfig, load_config, run_sweep, run_trial, write_outputs
+from .harness import (RunConfig, load_config, run_sweep, run_trial, synthesize_trial,
+                      write_outputs)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -105,9 +103,8 @@ def _cmd_lut(cfg: RunConfig, args) -> int:
 
 
 def _cmd_crlb(cfg: RunConfig, args) -> int:
-    scen = replace(cfg.scenario, snr_db=float(cfg.snr_sweep_db[0]))
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=(scen.seed, 0, 0)))
-    real = draw_realization(scen, rng, cfg.array.spacing_over_lambda)
+    # trial 0's realization at the first SNR point, as the harness draws it
+    real = synthesize_trial(cfg, 0, 0)[0]
     report = crlb_bounds(fisher_matrix(real, cfg.array, cfg.cazac))
     print(f"# condition number {report.condition_number:.6g}, "
           f"invertible={report.invertible}")

@@ -20,7 +20,7 @@ import numpy as np
 from .arrays import ArrayConfig, beam_gains
 from .channel import ReceiveMatrix
 from .errors import ConfigurationError
-from .pilots import CazacConfig, _cached_base, sidelobe_power_ratios
+from .pilots import CazacConfig, _cached_base, _stack_shifted, sidelobe_power_ratios
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,6 @@ class PowerMatrix:
     """Entrywise |Z|^2 of the correlation matrix Z (single-snapshot estimate)."""
 
     p: np.ndarray = field(repr=False)
-    z: np.ndarray = field(repr=False)
 
 
 class Detection(NamedTuple):
@@ -87,12 +86,8 @@ class CoarseEstimate:
 
 def correlate(y: ReceiveMatrix) -> PowerMatrix:
     """Correlation matrix Z = Y C(0)^H and its entrywise power."""
-    cbase = _cached_base(y.caz)
-    ell = y.caz.length
-    idx = (np.arange(ell)[None, :] - np.arange(y.arr.m)[:, None]) % ell
-    c0 = cbase[idx]
-    z = y.y @ c0.conj().T
-    return PowerMatrix(p=np.abs(z) ** 2, z=z)
+    z = y.y @ _stack_shifted(_cached_base(y.caz), y.arr.m).conj().T
+    return PowerMatrix(p=np.abs(z) ** 2)
 
 
 def detection_threshold(noise_var: float, m: int, p_fa: float = 1e-3) -> float:

@@ -115,11 +115,6 @@ _SECTION_TYPES = {
 }
 _TOP_KEYS = {"scenario", "array", "cazac", "sage", "coarse", "snr_sweep_db", "trials",
              "repetitions_per_beam", "output_path", "emit_feedback_log", "run_id", "seed"}
-_TUPLE_FIELDS = {"d_los_range_m", "delta_nlos_range_m", "theta_range_deg", "snr_sweep_db"}
-
-
-def default_config() -> RunConfig:
-    return RunConfig()
 
 
 def load_config(path: str) -> RunConfig:
@@ -128,7 +123,7 @@ def load_config(path: str) -> RunConfig:
     Unknown keys are configuration errors, reported with their full key path.
     """
     if path == "default":
-        return default_config()
+        return RunConfig()
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -158,10 +153,8 @@ def config_from_dict(data: dict) -> RunConfig:
         if bad:
             raise ConfigurationError(
                 f"unknown key(s) in section {name!r}: {', '.join(sorted(name + '.' + b for b in bad))}")
-        coerced = {k: tuple(v) if k in _TUPLE_FIELDS and isinstance(v, list) else v
-                   for k, v in section.items()}
         try:
-            kwargs[name] = replace(getattr(defaults, name), **coerced)
+            kwargs[name] = replace(getattr(defaults, name), **section)
         except ConfigurationError as exc:
             raise ConfigurationError(f"in section {name!r}: {exc}") from exc
     if "seed" in data:
@@ -192,12 +185,12 @@ def resolved_config_dict(cfg: RunConfig) -> dict:
 # scoring
 # ---------------------------------------------------------------------------
 
-def match_paths(truth: ChannelRealization, estimates: Sequence[PathEstimate],
-                tau_gate: float = MATCH_TAU_GATE) -> List[Tuple[int, int]]:
+def match_paths(truth: ChannelRealization,
+                estimates: Sequence[PathEstimate]) -> List[Tuple[int, int]]:
     """Greedy truth-to-estimate assignment, a partial injection.
 
     Candidate pairs are ordered by delay distance (in half-symbol buckets) and
-    then by wrapped spatial-frequency distance; pairs farther than ``tau_gate``
+    then by wrapped spatial-frequency distance; pairs farther than ``MATCH_TAU_GATE``
     symbols apart in delay are never associated.  Unmatched truths count as
     missed detections.
     """
@@ -205,7 +198,7 @@ def match_paths(truth: ChannelRealization, estimates: Sequence[PathEstimate],
     for ti, p in enumerate(truth.paths):
         for ei, e in enumerate(estimates):
             dtau = abs(e.tau_hat - p.tau_symbols)
-            if dtau > tau_gate:
+            if dtau > MATCH_TAU_GATE:
                 continue
             dmu = abs((e.mu_hat - p.mu + np.pi) % (2.0 * np.pi) - np.pi)
             candidates.append(((int(dtau / _MATCH_TAU_BUCKET), dmu, dtau), ti, ei))

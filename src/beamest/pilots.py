@@ -95,7 +95,7 @@ def pilot_matrix(cfg: CazacConfig, m: int, tau: float) -> PilotMatrix:
     """
     if m < 1:
         raise ConfigurationError(f"row count must be positive, got {m}")
-    row0 = _kernels.pilot_row(_cached_base(cfg), tau, cfg.rolloff, cfg.pulse_halfwidth)
+    row0 = _kernels.pilot_rows(_cached_base(cfg), [tau], cfg.rolloff, cfg.pulse_halfwidth)[0]
     return PilotMatrix(c=_stack_shifted(row0, m), delay=float(tau))
 
 
@@ -103,14 +103,22 @@ def pilot_matrix_derivative(cfg: CazacConfig, m: int, tau: float) -> np.ndarray:
     """Entrywise derivative of :func:`pilot_matrix` with respect to the delay."""
     if m < 1:
         raise ConfigurationError(f"row count must be positive, got {m}")
-    row0 = _kernels.pilot_row_deriv(_cached_base(cfg), tau, cfg.rolloff, cfg.pulse_halfwidth)
+    row0 = _kernels.pilot_rows_and_derivs(_cached_base(cfg), [tau], cfg.rolloff,
+                                          cfg.pulse_halfwidth)[1][0]
     return _stack_shifted(row0, m)
 
 
-def _stack_shifted(row0: np.ndarray, m: int) -> np.ndarray:
-    ell = row0.shape[0]
+@lru_cache(maxsize=16)
+def _shift_index(m: int, ell: int) -> np.ndarray:
+    """Read-only beam-shift index (s - k) mod L, row k = 0..m-1, column s = 0..L-1."""
     idx = (np.arange(ell)[None, :] - np.arange(m)[:, None]) % ell
-    return row0[idx]
+    idx.setflags(write=False)
+    return idx
+
+
+def _stack_shifted(row0: np.ndarray, m: int) -> np.ndarray:
+    """m x L matrix whose row k is ``row0`` cyclically shifted by k."""
+    return row0[_shift_index(m, row0.shape[0])]
 
 
 def rc_pulse(cfg: CazacConfig, t: float) -> float:
@@ -120,7 +128,8 @@ def rc_pulse(cfg: CazacConfig, t: float) -> float:
 
 def rc_pulse_derivative(cfg: CazacConfig, t: float) -> float:
     """Analytic dh/dt in 1/seconds, with limits at t = 0 and the roll-off poles."""
-    return float(_kernels.rc_deriv_samples(np.array([t / cfg.ts]), cfg.rolloff)[0]) / cfg.ts
+    hp = _kernels.rc_samples_and_derivs(np.array([t / cfg.ts]), cfg.rolloff)[1]
+    return float(hp[0]) / cfg.ts
 
 
 @lru_cache(maxsize=8)

@@ -34,10 +34,13 @@ import numpy as np
 
 from . import _kernels
 from .arrays import ArrayConfig, beam_gains
-from .channel import ReceiveMatrix
+from .channel import ReceiveMatrix, path_signal
 from .coarse import CoarseEstimate
 from .errors import ConfigurationError, NumericalDegeneracyError
 from .pilots import CazacConfig, _cached_base, _stack_shifted
+
+# below this a delay or spatial frequency counts as zero: its change stops absolutely
+_CHANGE_ZERO_EPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -108,24 +111,21 @@ class _Workspace:
         # gather matrix undoing the per-beam shift: Xg[k, s] = X[k, (s + k) % L]
         self.gather = (np.arange(ell)[None, :] + self.rows) % ell
         # conj pilot shifts for integer-lag correlation: corr[d, s] = conj(c((s - d) % L))
-        idx = (np.arange(ell)[None, :] - np.arange(ell)[:, None]) % ell
-        self.corr = self.cbase[idx].conj()
+        self.corr = _stack_shifted(self.cbase, ell).conj()
         for a in (self.rows, self.gather, self.corr):
             a.setflags(write=False)
 
     def gathered(self, x: np.ndarray) -> np.ndarray:
         return x[self.rows, self.gather]
 
-    def pilot_row(self, tau: float) -> np.ndarray:
-        return _kernels.pilot_row(self.cbase, tau, self.caz.rolloff, self.caz.pulse_halfwidth)
-
-    def path_signal(self, alpha: complex, gains: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """alpha * A(mu) * C(tau) from the beam gains A(mu) and the pilot row v(tau)."""
-        return alpha * gains[:, None] * _stack_shifted(v, self.arr.m)
+    def pilot(self, tau: float) -> np.ndarray:
+        """The base pilot row delayed by ``tau`` symbols."""
+        return _kernels.pilot_rows(self.cbase, [tau], self.caz.rolloff,
+                                   self.caz.pulse_halfwidth)[0]
 
     def reconstruct(self, est: PathEstimate) -> np.ndarray:
-        return self.path_signal(est.alpha_hat, beam_gains(self.arr, est.mu_hat),
-                                self.pilot_row(est.tau_hat))
+        return path_signal(est.alpha_hat, beam_gains(self.arr, est.mu_hat),
+                           self.pilot(est.tau_hat))
 
     def reconstructions(self, estimates: Sequence[PathEstimate], y: np.ndarray) -> List[np.ndarray]:
         return [self.reconstruct(e) if e.alpha_hat != 0 else np.zeros_like(y) for e in estimates]
@@ -142,7 +142,7 @@ class _Workspace:
 
     def beam_statistic(self, xg: np.ndarray, tau: float) -> Tuple[np.ndarray, np.ndarray]:
         """The pilot row v(tau) and q[k] = sum_s X_g[k, s] conj(v(s))."""
-        v = self.pilot_row(tau)
+        v = self.pilot(tau)
         return v, (xg * v.conj()[None, :]).sum(axis=1)
 
     def angle_spectrum(self, q: np.ndarray) -> np.ndarray:
@@ -285,7 +285,7 @@ def run_sage_from(y: ReceiveMatrix, initial: Sequence[PathEstimate], cfg: SageCo
             gains = beam_gains(y.arr, mu)
             alpha = ws.gain(q, v, gains)
             est[r] = PathEstimate(mu_hat=mu, tau_hat=tau, alpha_hat=alpha)
-            recon[r] = ws.path_signal(alpha, gains, v)
+            recon[r] = path_signal(alpha, gains, v)
 
         converged = _max_relative_change(previous, est) <= cfg.gamma_stop
         if converged:
@@ -294,15 +294,15 @@ def run_sage_from(y: ReceiveMatrix, initial: Sequence[PathEstimate], cfg: SageCo
     return RefinedEstimate(paths=tuple(est), iterations=iterations, converged=converged)
 
 
-def _max_relative_change(previous: Sequence[PathEstimate], current: Sequence[PathEstimate],
-                          zero_eps: float = 1e-9) -> float:
+def _max_relative_change(previous: Sequence[PathEstimate],
+                         current: Sequence[PathEstimate]) -> float:
     """max of the three per-path stopping statistics, absolute when the base is ~0."""
     worst = 0.0
     for p, c in zip(previous, current):
         dmu = abs((p.mu_hat - c.mu_hat + np.pi) % (2.0 * np.pi) - np.pi)
-        t1 = dmu / abs(c.mu_hat) if abs(c.mu_hat) > zero_eps else dmu
+        t1 = dmu / abs(c.mu_hat) if abs(c.mu_hat) > _CHANGE_ZERO_EPS else dmu
         dtau = abs(p.tau_hat - c.tau_hat)
-        t2 = dtau / abs(c.tau_hat) if abs(c.tau_hat) > zero_eps else dtau
+        t2 = dtau / abs(c.tau_hat) if abs(c.tau_hat) > _CHANGE_ZERO_EPS else dtau
         dg = abs(p.alpha_hat - c.alpha_hat)
         t3 = dg / abs(c.alpha_hat) if abs(c.alpha_hat) > 1e-30 else np.inf
         worst = max(worst, t1, t2, t3)

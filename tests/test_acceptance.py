@@ -123,7 +123,7 @@ def test_criterion_4_fisher_matrix_vs_finite_differences():
         y = np.zeros((16, 16), dtype=complex)
         cbase = cazac_base(CAZ)
         for g, mu, tau in zip(gains, mus, taus):
-            row0 = _kernels.pilot_row(cbase, tau, CAZ.rolloff, CAZ.pulse_halfwidth)
+            row0 = _kernels.pilot_rows(cbase, [tau], CAZ.rolloff, CAZ.pulse_halfwidth)[0]
             y += g * beam_gains(ARR, mu)[:, None] * _stack_shifted(row0, 16)
         return y
 
@@ -309,7 +309,7 @@ def test_criterion_9_maximizers_match_brute_force():
         tau_hat = maximize_tau(x, p.mu, cfg, center, arr=ARR, caz=CAZ)
         worst = max(worst, abs(tau_hat - brute_tau))
 
-        v = ws.pilot_row(p.tau_symbols)
+        v = ws.pilot(p.tau_symbols)
         q = (xg * v.conj()[None, :]).sum(axis=1)
         qt = 16 * np.fft.ifft(q)
         c0 = p.mu + 0.02

@@ -3,7 +3,9 @@ import pytest
 
 from beamest import (ArrayConfig, CazacConfig, ConfigurationError, ScenarioConfig,
                      cazac_base, draw_realization, synthesize)
-from beamest.channel import path_loss_db, spatial_frequency
+from beamest import _kernels
+from beamest.arrays import beam_gains
+from beamest.channel import path_loss_db, spatial_frequency, unit_power_signal
 
 
 ARR = ArrayConfig(m=16)
@@ -121,6 +123,22 @@ def test_noiseless_superposition_linearity():
     lhs = synthesize(both, ARR, CAZ).y
     rhs = synthesize(only1, ARR, CAZ).y + synthesize(only2, ARR, CAZ).y
     assert np.linalg.norm(lhs - rhs) < 1e-10
+
+
+@pytest.mark.parametrize("arr,caz", [(ARR, CAZ), (ArrayConfig(m=4), CazacConfig(rolloff=0.4)),
+                                     (ARR, CazacConfig(pulse_halfwidth=11))])
+def test_unit_power_signal_is_the_per_path_sum(arr, caz):
+    # one batched pilot_rows call for all paths, bit for bit the per-path sum
+    # of batch-of-one rows
+    cbase = cazac_base(caz)
+    for trial in range(5):
+        real = draw_realization(ScenarioConfig(m=arr.m, n_nlos=3), rng_for(8, trial))
+        ref = np.zeros((arr.m, caz.length), dtype=complex)
+        for p in real.paths:
+            v = _kernels.pilot_rows(cbase, [p.tau_symbols], caz.rolloff, caz.pulse_halfwidth)[0]
+            c = np.stack([np.roll(v, k) for k in range(arr.m)])
+            ref += p.alpha * beam_gains(arr, p.mu)[:, None] * c
+        assert np.array_equal(unit_power_signal(real, arr, caz), ref)
 
 
 def test_reproducibility_bit_exact():

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from beamest.channel import spatial_frequency
 from beamest.cli import EXIT_CONFIG, EXIT_OK, main
 from beamest.harness import config_from_dict, run_trial
 
@@ -81,6 +84,23 @@ def test_crlb_subcommand(tmp_path, capsys):
     assert "path,parameter,truth,sqrt_crlb" in out
     # 4 parameters per path, 2 paths
     assert sum(1 for line in out.splitlines() if line and line[0].isdigit()) == 8
+
+
+@pytest.mark.parametrize("seed", [0, 3, 17])
+def test_crlb_truths_are_the_trial_truth(tmp_path, capsys, seed):
+    # the bounded realization is the harness's trial 0 at the first SNR point
+    cfg = write_cfg(tmp_path, snr_sweep_db=[-20.0, 0.0])
+    assert main(["crlb", "--config", cfg, "--seed", str(seed)]) == EXIT_OK
+    printed = [line.split(",")[:3] for line in capsys.readouterr().out.splitlines()
+               if line and line[0].isdigit()]
+    with open(cfg) as fh:
+        rec = run_trial(config_from_dict(dict(json.load(fh), seed=seed)), 0, 0)
+    expected = []
+    for r, (theta, gain, tau) in enumerate(rec.truth):
+        for label, value in (("gain_re", gain.real), ("gain_im", gain.imag),
+                             ("mu_rad", spatial_frequency(theta)), ("tau_symbols", tau)):
+            expected.append([str(r), label, format(value, ".10g")])
+    assert printed == expected
 
 
 def test_bad_snr_list_is_config_error(tmp_path, capsys):

@@ -62,7 +62,7 @@ def test_detect_single_on_grid_path():
     # a peak on row 6, wrap-diagonal 4 (1-based) means delay 3, beam 5
     p = np.zeros((16, 16))
     p[5, (5 + 3) % 16] = 4096.0
-    dets = detect_paths(PowerMatrix(p=p, z=np.sqrt(p).astype(complex)), G_DEFAULT)
+    dets = detect_paths(PowerMatrix(p=p), G_DEFAULT)
     assert dets == [Detection(diag_index=4, row_index=6, peak_power=4096.0)]
     assert dets[0].diag_index - 1 == 3
 
@@ -71,7 +71,7 @@ def test_detect_two_paths_same_diagonal_single_entry():
     p = np.zeros((16, 16))
     p[5, (5 + 3) % 16] = 4096.0
     p[9, (9 + 3) % 16] = 2048.0
-    dets = detect_paths(PowerMatrix(p=p, z=np.sqrt(p).astype(complex)), G_DEFAULT)
+    dets = detect_paths(PowerMatrix(p=p), G_DEFAULT)
     assert len(dets) == 1
     assert dets[0].row_index == 6
 
@@ -251,7 +251,7 @@ def test_detect_paths_matches_per_diagonal_scan():
         for _ in range(40):
             # continuous powers, and small integers that tie within and across diagonals
             for p in (rng.exponential(16.0, (m, m)), rng.integers(0, 4, (m, m)).astype(float)):
-                pm = PowerMatrix(p=p, z=np.sqrt(p).astype(complex))
+                pm = PowerMatrix(p=p)
                 # a threshold equal to one diagonal's peak keeps that diagonal (>= g)
                 peak = float(wrap_diagonal(p, int(rng.integers(1, m + 1))).max())
                 for g in (peak, 0.5, 2.5, 40.0):

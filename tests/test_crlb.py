@@ -68,8 +68,8 @@ def model_jacobian(real, arr, caz):
     for r, p in enumerate(real.paths):
         a = beam_gains(arr, p.mu)
         a_d = (1j * m * np.exp(1j * m * p.mu)) @ dft_codebook(arr)
-        c = _stack_shifted(_kernels.pilot_row(cbase, p.tau_symbols, caz.rolloff,
-                                              caz.pulse_halfwidth), arr.m)
+        c = _stack_shifted(_kernels.pilot_rows(cbase, [p.tau_symbols], caz.rolloff,
+                                               caz.pulse_halfwidth)[0], arr.m)
         c_d = _stack_shifted(reference_row_deriv(cbase, p.tau_symbols, caz.rolloff,
                                                  caz.pulse_halfwidth), arr.m)
         ac = a[:, None] * c
@@ -85,7 +85,7 @@ def forward_model(gains, mus, taus):
     y = np.zeros((ARR.m, CAZ.length), dtype=complex)
     cbase = cazac_base(CAZ)
     for g, mu, tau in zip(gains, mus, taus):
-        row0 = _kernels.pilot_row(cbase, tau, CAZ.rolloff, CAZ.pulse_halfwidth)
+        row0 = _kernels.pilot_rows(cbase, [tau], CAZ.rolloff, CAZ.pulse_halfwidth)[0]
         y += g * beam_gains(ARR, mu)[:, None] * _stack_shifted(row0, ARR.m)
     return y
 
@@ -277,17 +277,32 @@ def test_fisher_equals_jacobian_oracle(n_paths, arr, caz):
 @pytest.mark.parametrize("caz", PULSES, ids=PULSE_IDS)
 def test_batched_rows_equal_per_delay_calls(caz):
     cbase = cazac_base(caz)
-    rows, derivs = _kernels.pilot_rows_and_derivs(cbase, DELAYS, caz.rolloff,
-                                                  caz.pulse_halfwidth)
-    assert rows.shape == derivs.shape == (len(DELAYS), caz.length)
+    rows = _kernels.pilot_rows(cbase, DELAYS, caz.rolloff, caz.pulse_halfwidth)
+    rows_d, derivs = _kernels.pilot_rows_and_derivs(cbase, DELAYS, caz.rolloff,
+                                                    caz.pulse_halfwidth)
+    assert rows.shape == rows_d.shape == derivs.shape == (len(DELAYS), caz.length)
+    # the derivative kernel's extra masked tap adds an exact zero: equal rows
+    assert np.array_equal(rows_d, rows)
     for r, tau in enumerate(DELAYS):
-        assert np.array_equal(derivs[r], _kernels.pilot_row_deriv(
-            cbase, tau, caz.rolloff, caz.pulse_halfwidth))
-        # one more (zero) tap than the per-delay sums: equal up to rounding
-        row = _kernels.pilot_row(cbase, tau, caz.rolloff, caz.pulse_halfwidth)
-        assert np.max(np.abs(rows[r] - row)) <= 1e-14 * np.max(np.abs(row))
+        one, one_d = _kernels.pilot_rows_and_derivs(cbase, [tau], caz.rolloff,
+                                                    caz.pulse_halfwidth)
+        assert np.array_equal(one_d[0], derivs[r])
+        assert np.array_equal(one[0], rows[r])
+        assert np.array_equal(_kernels.pilot_rows(
+            cbase, [tau], caz.rolloff, caz.pulse_halfwidth)[0], rows[r])
         ref = reference_row_deriv(cbase, tau, caz.rolloff, caz.pulse_halfwidth)
         assert np.max(np.abs(derivs[r] - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("caz", PULSES, ids=PULSE_IDS)
+def test_integer_delays_are_exact_shifts(caz):
+    # no integer-delay branch: one tap is exactly 1 and the others exactly 0
+    cbase = cazac_base(caz)
+    shifts = [-3, 0, 1, 4, 15, 16, 21]
+    taus = [float(k) for k in shifts] + [4.0 + 1e-13, 4.0 - 1e-13]
+    rows = _kernels.pilot_rows(cbase, taus, caz.rolloff, caz.pulse_halfwidth)
+    for row, k in zip(rows, shifts + [4, 4]):
+        assert np.array_equal(row, np.roll(cbase, k))
 
 
 @pytest.mark.parametrize("caz", PULSES, ids=PULSE_IDS)
@@ -297,7 +312,7 @@ def test_rc_deriv_samples_keep_their_values(caz):
         np.arange(-12, 13), DELAYS).ravel(), poles, [1e-9, -1e-9, 0.0]])
     h, hp = _kernels.rc_samples_and_derivs(x, caz.rolloff)
     assert np.array_equal(hp, reference_rc_deriv(x, caz.rolloff))
-    assert np.array_equal(_kernels.rc_deriv_samples(x, caz.rolloff), hp)
+    assert np.array_equal(h, _kernels.rc_samples(x, caz.rolloff))
     assert np.array_equal(h, _kernels.rc_samples(x, caz.rolloff))
 
 

@@ -196,6 +196,14 @@ def test_range_lists_give_the_tuple_result():
                            delta_nlos_range_m=[4.5, 24.0], theta_range_deg=[-60.0, 60.0])
     assert lists == ScenarioConfig(n_nlos=1, seed=11)
     assert run_trial(small_cfg(scenario=lists), 1, 2) == run_trial(small_cfg(), 1, 2)
+    # a JSON config gives the same lists, and the section is passed through as is
+    loaded = config_from_dict({"scenario": {"n_nlos": 1, "seed": 11,
+                                            "d_los_range_m": [30.0, 60.0],
+                                            "delta_nlos_range_m": [4.5, 24.0],
+                                            "theta_range_deg": [-60.0, 60.0]},
+                               "snr_sweep_db": [0.0, 10.0], "trials": 5, "run_id": "t"})
+    assert loaded == small_cfg()
+    assert run_trial(loaded, 1, 2) == run_trial(small_cfg(), 1, 2)
 
 
 def test_feedback_log(tmp_path):

@@ -308,7 +308,7 @@ def brute_force_maximizers(x, mu_t, tau_t, center, n_points=100000):
     vals = _kernels.tau_objective(w, taus, CAZ.rolloff, CAZ.pulse_halfwidth, 16)
     tau_best = float(taus[int(np.argmax(vals))])
 
-    v = ws.pilot_row(tau_t)
+    v = ws.pilot(tau_t)
     q = (xg * v.conj()[None, :]).sum(axis=1)
     qt = 16 * np.fft.ifft(q)
     half = 2 * np.pi / 16
@@ -340,7 +340,7 @@ def test_tau_objective_array_matches_scalar_calls(rolloff, halfwidth):
     # L cyclic shifts of the base sequence, which are orthogonal
     cbase = cazac_base(CAZ)
     shifts = np.stack([np.roll(cbase, r) for r in range(16)], axis=1)
-    g = np.array([shifts.conj().T @ _kernels.pilot_row(cbase, t, rolloff, halfwidth)
+    g = np.array([shifts.conj().T @ _kernels.pilot_rows(cbase, [t], rolloff, halfwidth)[0]
                   for t in taus]) / 16
     folded = np.abs(g @ w) ** 2 / (16 * np.sum(np.abs(g) ** 2, axis=1))
     assert np.max(np.abs(vec - folded)) <= 1e-12 * np.max(folded)
@@ -469,7 +469,7 @@ def test_searches_need_few_objective_calls(monkeypatch, seed):
     lo, hi = _tau_bounds(center, cfg, 16)
     tau_ref = dense_argmax(
         lambda t: _kernels.tau_objective(w, t, CAZ.rolloff, CAZ.pulse_halfwidth, 16), lo, hi)
-    qt = 16 * np.fft.ifft((xg * ws.pilot_row(tau_hat).conj()[None, :]).sum(axis=1))
+    qt = 16 * np.fft.ifft((xg * ws.pilot(tau_hat).conj()[None, :]).sum(axis=1))
     half = 2 * np.pi / 16
     mu_ref = dense_argmax(lambda m: _kernels.mu_objective(qt, m),
                           mu_t + 0.03 - half, mu_t + 0.03 + half)
