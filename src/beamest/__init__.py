@@ -21,8 +21,7 @@ from .crlb import CrlbReport, FisherMatrix, crlb_bounds, fisher_matrix, paramete
 from .errors import ConfigurationError, NumericalDegeneracyError
 from .harness import (CoarseParams, RunConfig, load_config, match_paths, run_sweep,
                       run_trial, write_outputs)
-from .pilots import (CazacConfig, PilotMatrix, cazac_base, pilot_matrix,
-                     pilot_matrix_derivative, rc_pulse, rc_pulse_derivative)
+from .pilots import CazacConfig, cazac_base, pilot_matrix, pilot_matrix_derivative
 from .sage import (PathEstimate, RefinedEstimate, SageConfig, expectation_step,
                    maximize_mu, maximize_tau, run_sage, run_sage_from, update_alpha)
 

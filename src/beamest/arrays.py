@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_integers
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,7 @@ class ArrayConfig:
     spacing_over_lambda: float = 0.5
 
     def __post_init__(self):
+        require_integers(self, "m")
         if self.m < 1:
             raise ConfigurationError(f"array size must be positive, got {self.m}")
         if self.spacing_over_lambda <= 0:

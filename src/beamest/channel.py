@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .arrays import ArrayConfig, beam_gains
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_integers
 from .pilots import CazacConfig, _cached_base, _stack_shifted
 from . import _kernels
 
@@ -25,12 +25,11 @@ class ScenarioConfig:
     """Scenario distributions and radio constants.
 
     ``snr_db`` fixes the transmit power through SNR = P_T * |alpha_1|^2 / noise_var
-    with the line-of-sight gain pinned to 1.
+    with the line-of-sight gain pinned to 1.  ``bandwidth_hz`` sets the symbol
+    period 1/B that turns excess path lengths into delays in symbols.
     """
 
     bandwidth_hz: float = 200e6
-    carrier_hz: float = 28e9
-    m: int = 16
     n_nlos: int = 2
     d_los_range_m: tuple = (30.0, 60.0)
     delta_nlos_range_m: tuple = (4.5, 24.0)
@@ -43,10 +42,9 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self, "n_nlos", "seed")
         if self.bandwidth_hz <= 0:
             raise ConfigurationError(f"bandwidth must be positive, got {self.bandwidth_hz}")
-        if self.m < 1:
-            raise ConfigurationError(f"sub-array size must be positive, got {self.m}")
         if self.n_nlos < 0:
             raise ConfigurationError(f"reflected-path count must be >= 0, got {self.n_nlos}")
         if self.noise_var < 0:

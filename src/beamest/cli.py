@@ -66,14 +66,18 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 def _resolve_threads(args) -> int:
     if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("THREADS", "").strip()
-    if env:
+        threads, source = args.threads, "--threads"
+    else:
+        env = os.environ.get("THREADS", "").strip()
+        if not env:
+            return 1
         try:
-            return max(1, int(env))
+            threads, source = int(env), "THREADS"
         except ValueError as exc:
             raise ConfigurationError(f"bad THREADS value {env!r}") from exc
-    return 1
+    if threads < 1:
+        raise ConfigurationError(f"{source} must be at least 1, got {threads}")
+    return threads
 
 
 def _cmd_run(cfg: RunConfig, args) -> int:

@@ -20,7 +20,7 @@ import math
 import os
 import platform
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,7 +34,7 @@ from .channel import (ChannelRealization, ReceiveMatrix, ScenarioConfig, awgn,
 from .coarse import (build_lut, coarse_estimate, correlate, detect_paths,
                      detection_threshold, mu_to_theta_deg)
 from .crlb import FisherMatrix, crlb_bounds, fisher_at_power, fisher_matrix
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_integers
 from .pilots import CazacConfig
 from .sage import PathEstimate, SageConfig, run_sage
 
@@ -59,6 +59,7 @@ class CoarseParams:
     v: float = 3.0
 
     def __post_init__(self):
+        require_integers(self, "k_points")
         if self.k_points < 2:
             raise ConfigurationError(f"LUT needs at least 2 intervals, got {self.k_points}")
         if not 0.0 < self.p_fa < 1.0:
@@ -82,40 +83,30 @@ class RunConfig:
     run_id: str = "run"
 
     def __post_init__(self):
+        require_integers(self, "trials", "repetitions_per_beam")
         if self.trials < 1:
             raise ConfigurationError(f"need at least one trial, got {self.trials}")
+        try:
+            if isinstance(self.snr_sweep_db, str):   # would iterate into its characters
+                raise TypeError("a string is not a list")
+            object.__setattr__(self, "snr_sweep_db", tuple(float(x) for x in self.snr_sweep_db))
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"snr_sweep_db must be a list of numbers, got {self.snr_sweep_db!r}") from exc
         if not self.snr_sweep_db:
             raise ConfigurationError("the SNR sweep must not be empty")
         if self.repetitions_per_beam < 1:
             raise ConfigurationError(
                 f"repetitions per beam must be >= 1, got {self.repetitions_per_beam}")
-        if self.scenario.m != self.array.m:
-            raise ConfigurationError(
-                f"scenario sub-array size {self.scenario.m} != array size {self.array.m}")
         if self.array.m > self.cazac.length:
             raise ConfigurationError(
                 f"array size {self.array.m} exceeds the pilot length {self.cazac.length}: "
                 "each beam needs its own cyclic pilot shift")
-        if abs(self.cazac.ts * self.scenario.bandwidth_hz - 1.0) > 1e-6:
-            raise ConfigurationError(
-                "pilot symbol period must equal 1/bandwidth "
-                f"(ts={self.cazac.ts}, 1/B={1.0 / self.scenario.bandwidth_hz})")
 
 
 # ---------------------------------------------------------------------------
 # config file handling
 # ---------------------------------------------------------------------------
-
-_SECTION_TYPES = {
-    "scenario": ScenarioConfig,
-    "array": ArrayConfig,
-    "cazac": CazacConfig,
-    "sage": SageConfig,
-    "coarse": CoarseParams,
-}
-_TOP_KEYS = {"scenario", "array", "cazac", "sage", "coarse", "snr_sweep_db", "trials",
-             "repetitions_per_beam", "output_path", "emit_feedback_log", "run_id", "seed"}
-
 
 def load_config(path: str) -> RunConfig:
     """Load a JSON run configuration; the literal name ``default`` gives defaults.
@@ -137,36 +128,50 @@ def load_config(path: str) -> RunConfig:
 
 
 def config_from_dict(data: dict) -> RunConfig:
+    """Build a ``RunConfig`` from a parsed config file.
+
+    The keys are the fields of ``RunConfig``, each dataclass-valued field a
+    section keyed by its own fields, plus ``seed`` for ``scenario.seed``.
+    """
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
+    names = [f.name for f in fields(RunConfig)]
+    unknown = set(data) - set(names) - {"seed"}
     if unknown:
         raise ConfigurationError(f"unknown config key(s): {', '.join(sorted(unknown))}")
     defaults = RunConfig()
-    kwargs = {}
-    for name, cls in _SECTION_TYPES.items():
+    kwargs = {name: data[name] for name in names if name in data}
+    for name in names:
+        default = getattr(defaults, name)
+        if not is_dataclass(default):
+            continue
         section = data.get(name, {})
         if not isinstance(section, dict):
             raise ConfigurationError(f"config section {name!r} must be an object")
-        fields = {f for f in cls.__dataclass_fields__}
-        bad = set(section) - fields
+        bad = set(section) - {f.name for f in fields(default)}
         if bad:
             raise ConfigurationError(
                 f"unknown key(s) in section {name!r}: {', '.join(sorted(name + '.' + b for b in bad))}")
-        try:
-            kwargs[name] = replace(getattr(defaults, name), **section)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"in section {name!r}: {exc}") from exc
-    if "seed" in data:
-        kwargs["scenario"] = replace(kwargs["scenario"], seed=int(data["seed"]))
-    for key in ("snr_sweep_db", "trials", "repetitions_per_beam", "output_path",
-                "emit_feedback_log", "run_id"):
-        if key in data:
-            value = data[key]
-            if key == "snr_sweep_db":
-                value = tuple(float(x) for x in value)
-            kwargs[key] = value
+        if name == "scenario" and "seed" in data:
+            section = {**section, "seed": data["seed"]}
+        kwargs[name] = _section(name, default, section)
     return RunConfig(**kwargs)
+
+
+def _section(name: str, default, values: dict):
+    """``default`` with ``values`` applied; a refused value is named by its key."""
+    try:
+        return replace(default, **values)
+    except (TypeError, ValueError) as exc:
+        # a wrongly typed value fails on a comparison or conversion that does not
+        # say which field it was, so find the key that fails on its own
+        for key, value in values.items():
+            try:
+                replace(default, **{key: value})
+            except (TypeError, ValueError) as key_exc:
+                raise ConfigurationError(
+                    f"in section {name!r}: {name}.{key} = {value!r}: {key_exc}") from key_exc
+        raise ConfigurationError(f"in section {name!r}: {exc}") from exc
 
 
 def resolved_config_dict(cfg: RunConfig) -> dict:

@@ -9,7 +9,7 @@ by raised-cosine interpolation of the wrapped sequence, truncated to
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 from numbers import Integral
@@ -17,7 +17,7 @@ from numbers import Integral
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigurationError
+from .errors import ConfigurationError, require_integers
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,6 @@ class CazacConfig:
     ----------
     length : int
         Sequence length L; must be a perfect square.
-    ts : float
-        Symbol period in seconds.
     rolloff : float
         Raised-cosine roll-off in [0, 1].
     pulse_halfwidth : int
@@ -37,16 +35,14 @@ class CazacConfig:
     """
 
     length: int = 16
-    ts: float = 5e-9
     rolloff: float = 0.25
     pulse_halfwidth: int = 8
 
     def __post_init__(self):
+        require_integers(self, "length")
         if self.length < 1 or isqrt(self.length) ** 2 != self.length:
             raise ConfigurationError(
                 f"sequence length must be a perfect square, got {self.length}")
-        if self.ts <= 0:
-            raise ConfigurationError(f"symbol period must be positive, got {self.ts}")
         if not 0.0 <= self.rolloff <= 1.0:
             raise ConfigurationError(f"roll-off must lie in [0, 1], got {self.rolloff}")
         if not isinstance(self.pulse_halfwidth, Integral):
@@ -55,14 +51,6 @@ class CazacConfig:
         if self.pulse_halfwidth < 1:
             raise ConfigurationError(
                 f"pulse halfwidth must be at least 1 symbol, got {self.pulse_halfwidth}")
-
-
-@dataclass(frozen=True)
-class PilotMatrix:
-    """Stacked pilot rows evaluated at a common delay (in symbols)."""
-
-    c: np.ndarray = field(repr=False)
-    delay: float = 0.0
 
 
 def cazac_base(cfg: CazacConfig) -> np.ndarray:
@@ -86,7 +74,7 @@ def _cached_base(cfg: CazacConfig) -> np.ndarray:
     return out
 
 
-def pilot_matrix(cfg: CazacConfig, m: int, tau: float) -> PilotMatrix:
+def pilot_matrix(cfg: CazacConfig, m: int, tau: float) -> np.ndarray:
     """M x L pilot matrix at delay ``tau`` symbols; row k is the k-shifted sequence.
 
     At integer delays each row is an exact cyclic shift (the pulse is 1 at the
@@ -96,7 +84,7 @@ def pilot_matrix(cfg: CazacConfig, m: int, tau: float) -> PilotMatrix:
     if m < 1:
         raise ConfigurationError(f"row count must be positive, got {m}")
     row0 = _kernels.pilot_rows(_cached_base(cfg), [tau], cfg.rolloff, cfg.pulse_halfwidth)[0]
-    return PilotMatrix(c=_stack_shifted(row0, m), delay=float(tau))
+    return _stack_shifted(row0, m)
 
 
 def pilot_matrix_derivative(cfg: CazacConfig, m: int, tau: float) -> np.ndarray:
@@ -119,17 +107,6 @@ def _shift_index(m: int, ell: int) -> np.ndarray:
 def _stack_shifted(row0: np.ndarray, m: int) -> np.ndarray:
     """m x L matrix whose row k is ``row0`` cyclically shifted by k."""
     return row0[_shift_index(m, row0.shape[0])]
-
-
-def rc_pulse(cfg: CazacConfig, t: float) -> float:
-    """Raised-cosine pulse h(t), t in seconds; removable singularities by limits."""
-    return float(_kernels.rc_samples(np.array([t / cfg.ts]), cfg.rolloff)[0])
-
-
-def rc_pulse_derivative(cfg: CazacConfig, t: float) -> float:
-    """Analytic dh/dt in 1/seconds, with limits at t = 0 and the roll-off poles."""
-    hp = _kernels.rc_samples_and_derivs(np.array([t / cfg.ts]), cfg.rolloff)[1]
-    return float(hp[0]) / cfg.ts
 
 
 @lru_cache(maxsize=8)

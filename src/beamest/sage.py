@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,7 +35,7 @@ from . import _kernels
 from .arrays import ArrayConfig, beam_gains
 from .channel import ReceiveMatrix, path_signal
 from .coarse import CoarseEstimate
-from .errors import ConfigurationError, NumericalDegeneracyError
+from .errors import ConfigurationError, NumericalDegeneracyError, require_integers
 from .pilots import CazacConfig, _cached_base, _stack_shifted
 
 # below this a delay or spatial frequency counts as zero: its change stops absolutely
@@ -66,10 +65,7 @@ class SageConfig:
             raise ConfigurationError(f"beta must lie in (0, 1], got {self.beta}")
         if self.gamma_stop <= 0:
             raise ConfigurationError(f"stopping threshold must be positive, got {self.gamma_stop}")
-        for name in ("max_iterations", "grid_points"):
-            if not isinstance(getattr(self, name), Integral):
-                raise ConfigurationError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}")
+        require_integers(self, "max_iterations", "grid_points")
         if self.max_iterations < 1:
             raise ConfigurationError(f"need at least one iteration, got {self.max_iterations}")
         if not self.tau_window_symbols > 0:

@@ -85,12 +85,12 @@ def test_criterion_1_butler_dft_equivalence():
 
 def test_criterion_2_pilot_shift_orthogonality():
     t0 = time.perf_counter()
-    c0 = pilot_matrix(CAZ, 16, 0.0).c
+    c0 = pilot_matrix(CAZ, 16, 0.0)
     worst = 0.0
     for i in range(16):
         perm = np.zeros((16, 16))
         perm[np.arange(16), (np.arange(16) + i) % 16] = 1.0
-        gram = pilot_matrix(CAZ, 16, float(i)).c @ c0.conj().T
+        gram = pilot_matrix(CAZ, 16, float(i)) @ c0.conj().T
         worst = max(worst, np.linalg.norm(gram - 16.0 * perm))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-10 and elapsed < 1.0

@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
 from beamest.channel import spatial_frequency
+from beamest import ConfigurationError
 from beamest.cli import EXIT_CONFIG, EXIT_OK, main
 from beamest.harness import config_from_dict, run_trial
 
@@ -31,6 +33,28 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     path.write_text(json.dumps({"nope": 1}))
     assert main(["run", "--config", str(path)]) == EXIT_CONFIG
     assert "unknown" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"seed": "abc"}, "seed"),
+    ({"scenario": {"n_nlos": "2"}}, "scenario.n_nlos"),
+    ({"scenario": {"bandwidth_hz": "wide"}}, "scenario.bandwidth_hz"),
+    ({"array": {"m": 16.0}}, "array.m"),
+    ({"trials": 2.5}, "trials"),
+    ({"trials": True}, "trials"),
+    ({"repetitions_per_beam": 1.5}, "repetitions_per_beam"),
+    ({"snr_sweep_db": [0, "high"]}, "snr_sweep_db"),
+    ({"snr_sweep_db": "10"}, "snr_sweep_db"),
+])
+def test_wrongly_typed_value_is_config_error(tmp_path, capsys, data, key):
+    with pytest.raises(ConfigurationError, match=re.escape(key)):
+        config_from_dict(data)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert "Traceback" not in err
 
 
 def test_lut_row_count(tmp_path):
@@ -124,3 +148,17 @@ def test_threads_env_var_honored(tmp_path, capsys, monkeypatch):
     # the CLI flag wins over the environment
     assert main(["run", "--config", cfg, "--threads", "1"]) == EXIT_OK
     assert "threads=1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, env", [("0", None), ("-2", None), (None, "0"), (None, "-1")])
+def test_non_positive_threads_is_config_error(tmp_path, capsys, monkeypatch, flag, env):
+    cfg = write_cfg(tmp_path, trials=1, output_path=str(tmp_path / "a.csv"))
+    if env is None:
+        monkeypatch.delenv("THREADS", raising=False)
+    else:
+        monkeypatch.setenv("THREADS", env)
+    argv = ["run", "--config", cfg] + (["--threads", flag] if flag is not None else [])
+    assert main(argv) == EXIT_CONFIG
+    assert "config error: " + ("--threads" if flag is not None else "THREADS") \
+        in capsys.readouterr().err
+    assert not (tmp_path / "a.csv").exists()

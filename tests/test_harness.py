@@ -1,12 +1,14 @@
+import dataclasses
 import json
 import math
 import os
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from beamest import (ArrayConfig, CazacConfig, ConfigurationError, PathEstimate,
+from beamest import (ArrayConfig, ConfigurationError, PathEstimate,
                      RunConfig, ScenarioConfig, active_backend, match_paths, run_sweep,
                      run_trial)
 from beamest.channel import ChannelRealization, PathParams
@@ -240,20 +242,16 @@ def test_config_validation_cross_checks():
         RunConfig(trials=0)
     with pytest.raises(ConfigurationError):
         RunConfig(snr_sweep_db=())
-    with pytest.raises(ConfigurationError):
-        RunConfig(scenario=ScenarioConfig(m=8), array=ArrayConfig(m=16))
-    with pytest.raises(ConfigurationError):
-        RunConfig(cazac=CazacConfig(ts=1e-9))  # inconsistent with 200 MHz
 
 
 def test_config_refuses_more_beams_than_pilot_shifts():
     # each beam transmits its own cyclic shift of the length-L pilot
     with pytest.raises(ConfigurationError, match="array size 32.*pilot length 16"):
-        RunConfig(array=ArrayConfig(m=32), scenario=ScenarioConfig(m=32))
+        RunConfig(array=ArrayConfig(m=32))
     with pytest.raises(ConfigurationError, match="array size 32.*pilot length 16"):
-        config_from_dict({"array": {"m": 32}, "scenario": {"m": 32}})
-    assert RunConfig(array=ArrayConfig(m=16), scenario=ScenarioConfig(m=16)).array.m == 16
-    assert RunConfig(array=ArrayConfig(m=4), scenario=ScenarioConfig(m=4)).array.m == 4
+        config_from_dict({"array": {"m": 32}})
+    assert RunConfig(array=ArrayConfig(m=16)).array.m == 16
+    assert RunConfig(array=ArrayConfig(m=4)).array.m == 4
 
 
 def test_config_from_dict_unknown_keys():
@@ -261,6 +259,28 @@ def test_config_from_dict_unknown_keys():
         config_from_dict({"bogus": 1})
     with pytest.raises(ConfigurationError, match="scenario.bogus"):
         config_from_dict({"scenario": {"bogus": 1}})
+
+
+def test_config_accepts_every_field_and_refuses_unknown_ones():
+    # every field of every section, as a JSON config writes it, loads back unchanged
+    full = json.loads(json.dumps(dataclasses.asdict(RunConfig())))
+    assert config_from_dict(full) == RunConfig()
+    sections = [name for name, value in full.items() if isinstance(value, dict)]
+    assert sections == ["scenario", "array", "cazac", "sage", "coarse"]
+    for name in sections:
+        with pytest.raises(ConfigurationError, match=f"{name}.bogus"):
+            config_from_dict({name: {"bogus": 1}})
+
+
+def test_readme_config_block_is_the_schema():
+    # the documented example loads, and every value it shows is the default
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config file", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    data = json.loads(block)
+    defaults = RunConfig()
+    assert config_from_dict(data) == dataclasses.replace(
+        defaults, run_id=data["run_id"],
+        scenario=dataclasses.replace(defaults.scenario, seed=data["seed"]))
 
 
 def test_config_file_round_trip(tmp_path):
