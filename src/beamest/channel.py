@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .arrays import ArrayConfig, beam_gains
-from .errors import ConfigurationError, require_integers
+from .errors import ConfigurationError, is_real, require_integers, require_reals
 from .pilots import CazacConfig, _cached_base, _stack_shifted
 from . import _kernels
 
@@ -43,6 +43,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         require_integers(self, "n_nlos", "seed")
+        require_reals(self, "bandwidth_hz", "ple_los", "ple_nlos", "d0_m", "noise_var", "snr_db")
         if self.bandwidth_hz <= 0:
             raise ConfigurationError(f"bandwidth must be positive, got {self.bandwidth_hz}")
         if self.n_nlos < 0:
@@ -51,8 +52,11 @@ class ScenarioConfig:
             raise ConfigurationError(f"noise variance must be >= 0, got {self.noise_var}")
         for name in ("d_los_range_m", "delta_nlos_range_m", "theta_range_deg"):
             # a tuple keeps the config hashable, as the harness's per-trial cache needs
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-            lo, hi = getattr(self, name)
+            pair = tuple(getattr(self, name))
+            object.__setattr__(self, name, pair)
+            if len(pair) != 2 or not all(map(is_real, pair)):
+                raise ConfigurationError(f"{name} must be a pair of real numbers, got {pair!r}")
+            lo, hi = pair
             if not lo <= hi:
                 raise ConfigurationError(f"{name} has inverted bounds ({lo}, {hi})")
         if self.d_los_range_m[0] <= 0 or self.d0_m <= 0:
@@ -154,18 +158,30 @@ def path_signal(alpha: complex, gains: np.ndarray, v: np.ndarray) -> np.ndarray:
     return alpha * gains[:, None] * _stack_shifted(v, gains.shape[0])
 
 
-def unit_power_signal(real: ChannelRealization, arr: ArrayConfig,
-                      caz: CazacConfig) -> np.ndarray:
+def delayed_pilots(real: ChannelRealization, caz: CazacConfig) -> np.ndarray:
+    """The (2R, L) pilot rows [v | v'] at the realization's delays: every path's
+    v(tau_r), then every path's dv/dtau_r, from one tap evaluation."""
+    return np.concatenate(_kernels.pilot_rows_and_derivs(
+        _cached_base(caz), [p.tau_symbols for p in real.paths], caz.rolloff,
+        caz.pulse_halfwidth))
+
+
+def unit_power_signal(real: ChannelRealization, arr: ArrayConfig, caz: CazacConfig,
+                      rows: np.ndarray | None = None) -> np.ndarray:
     """Noiseless M x L observation at unit transmit power, sum_r alpha_r A(mu_r) C(tau_r).
 
     The observation at transmit power P_T is sqrt(P_T) times this matrix, so
-    an SNR sweep over one realization builds it once.
+    an SNR sweep over one realization builds it once.  ``rows`` may hold the
+    realization's pilot rows v(tau_r) as its first R rows, as the rows
+    [v | v'] of :func:`delayed_pilots` do; without them they are computed
+    here.
     """
     if arr.m > caz.length:
         raise ConfigurationError(
             f"more beams ({arr.m}) than pilot shifts ({caz.length}) is not supported")
-    rows = _kernels.pilot_rows(_cached_base(caz), [p.tau_symbols for p in real.paths],
-                               caz.rolloff, caz.pulse_halfwidth)
+    if rows is None:
+        rows = _kernels.pilot_rows(_cached_base(caz), [p.tau_symbols for p in real.paths],
+                                   caz.rolloff, caz.pulse_halfwidth)
     s = np.zeros((arr.m, caz.length), dtype=complex)
     for p, v in zip(real.paths, rows):
         s += path_signal(p.alpha, beam_gains(arr, p.mu), v)

@@ -6,6 +6,7 @@ import argparse
 import csv
 import os
 import sys
+import time
 from dataclasses import replace
 from typing import Optional, Sequence
 
@@ -82,8 +83,10 @@ def _resolve_threads(args) -> int:
 
 def _cmd_run(cfg: RunConfig, args) -> int:
     threads = _resolve_threads(args)
+    t0 = time.perf_counter()
     rows, records = run_sweep(cfg, threads=threads)
-    path = write_outputs(cfg, rows, records)
+    wall_s = time.perf_counter() - t0
+    path = write_outputs(cfg, rows, records, wall_s=wall_s, threads=threads)
     print(f"wrote {path} ({len(rows)} rows, {cfg.trials} trials x "
           f"{len(cfg.snr_sweep_db)} SNR points, threads={threads})")
     return EXIT_OK

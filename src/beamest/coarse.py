@@ -84,9 +84,17 @@ class CoarseEstimate:
     paths: Tuple[CoarsePath, ...]
 
 
+@lru_cache(maxsize=8)
+def _pilot_conj_t(caz: CazacConfig, m: int) -> np.ndarray:
+    """Read-only C(0)^H, L x M, built once per (pilot configuration, beam count)."""
+    out = _stack_shifted(_cached_base(caz), m).conj()
+    out.setflags(write=False)
+    return out.T
+
+
 def correlate(y: ReceiveMatrix) -> PowerMatrix:
     """Correlation matrix Z = Y C(0)^H and its entrywise power."""
-    z = y.y @ _stack_shifted(_cached_base(y.caz), y.arr.m).conj().T
+    z = y.y @ _pilot_conj_t(y.caz, y.arr.m)
     return PowerMatrix(p=np.abs(z) ** 2)
 
 

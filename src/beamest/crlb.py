@@ -14,38 +14,48 @@ a_r (x) v'_r, whose Gram matrix K is the Hadamard product of the Gram of
 indexed into that basis.  With W the 3R x 4R matrix that places 1 and j on
 the gain columns and g_r on the angle and delay columns,
 F = (2 / sigma^2) Re(W^H K W).
+
+The SNR points of one realization differ only in transmit power and noise,
+so their matrices are scaled copies of one unit-power, unit-noise matrix,
+formed and bounded as one (P, 4R, 4R) stack.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .arrays import ArrayConfig, _cached_codebook
-from .channel import ChannelRealization
+from .channel import ChannelRealization, delayed_pilots
 from .errors import ConfigurationError
-from .pilots import CazacConfig, _cached_base
-from . import _kernels
+from .pilots import CazacConfig
 
 COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
 class FisherMatrix:
-    """4R x 4R information matrix in the block order [Re g | Im g | mu | tau]."""
+    """4R x 4R information matrix in the block order [Re g | Im g | mu | tau],
+    or a (P, 4R, 4R) stack of them."""
 
     f: np.ndarray = field(repr=False)
 
     @property
     def n_paths(self) -> int:
-        return self.f.shape[0] // 4
+        return self.f.shape[-1] // 4
 
 
 @dataclass(frozen=True)
 class CrlbReport:
-    """Per-parameter square-root bounds, or a non-invertible flag."""
+    """Per-parameter square-root bounds, or a non-invertible flag.
+
+    For a stack of P matrices the bounds are (P, 4R) and the condition
+    numbers and flags are length-P arrays, one entry per member.
+    """
 
     bounds: np.ndarray
     condition_number: float
@@ -60,8 +70,26 @@ def parameter_index(kind: str, r: int, n_paths: int) -> int:
     return offset * n_paths + r
 
 
-def fisher_matrix(real: ChannelRealization, arr: ArrayConfig, caz: CazacConfig) -> FisherMatrix:
-    """Assemble the 4R x 4R information matrix from the Gram factorization."""
+@lru_cache(maxsize=16)
+def _gram_index(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read-only flat indices that lay the 2R x 2R Gram matrices of [a | a'] and
+    [v | v'] onto the 4R Jacobian columns [Re g | Im g | mu | tau]."""
+    r = np.arange(n)
+    out = []
+    for idx in (np.concatenate([r, r, r + n, r]), np.concatenate([r, r, r, r + n])):
+        flat = idx[:, None] * (2 * n) + idx
+        flat.setflags(write=False)
+        out.append(flat)
+    return tuple(out)
+
+
+def fisher_matrix(real: ChannelRealization, arr: ArrayConfig, caz: CazacConfig,
+                  rows: Optional[np.ndarray] = None) -> FisherMatrix:
+    """Assemble the 4R x 4R information matrix from the Gram factorization.
+
+    ``rows`` may hold the realization's (2R, L) pilot rows [v | v'] from
+    :func:`beamest.channel.delayed_pilots`; without them they are computed here.
+    """
     if real.noise_var <= 0:
         raise ConfigurationError("the information matrix needs a positive noise variance")
     n = real.r
@@ -75,35 +103,43 @@ def fisher_matrix(real: ChannelRealization, arr: ArrayConfig, caz: CazacConfig) 
     phases = np.exp(1j * mus[:, None] * m)
     # rows a_r then a'_r, and v_r then v'_r
     a = np.concatenate([phases, 1j * m * phases]) @ _cached_codebook(arr)
-    v = np.concatenate(_kernels.pilot_rows_and_derivs(
-        _cached_base(caz), taus, caz.rolloff, caz.pulse_halfwidth))
+    v = delayed_pilots(real, caz) if rows is None else rows
     # each column of the Jacobian is w_c (a_ia[c] (x) v_iv[c]), in the block
     # order [Re g | Im g | mu | tau]
-    r = np.arange(n)
-    ia = np.concatenate([r, r, r + n, r])
-    iv = np.concatenate([r, r, r, r + n])
+    ia, iv = _gram_index(n)
     w = np.concatenate([np.ones(n), np.full(n, 1j), gains, gains])
     gram_a = a.conj() @ a.T
     gram_v = v.conj() @ v.T
-    k = gram_a[np.ix_(ia, ia)] * gram_v[np.ix_(iv, iv)]
+    k = np.take(gram_a, ia) * np.take(gram_v, iv)
     f = (2.0 / real.noise_var) * np.real(w.conj()[:, None] * k * w)
     return FisherMatrix(f=0.5 * (f + f.T))
 
 
-def fisher_at_power(f0: FisherMatrix, pt: float, noise_var: float) -> FisherMatrix:
+@lru_cache(maxsize=16)
+def _power_columns(n: int) -> np.ndarray:
+    """Read-only mask of the 4R columns whose derivatives carry sqrt(P_T): mu and tau."""
+    out = np.arange(4 * n) >= 2 * n
+    out.setflags(write=False)
+    return out
+
+
+def fisher_at_power(f0: FisherMatrix, pt, noise_var) -> FisherMatrix:
     """Information matrix at transmit power ``pt`` from the unit-power, unit-noise one.
 
     Only the delay and angle derivatives carry the gain sqrt(P_T), so
     F(P_T) = D F0 D / sigma^2 with D = diag(1, 1, sqrt(P_T), sqrt(P_T)) per
     block; one Jacobian serves a whole SNR sweep.  The weights d_i d_j are
-    formed first, so the result is exactly symmetric.
+    formed first, so the result is exactly symmetric.  Scalar ``pt`` and
+    ``noise_var`` give one 4R x 4R matrix; arrays of P powers and/or noise
+    variances give the (P, 4R, 4R) stack, each member equal to its own
+    scalar call.
     """
-    if noise_var <= 0:
+    noise_var = np.asarray(noise_var, dtype=float)
+    if min(noise_var.flat) <= 0:
         raise ConfigurationError("the information matrix needs a positive noise variance")
-    n = 2 * f0.n_paths
-    a = 1.0 / math.sqrt(noise_var)
-    d = np.array([a] * n + [a * math.sqrt(pt)] * n)
-    return FisherMatrix(f=d[:, None] * d * f0.f)
+    a = 1.0 / np.sqrt(noise_var)
+    d = np.where(_power_columns(f0.n_paths), (a * np.sqrt(pt))[..., None], a[..., None])
+    return FisherMatrix(f=d[..., :, None] * d[..., None, :] * f0.f)
 
 
 def crlb_bounds(f: FisherMatrix) -> CrlbReport:
@@ -116,15 +152,34 @@ def crlb_bounds(f: FisherMatrix) -> CrlbReport:
     that is a singular one rounded below zero) are flagged non-invertible
     instead of producing pseudo-inverse bounds that understate the
     uncertainty.
+
+    A (P, 4R, 4R) stack is gated and inverted member by member, with one
+    ``eigvalsh`` over the stack and one ``inv`` over the members that pass;
+    each member's report equals that of its own 2-D call bit for bit.
     """
     mat = f.f
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise ValueError("information matrix has non-finite entries")
     eig = np.linalg.eigvalsh(mat)
-    cond = float(eig[-1] / eig[0]) if eig[0] > 0 else math.inf
-    if cond >= COND_LIMIT:
-        return CrlbReport(bounds=np.full(mat.shape[0], np.nan),
-                          condition_number=cond, invertible=False)
-    inv = np.linalg.inv(mat)
-    diag = np.clip(np.diag(inv), 0.0, None)
-    return CrlbReport(bounds=np.sqrt(diag), condition_number=cond, invertible=True)
+    lo, hi = eig[..., 0], eig[..., -1]
+    # all(x.flat) costs a fraction of x.all() on the few flags of a trial
+    positive = lo > 0
+    if all(positive.flat):
+        cond = hi / lo
+    else:
+        cond = np.divide(hi, lo, out=np.full(np.shape(lo), math.inf), where=positive)
+    ok = cond < COND_LIMIT
+    if all(ok.flat):
+        bounds = _sqrt_inverse_diagonal(mat)
+    else:
+        bounds = np.full(mat.shape[:-1], np.nan)
+        if any(ok.flat):
+            bounds[ok] = _sqrt_inverse_diagonal(mat[ok])
+    if mat.ndim == 2:
+        return CrlbReport(bounds=bounds, condition_number=float(cond), invertible=bool(ok))
+    return CrlbReport(bounds=bounds, condition_number=cond, invertible=ok)
+
+
+def _sqrt_inverse_diagonal(mat: np.ndarray) -> np.ndarray:
+    diag = np.diagonal(np.linalg.inv(mat), axis1=-2, axis2=-1)
+    return np.sqrt(np.maximum(diag, 0.0))

@@ -1,6 +1,6 @@
-"""Exception types shared across the package, and the integer-field check."""
+"""Exception types shared across the package, and the numeric-field checks."""
 
-from numbers import Integral
+from numbers import Integral, Real
 
 
 class ConfigurationError(ValueError):
@@ -17,3 +17,16 @@ def require_integers(cfg, *names: str) -> None:
         value = getattr(cfg, name)
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number; a bool is no quantity."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def require_reals(cfg, *names: str) -> None:
+    """Refuse a named field of ``cfg`` that holds no real number."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not is_real(value):
+            raise ConfigurationError(f"{name} must be a real number, got {value!r}")

@@ -1,10 +1,12 @@
 """Seeded Monte-Carlo orchestration, scoring against ground truth and CSV output.
 
-Per trial, once: draw the realization, build its noiseless signal at unit
-transmit power and its information matrix at unit power and unit noise.
-Per SNR point of that trial: scale the signal to the point's transmit power
-and add fresh noise, scale the information matrix to the point's power and
-noise and gate its conditioning, run the coarse stage and the refinement,
+Per trial, once: draw the realization, evaluate its pilot rows and their
+delay derivatives in one tap pass, and build from those rows its noiseless
+signal at unit transmit power and its information matrix at unit power and
+unit noise.  Per SNR point of that trial: scale the signal to the point's
+transmit power and add fresh noise.  The information matrix is scaled to
+every point's power and noise at once, and the stack is gated and inverted
+in one call.  Per point again: run the coarse stage and the refinement,
 match estimated paths to true paths, and record squared errors and bound
 variances.  Each SNR point's records then aggregate to one CSV row per
 (parameter, path class).  Trials use counter-derived substreams so results
@@ -30,10 +32,10 @@ from . import __version__
 from ._kernels import active_backend
 from .arrays import ArrayConfig
 from .channel import (ChannelRealization, ReceiveMatrix, ScenarioConfig, awgn,
-                      draw_realization, unit_power_signal)
+                      delayed_pilots, draw_realization, unit_power_signal)
 from .coarse import (build_lut, coarse_estimate, correlate, detect_paths,
                      detection_threshold, mu_to_theta_deg)
-from .crlb import FisherMatrix, crlb_bounds, fisher_at_power, fisher_matrix
+from .crlb import crlb_bounds, fisher_at_power, fisher_matrix
 from .errors import ConfigurationError, require_integers
 from .pilots import CazacConfig
 from .sage import PathEstimate, SageConfig, run_sage
@@ -84,6 +86,10 @@ class RunConfig:
 
     def __post_init__(self):
         require_integers(self, "trials", "repetitions_per_beam")
+        for name, kind in (("output_path", str), ("run_id", str), ("emit_feedback_log", bool)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigurationError(f"{name} must be a {kind.__name__}, got {value!r}")
         if self.trials < 1:
             raise ConfigurationError(f"need at least one trial, got {self.trials}")
         try:
@@ -174,8 +180,11 @@ def _section(name: str, default, values: dict):
         raise ConfigurationError(f"in section {name!r}: {exc}") from exc
 
 
-def resolved_config_dict(cfg: RunConfig) -> dict:
-    """The resolved configuration plus the provenance of the run."""
+def resolved_config_dict(cfg: RunConfig, wall_s: Optional[float] = None,
+                         threads: Optional[int] = None) -> dict:
+    """The resolved configuration plus the provenance of the run: versions,
+    CPU count, the sweep's wall time in seconds and its worker count (None
+    when the caller did not time the sweep)."""
     out = asdict(cfg)
     out["package_version"] = __version__
     out["csv_schema"] = CSV_SCHEMA
@@ -183,6 +192,8 @@ def resolved_config_dict(cfg: RunConfig) -> dict:
     out["numpy_version"] = np.__version__
     out["python_version"] = platform.python_version()
     out["cpu_count"] = os.cpu_count()
+    out["wall_s"] = wall_s
+    out["threads"] = threads
     return out
 
 
@@ -220,7 +231,11 @@ def match_paths(truth: ChannelRealization,
 
 @dataclass
 class TrialRecord:
-    """Everything scored in one trial, kept for deterministic aggregation."""
+    """Everything scored in one trial, kept for deterministic aggregation.
+
+    Every scalar is a builtin int, float, complex, str or bool, so a record
+    pickles small on its way back from a pool worker.
+    """
 
     trial_id: int
     snr_db: float
@@ -252,14 +267,17 @@ def _shared_lut(arr: ArrayConfig, k_points: int):
 
 @lru_cache(maxsize=1)
 def _trial_signal(scen: ScenarioConfig, arr: ArrayConfig, caz: CazacConfig,
-                  trial: int) -> Tuple[ChannelRealization, np.ndarray]:
-    # the realization and its unit-power noiseless signal depend on the trial
-    # only, so a trial's consecutive SNR points share one cached draw
+                  trial: int) -> Tuple[ChannelRealization, np.ndarray, np.ndarray]:
+    # the realization, its pilot rows [v | v'] and its unit-power noiseless
+    # signal depend on the trial only, so a trial's consecutive SNR points
+    # share one cached draw, and S0 and F0 share one tap evaluation
     geom_rng = np.random.default_rng(np.random.SeedSequence(entropy=(scen.seed, trial, 0)))
     real = draw_realization(scen, geom_rng, arr.spacing_over_lambda)
-    s0 = unit_power_signal(real, arr, caz)
-    s0.setflags(write=False)
-    return real, s0
+    rows = delayed_pilots(real, caz)
+    s0 = unit_power_signal(real, arr, caz, rows)
+    for a in (rows, s0):
+        a.setflags(write=False)
+    return real, s0, rows
 
 
 def synthesize_trial(cfg: RunConfig, snr_idx: int, trial: int):
@@ -272,7 +290,7 @@ def synthesize_trial(cfg: RunConfig, snr_idx: int, trial: int):
     downstream sees them, leaving an effective noise variance of
     noise_var / repetitions.
     """
-    real, s0 = _trial_signal(cfg.scenario, cfg.array, cfg.cazac, trial)
+    real, s0, _ = _trial_signal(cfg.scenario, cfg.array, cfg.cazac, trial)
     real = real.with_snr_db(float(cfg.snr_sweep_db[snr_idx]))
     reps = cfg.repetitions_per_beam
     y = np.sqrt(real.pt) * s0
@@ -296,45 +314,46 @@ def _trial_records(cfg: RunConfig, trial: int,
                    snr_indices: Sequence[int]) -> List[TrialRecord]:
     """Score one trial at each of the given SNR points.
 
-    The realization and the noiseless signal come from one draw, and the
-    information matrix from one Jacobian at unit power and unit noise,
-    F0; each SNR point scales F0 to its own transmit power and effective
-    noise and gates its own condition number.
+    The realization, the noiseless signal and the pilot rows come from one
+    draw, and the information matrix at unit power and unit noise, F0, from
+    those rows.  F0 is scaled to every point's transmit power and effective
+    noise, and the (P, 4R, 4R) stack is gated and inverted in one
+    ``crlb_bounds`` call; ``run_trial`` is the stack of one.
     """
-    f0 = None
-    records = []
-    for snr_idx in snr_indices:
-        real, y, noise_eff = synthesize_trial(cfg, snr_idx, trial)
-        if f0 is None and noise_eff > 0:
-            f0 = fisher_matrix(replace(real, pt=1.0, noise_var=1.0), cfg.array, cfg.cazac)
-        records.append(_score_point(cfg, snr_idx, trial, real, y, noise_eff, f0))
-    return records
+    points = [synthesize_trial(cfg, snr_idx, trial) for snr_idx in snr_indices]
+    # every point has the scenario's noise; a noiseless synthesis has no bound
+    noise_eff = points[0][2]
+    bounds = [None] * len(points)
+    if noise_eff > 0:
+        real, _, rows = _trial_signal(cfg.scenario, cfg.array, cfg.cazac, trial)
+        f0 = fisher_matrix(replace(real, pt=1.0, noise_var=1.0), cfg.array, cfg.cazac, rows)
+        report = crlb_bounds(fisher_at_power(f0, [p[0].pt for p in points], noise_eff))
+        bounds = [b if ok else None for b, ok in zip(report.bounds, report.invertible)]
+    return [_score_point(cfg, snr_idx, trial, *point, bound)
+            for snr_idx, point, bound in zip(snr_indices, points, bounds)]
 
 
 def _score_point(cfg: RunConfig, snr_idx: int, trial: int, real: ChannelRealization,
                  y: ReceiveMatrix, noise_eff: float,
-                 f0: Optional[FisherMatrix]) -> TrialRecord:
-    """Bound, estimate and score one synthesized observation."""
+                 bounds: Optional[np.ndarray]) -> TrialRecord:
+    """Estimate and score one synthesized observation; ``bounds`` are the
+    square-root bounds at the truth, None when the information matrix was not
+    invertible or the synthesis is noiseless."""
     snr_db = float(cfg.snr_sweep_db[snr_idx])
     classes = ["los"] + ["nlos"] * (real.r - 1)
     counts = {"los": [0, 1], "nlos": [0, real.r - 1]}
 
-    # bound variances at the truth, independent of what the estimator did;
-    # undefined for a noiseless synthesis
+    # bound variances at the truth, independent of what the estimator did
     crlb_vars = []
-    fim_invertible = False
-    if noise_eff > 0:
-        report = crlb_bounds(fisher_at_power(f0, real.pt, noise_eff))
-        fim_invertible = report.invertible
-    if fim_invertible:
+    if bounds is not None:
         # rows follow the information matrix's block order [Re g | Im g | mu | tau]
-        var_re, var_im, var_mu, var_tau = (report.bounds ** 2).reshape(4, real.r).tolist()
+        var_re, var_im, var_mu, var_tau = (bounds ** 2).reshape(4, real.r).tolist()
         for r, p in enumerate(real.paths):
             gain = math.sqrt(real.pt) * abs(p.alpha)
             crlb_vars.append({
                 "cls": classes[r],
                 "aod_deg2": var_mu[r] * _theta_slope_deg_per_rad(p.theta_deg) ** 2,
-                "gain_rel2": (var_re[r] + var_im[r]) / gain ** 2,
+                "gain_rel2": float((var_re[r] + var_im[r]) / gain ** 2),
                 "delay_sym2": var_tau[r],
             })
 
@@ -379,17 +398,17 @@ def _score_point(cfg: RunConfig, snr_idx: int, trial: int, real: ChannelRealizat
                 "cls": classes[ti],
                 "aod_coarse_deg2": (p.theta_deg - co.theta_hat_deg) ** 2,
                 "aod_ml_deg2": (p.theta_deg - mu_to_theta_deg(ml.mu_hat)) ** 2,
-                "gain_ml_rel2": abs((truth_gain - ml.alpha_hat) / truth_gain) ** 2,
+                "gain_ml_rel2": float(abs((truth_gain - ml.alpha_hat) / truth_gain) ** 2),
                 "delay_ml_sym2": (p.tau_symbols - ml.tau_hat) ** 2,
             })
 
     amp = math.sqrt(real.pt)
     return TrialRecord(
         trial_id=trial, snr_db=snr_db, truth_classes=classes,
-        truth=[(p.theta_deg, amp * p.alpha, p.tau_symbols) for p in real.paths],
+        truth=[(p.theta_deg, complex(amp * p.alpha), p.tau_symbols) for p in real.paths],
         coarse=coarse_rows, refined=refined_rows, assignment=assignment,
         matched=matched_records, crlb_vars=crlb_vars,
-        fim_invertible=fim_invertible, detection_counts=counts,
+        fim_invertible=bounds is not None, detection_counts=counts,
         sage_iterations=iterations, r_hat=r_hat, detection_status=status,
         feedback=feedback_rows)
 
@@ -502,13 +521,18 @@ def rows_to_csv_bytes(rows: Sequence[dict]) -> bytes:
 
 def write_outputs(cfg: RunConfig, rows: Sequence[dict],
                   records: Optional[Sequence[TrialRecord]] = None,
-                  out_path: Optional[str] = None) -> str:
-    """Write the results CSV, its .meta companion and the optional feedback log."""
+                  out_path: Optional[str] = None, *, wall_s: Optional[float] = None,
+                  threads: Optional[int] = None) -> str:
+    """Write the results CSV, its .meta companion and the optional feedback log.
+
+    ``wall_s`` and ``threads``, the sweep's wall time and worker count, go
+    into the .meta provenance.
+    """
     path = out_path or cfg.output_path
     with open(path, "wb") as fh:
         fh.write(rows_to_csv_bytes(rows))
     with open(path + ".meta", "w", encoding="utf-8") as fh:
-        json.dump(resolved_config_dict(cfg), fh, indent=2, sort_keys=True)
+        json.dump(resolved_config_dict(cfg, wall_s, threads), fh, indent=2, sort_keys=True)
         fh.write("\n")
     if cfg.emit_feedback_log and records is not None:
         with open(path + ".feedback.csv", "w", encoding="utf-8", newline="") as fh:

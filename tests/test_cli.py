@@ -45,6 +45,17 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     ({"repetitions_per_beam": 1.5}, "repetitions_per_beam"),
     ({"snr_sweep_db": [0, "high"]}, "snr_sweep_db"),
     ({"snr_sweep_db": "10"}, "snr_sweep_db"),
+    ({"scenario": {"ple_los": "x"}}, "scenario.ple_los"),
+    ({"scenario": {"ple_nlos": True}}, "scenario.ple_nlos"),
+    ({"scenario": {"snr_db": "x"}}, "scenario.snr_db"),
+    ({"scenario": {"noise_var": None}}, "scenario.noise_var"),
+    ({"scenario": {"theta_range_deg": ["a", "b"]}}, "scenario.theta_range_deg"),
+    ({"scenario": {"delta_nlos_range_m": [4.5, "24"]}}, "scenario.delta_nlos_range_m"),
+    ({"scenario": {"d_los_range_m": [30.0, 45.0, 60.0]}}, "scenario.d_los_range_m"),
+    ({"run_id": 5}, "run_id"),
+    ({"output_path": ["a.csv"]}, "output_path"),
+    ({"emit_feedback_log": "yes"}, "emit_feedback_log"),
+    ({"emit_feedback_log": 1}, "emit_feedback_log"),
 ])
 def test_wrongly_typed_value_is_config_error(tmp_path, capsys, data, key):
     with pytest.raises(ConfigurationError, match=re.escape(key)):
@@ -75,6 +86,15 @@ def test_run_produces_csv_and_meta(tmp_path):
     # one row per (snr, parameter, path class) after the schema+header lines
     assert len(text) == 2 + 1 * 4 * 2
     assert (tmp_path / "res.csv.meta").exists()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_run_meta_records_wall_time_and_workers(tmp_path, threads):
+    cfg = write_cfg(tmp_path, output_path=str(tmp_path / "res.csv"))
+    assert main(["run", "--config", cfg, "--threads", str(threads)]) == EXIT_OK
+    meta = json.loads((tmp_path / "res.csv.meta").read_text())
+    assert meta["threads"] == threads
+    assert isinstance(meta["wall_s"], float) and meta["wall_s"] > 0
 
 
 def test_run_snr_and_trials_overrides(tmp_path):

@@ -344,6 +344,49 @@ def test_eigenvalue_gate_matches_svd_condition(kind):
             assert not np.any(np.isfinite(report.bounds))
 
 
+def test_stacked_bounds_equal_per_matrix_calls():
+    # well-conditioned, gated (cond >= 1e12), singular and slightly indefinite
+    # members in one stack; the gate and the inverse act member by member
+    kinds = {"cond1e8": np.logspace(3, -5, 12), "cond1e13": np.logspace(3, -10, 12),
+             "singular": np.r_[np.logspace(3, 0, 10), 0.0, 0.0],
+             "cond1e11": np.logspace(3, -8, 12),
+             "indefinite": np.r_[np.logspace(3, 0, 11), -1e-11]}
+    mats = [_symmetric_with_eigenvalues(eig, seed) for seed in range(3) for eig in kinds.values()]
+    stacked = crlb_bounds(FisherMatrix(f=np.stack(mats)))
+    assert stacked.bounds.shape == (len(mats), 12)
+    assert 0 < stacked.invertible.sum() < len(mats)
+    for i, mat in enumerate(mats):
+        single = crlb_bounds(FisherMatrix(f=mat))
+        assert type(single.condition_number) is float and type(single.invertible) is bool
+        assert stacked.invertible[i] == single.invertible
+        assert stacked.condition_number[i] == single.condition_number
+        assert np.array_equal(stacked.bounds[i], single.bounds, equal_nan=True)
+    # a stack whose members all pass, and one whose members all fail
+    for members in (mats[0::5], mats[2::5]):
+        report = crlb_bounds(FisherMatrix(f=np.stack(members)))
+        for i, mat in enumerate(members):
+            assert np.array_equal(report.bounds[i], crlb_bounds(FisherMatrix(f=mat)).bounds,
+                                  equal_nan=True)
+
+
+def test_stacked_fisher_at_power_equals_per_point_calls():
+    real = random_real(np.random.default_rng(47), 3)
+    f0 = fisher_matrix(replace(real, pt=1.0, noise_var=1.0), ARR, CAZ)
+    pts = 10.0 ** (np.arange(-30.0, 31.0, 6.0) / 10.0)
+    for noise in (0.25, np.linspace(0.5, 2.0, pts.size)):
+        stack = fisher_at_power(f0, pts, noise)
+        assert stack.f.shape == (pts.size, 12, 12) and stack.n_paths == 3
+        for i, pt in enumerate(pts):
+            point_noise = float(np.broadcast_to(noise, pts.shape)[i])
+            assert np.array_equal(stack.f[i], fisher_at_power(f0, float(pt), point_noise).f)
+            # the per-point weights as written before the stack: d_i d_j first
+            a = 1.0 / math.sqrt(point_noise)
+            d = np.array([a] * 6 + [a * math.sqrt(pt)] * 6)
+            assert np.array_equal(stack.f[i], d[:, None] * d * f0.f)
+    with pytest.raises(ConfigurationError):
+        fisher_at_power(f0, pts, np.r_[np.ones(pts.size - 1), 0.0])
+
+
 def test_eigenvalue_gate_flags_indefinite_and_rejects_non_finite():
     # no information matrix is markedly indefinite; the SVD condition (1 here)
     # would pass this one, the eigenvalue gate flags it

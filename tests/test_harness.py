@@ -13,7 +13,7 @@ from beamest import (ArrayConfig, ConfigurationError, PathEstimate,
                      run_trial)
 from beamest.channel import ChannelRealization, PathParams
 from beamest.coarse import mu_to_theta_deg
-from beamest import harness
+from beamest import _kernels, harness
 from beamest.harness import (CSV_COLUMNS, PARAMETERS, PATH_CLASSES, CoarseParams,
                              aggregate_snr, config_from_dict, load_config,
                              rows_to_csv_bytes, write_outputs)
@@ -174,22 +174,54 @@ def test_sweep_records_equal_per_point_trials(kw):
 
 
 def test_sweep_draws_each_trial_once(monkeypatch):
+    # one draw, one tap pass (shared by S0 and F0) and one stacked bound per trial
     cfg = small_cfg(trials=3, snr_sweep_db=(0.0, 5.0, 10.0, 20.0))
-    calls = {"fisher_matrix": 0, "unit_power_signal": 0}
+    targets = {"fisher_matrix": harness, "unit_power_signal": harness,
+               "crlb_bounds": harness, "pilot_rows_and_derivs": _kernels}
+    calls = dict.fromkeys(targets, 0)
 
     def counted(name):
-        original = getattr(harness, name)
+        original = getattr(targets[name], name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
         return wrapper
 
-    for name in calls:
-        monkeypatch.setattr(harness, name, counted(name))
+    for name, module in targets.items():
+        monkeypatch.setattr(module, name, counted(name))
     harness._trial_signal.cache_clear()   # an earlier test may have left trial 0 cached
     run_sweep(cfg)
-    assert calls == {"fisher_matrix": cfg.trials, "unit_power_signal": cfg.trials}
+    assert calls == dict.fromkeys(targets, cfg.trials)
+    # run_trial is the stack of one: one bound call for its one SNR point
+    harness._trial_signal.cache_clear()
+    calls.update(dict.fromkeys(targets, 0))
+    run_trial(cfg, 2, 1)
+    assert calls == dict.fromkeys(targets, 1)
+
+
+def test_records_hold_only_builtin_scalars():
+    # numpy scalars pickle several times larger, and pool workers pickle every record
+    cfg = small_cfg(trials=4, snr_sweep_db=(-10.0, 10.0, 30.0),
+                    scenario=ScenarioConfig(n_nlos=2, seed=5))
+    _, recs = run_sweep(cfg)
+    assert any(rec.crlb_vars and rec.matched and rec.refined for rec in recs)
+
+    def scalars(x):
+        if isinstance(x, dict):
+            for k, v in x.items():
+                yield from scalars(k)
+                yield from scalars(v)
+        elif isinstance(x, (list, tuple)):
+            for v in x:
+                yield from scalars(v)
+        else:
+            yield x
+
+    for rec in recs:
+        for f in dataclasses.fields(rec):
+            for value in scalars(getattr(rec, f.name)):
+                assert type(value) in (int, float, complex, str, bool), (f.name, type(value))
 
 
 def test_range_lists_give_the_tuple_result():
