@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, require_integers
+from .errors import ConfigurationError, require_integers, require_reals
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,7 @@ class ArrayConfig:
 
     def __post_init__(self):
         require_integers(self, "m")
+        require_reals(self, "spacing_over_lambda")
         if self.m < 1:
             raise ConfigurationError(f"array size must be positive, got {self.m}")
         if self.spacing_over_lambda <= 0:

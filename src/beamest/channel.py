@@ -24,9 +24,9 @@ SPEED_OF_LIGHT = 3.0e8  # m/s, propagation constant for distance-to-delay conver
 class ScenarioConfig:
     """Scenario distributions and radio constants.
 
-    ``snr_db`` fixes the transmit power through SNR = P_T * |alpha_1|^2 / noise_var
-    with the line-of-sight gain pinned to 1.  ``bandwidth_hz`` sets the symbol
-    period 1/B that turns excess path lengths into delays in symbols.
+    ``bandwidth_hz`` sets the symbol period 1/B that turns excess path lengths
+    into delays in symbols.  The transmit power is no scenario constant: each
+    SNR point sets it through :meth:`ChannelRealization.with_snr_db`.
     """
 
     bandwidth_hz: float = 200e6
@@ -38,12 +38,11 @@ class ScenarioConfig:
     d0_m: float = 1.0
     theta_range_deg: tuple = (-60.0, 60.0)
     noise_var: float = 1.0
-    snr_db: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
         require_integers(self, "n_nlos", "seed")
-        require_reals(self, "bandwidth_hz", "ple_los", "ple_nlos", "d0_m", "noise_var", "snr_db")
+        require_reals(self, "bandwidth_hz", "ple_los", "ple_nlos", "d0_m", "noise_var")
         if self.bandwidth_hz <= 0:
             raise ConfigurationError(f"bandwidth must be positive, got {self.bandwidth_hz}")
         if self.n_nlos < 0:
@@ -94,7 +93,9 @@ class ChannelRealization:
         return np.sqrt(self.pt) * np.array([p.alpha for p in self.paths])
 
     def with_snr_db(self, snr_db: float) -> "ChannelRealization":
-        """Same geometry with the transmit power rescaled to a new SNR."""
+        """Same geometry with the transmit power set by
+        SNR = P_T * |alpha_1|^2 / noise_var, the line-of-sight gain being 1
+        (a noiseless realization takes the ratio against unit noise)."""
         ref = self.noise_var if self.noise_var > 0 else 1.0
         return replace(self, pt=ref * 10.0 ** (snr_db / 10.0))
 
@@ -104,9 +105,8 @@ class ReceiveMatrix:
     """Stacked M x L observation plus the probing configuration that made it."""
 
     y: np.ndarray = field(repr=False)
-    truth: ChannelRealization = None
-    arr: ArrayConfig = None
-    caz: CazacConfig = None
+    arr: ArrayConfig
+    caz: CazacConfig
 
 
 def spatial_frequency(theta_deg: float, spacing_over_lambda: float = 0.5) -> float:
@@ -122,7 +122,7 @@ def path_loss_db(distance_m: float, exponent: float, d0_m: float = 1.0) -> float
 
 def draw_realization(cfg: ScenarioConfig, rng: np.random.Generator,
                      spacing_over_lambda: float = 0.5) -> ChannelRealization:
-    """Draw one random channel realization.
+    """Draw one random channel realization at unit transmit power.
 
     The line-of-sight path has alpha = 1 and tau = 0.  Each reflected path
     draws an excess distance (which fixes its delay in symbols), a gain
@@ -131,8 +131,6 @@ def draw_realization(cfg: ScenarioConfig, rng: np.random.Generator,
     """
     d_los = rng.uniform(*cfg.d_los_range_m)
     thetas = rng.uniform(*cfg.theta_range_deg, size=1 + cfg.n_nlos)
-    pt = cfg.noise_var * 10.0 ** (cfg.snr_db / 10.0) if cfg.noise_var > 0 \
-        else 10.0 ** (cfg.snr_db / 10.0)
 
     paths = [PathParams(alpha=1.0 + 0.0j, theta_deg=float(thetas[0]),
                         mu=spatial_frequency(thetas[0], spacing_over_lambda),
@@ -149,7 +147,7 @@ def draw_realization(cfg: ScenarioConfig, rng: np.random.Generator,
                                 theta_deg=float(thetas[i + 1]),
                                 mu=spatial_frequency(thetas[i + 1], spacing_over_lambda),
                                 tau_symbols=float(tau)))
-    return ChannelRealization(paths=tuple(paths), pt=float(pt), noise_var=cfg.noise_var)
+    return ChannelRealization(paths=tuple(paths), pt=1.0, noise_var=cfg.noise_var)
 
 
 def path_signal(alpha: complex, gains: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -207,4 +205,4 @@ def synthesize(real: ChannelRealization, arr: ArrayConfig, caz: CazacConfig,
         if rng is None:
             raise ConfigurationError("a random generator is required when noise_var > 0")
         y += awgn(rng, y.shape, real.noise_var)
-    return ReceiveMatrix(y=y, truth=real, arr=arr, caz=caz)
+    return ReceiveMatrix(y=y, arr=arr, caz=caz)

@@ -20,6 +20,24 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
 
+FLAGS = {
+    "--config": dict(default="default", help="path to a JSON run config, or 'default'"),
+    "--seed": dict(type=int, default=None, help="master seed override"),
+    "--snr": dict(default=None, help="comma-separated SNR sweep in dB, e.g. '-10,0,10,20'"),
+    "--trials": dict(type=int, default=None, help="trials per SNR point"),
+    "--out": dict(default=None, help="output path override"),
+    "--threads": dict(type=int, default=None,
+                      help="worker processes (overrides the THREADS env var)"),
+}
+
+# each subcommand takes only the flags it reads; crlb and demo read the first SNR point
+SUBCOMMANDS = (
+    ("run", "full Monte-Carlo sweep to CSV", tuple(FLAGS)),
+    ("lut", "dump the beam-ratio LUT to CSV", ("--config", "--out")),
+    ("crlb", "bounds for one drawn realization", ("--config", "--seed", "--snr")),
+    ("demo", "one verbose trial: truth vs coarse vs refined", ("--config", "--seed", "--snr")),
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -28,40 +46,30 @@ def _build_parser() -> argparse.ArgumentParser:
                     "(coarse DFT-grid stage plus SAGE refinement) with "
                     "Cramer-Rao bounds and a seeded Monte-Carlo harness.")
     sub = parser.add_subparsers(dest="command")
-
-    def add_common(p):
-        p.add_argument("--config", default="default",
-                       help="path to a JSON run config, or 'default'")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--snr", default=None,
-                       help="comma-separated SNR sweep in dB, e.g. '-10,0,10,20'")
-        p.add_argument("--trials", type=int, default=None, help="trials per SNR point")
-        p.add_argument("--out", default=None, help="output path override")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker processes (overrides the THREADS env var)")
-
-    add_common(sub.add_parser("run", help="full Monte-Carlo sweep to CSV"))
-    add_common(sub.add_parser("lut", help="dump the beam-ratio LUT to CSV"))
-    add_common(sub.add_parser("crlb", help="bounds for one drawn realization"))
-    add_common(sub.add_parser("demo", help="one verbose trial: truth vs coarse vs refined"))
+    for name, help_text, flags in SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.seed is not None:
-        cfg = replace(cfg, scenario=replace(cfg.scenario, seed=args.seed))
-    if args.snr is not None:
+    # a flag the subcommand does not take is absent from ``args``
+    seed, snr, trials, out = (vars(args).get(k) for k in ("seed", "snr", "trials", "out"))
+    if seed is not None:
+        cfg = replace(cfg, scenario=replace(cfg.scenario, seed=seed))
+    if snr is not None:
         try:
-            sweep = tuple(float(tok) for tok in args.snr.split(",") if tok.strip())
+            sweep = tuple(float(tok) for tok in snr.split(",") if tok.strip())
         except ValueError as exc:
-            raise ConfigurationError(f"bad --snr list {args.snr!r}: {exc}") from exc
+            raise ConfigurationError(f"bad --snr list {snr!r}: {exc}") from exc
         if not sweep:
             raise ConfigurationError("--snr produced an empty sweep")
         cfg = replace(cfg, snr_sweep_db=sweep)
-    if args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
-    if args.out is not None:
-        cfg = replace(cfg, output_path=args.out)
+    if trials is not None:
+        cfg = replace(cfg, trials=trials)
+    if out is not None:
+        cfg = replace(cfg, output_path=out)
     return cfg
 
 
@@ -140,7 +148,7 @@ def _cmd_demo(cfg: RunConfig, args) -> int:
         print("no diagonal cleared the detection threshold")
         return EXIT_OK
     print(f"coarse estimate (model order {rec.r_hat}):")
-    for i, (tau_int, _, theta, peak, beam) in enumerate(rec.coarse):
+    for i, (tau_int, _, theta, peak, beam, _) in enumerate(rec.coarse):
         print(f"  [{i}] theta {theta:+8.3f} deg  tau {tau_int:7d} sym  "
               f"beam {beam:2d}  peak {peak:12.2f}")
     print(f"refined estimate ({rec.sage_iterations} iterations, "
@@ -158,7 +166,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not argv:
         parser.print_help()
         return EXIT_CONFIG
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # argparse printed the help (code 0) or a usage error
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     if args.command is None:
         parser.print_help()
         return EXIT_CONFIG

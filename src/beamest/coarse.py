@@ -23,13 +23,6 @@ from .errors import ConfigurationError
 from .pilots import CazacConfig, _cached_base, _stack_shifted, sidelobe_power_ratios
 
 
-@dataclass(frozen=True)
-class PowerMatrix:
-    """Entrywise |Z|^2 of the correlation matrix Z (single-snapshot estimate)."""
-
-    p: np.ndarray = field(repr=False)
-
-
 class Detection(NamedTuple):
     """One diagonal whose maximum cleared the threshold (1-based indices)."""
 
@@ -59,29 +52,37 @@ class Lut:
     orthogonal) to 0 at the next grid point.
     """
 
-    k_points: int
     ratios: np.ndarray = field(repr=False)
     delta_mu: float = 0.0
+
+    @property
+    def k_points(self) -> int:
+        return len(self.ratios) - 1
 
 
 @dataclass(frozen=True)
 class CoarsePath:
-    """One coarsely estimated path."""
+    """One coarsely estimated path; its beam index is ``feedback.beam_index_bits``."""
 
     tau_int: int
     mu_hat: float
-    theta_hat_deg: float
     peak_power: float
-    k_index: int
     feedback: Feedback
+
+    @property
+    def theta_hat_deg(self) -> float:
+        return mu_to_theta_deg(self.mu_hat)
 
 
 @dataclass(frozen=True)
 class CoarseEstimate:
-    """Model order and per-path coarse parameters."""
+    """Per-path coarse parameters; the model order is their count."""
 
-    r_hat: int
     paths: Tuple[CoarsePath, ...]
+
+    @property
+    def r_hat(self) -> int:
+        return len(self.paths)
 
 
 @lru_cache(maxsize=8)
@@ -92,10 +93,11 @@ def _pilot_conj_t(caz: CazacConfig, m: int) -> np.ndarray:
     return out.T
 
 
-def correlate(y: ReceiveMatrix) -> PowerMatrix:
-    """Correlation matrix Z = Y C(0)^H and its entrywise power."""
+def correlate(y: ReceiveMatrix) -> np.ndarray:
+    """The M x M power matrix |Z|^2 of the correlation matrix Z = Y C(0)^H
+    (a single-snapshot estimate)."""
     z = y.y @ _pilot_conj_t(y.caz, y.arr.m)
-    return PowerMatrix(p=np.abs(z) ** 2)
+    return np.abs(z) ** 2
 
 
 def detection_threshold(noise_var: float, m: int, p_fa: float = 1e-3) -> float:
@@ -126,7 +128,7 @@ def _diagonal_index(m: int) -> np.ndarray:
     return out
 
 
-def detect_paths(pm: PowerMatrix, g: float) -> List[Detection]:
+def detect_paths(p: np.ndarray, g: float) -> List[Detection]:
     """Scan all M wrap-around diagonals and report maxima above the threshold.
 
     Diagonal 1 is the main diagonal (zero delay); diagonal i maps to the
@@ -136,7 +138,7 @@ def detect_paths(pm: PowerMatrix, g: float) -> List[Detection]:
     """
     if g <= 0:
         raise ConfigurationError(f"detection threshold must be positive, got {g}")
-    diags = pm.p.ravel()[_diagonal_index(pm.p.shape[0])]
+    diags = p.ravel()[_diagonal_index(p.shape[0])]
     ks = diags.argmax(axis=1).tolist()
     peaks = diags.max(axis=1).tolist()
     return [Detection(diag_index=i + 1, row_index=k + 1, peak_power=peak)
@@ -161,7 +163,7 @@ def build_lut(arr: ArrayConfig, k_points: int) -> Lut:
         ratios[l] = np.sqrt(p_k / p_k1) if p_k1 > 1e-300 else np.inf
     ratios[0] = np.inf
     ratios[k_points] = 0.0
-    return Lut(k_points=k_points, ratios=ratios, delta_mu=float(delta_mu))
+    return Lut(ratios=ratios, delta_mu=float(delta_mu))
 
 
 def lut_interpolate(lut: Lut, delta: float) -> float:
@@ -192,7 +194,7 @@ def _wrapped_dist(a: float, b: float) -> float:
     return abs((a - b + np.pi) % (2.0 * np.pi) - np.pi)
 
 
-def coarse_estimate(pm: PowerMatrix, detections: Sequence[Detection], lut: Lut,
+def coarse_estimate(p: np.ndarray, detections: Sequence[Detection], lut: Lut,
                     arr: ArrayConfig, caz: CazacConfig, noise_var: float,
                     v: float = 3.0, p_fa: float = 1e-3) -> CoarseEstimate:
     """Interpolate spatial frequencies per detection and refine the model order.
@@ -212,17 +214,17 @@ def coarse_estimate(pm: PowerMatrix, detections: Sequence[Detection], lut: Lut,
     """
     if not detections:
         raise ConfigurationError("coarse estimation needs at least one detection")
-    if pm.p.shape != (arr.m, arr.m):
+    if p.shape != (arr.m, arr.m):
         raise ConfigurationError(
-            f"power matrix shape {pm.p.shape} does not match array size {arr.m}")
+            f"power matrix shape {p.shape} does not match array size {arr.m}")
     m = arr.m
     phis = arr.beam_phases
     raw = []
     for det in detections:
         k0 = det.row_index - 1
         d = det.diag_index - 1
-        p_next = pm.p[(k0 + 1) % m, ((k0 + 1) % m + d) % m]
-        p_prev = pm.p[(k0 - 1) % m, ((k0 - 1) % m + d) % m]
+        p_next = p[(k0 + 1) % m, ((k0 + 1) % m + d) % m]
+        p_prev = p[(k0 - 1) % m, ((k0 - 1) % m + d) % m]
         if abs(p_next - p_prev) <= noise_var / v:
             mu_hat = float(phis[k0])
             fb = Feedback(delta_ratio=np.inf, beam_index_bits=k0)
@@ -233,12 +235,10 @@ def coarse_estimate(pm: PowerMatrix, detections: Sequence[Detection], lut: Lut,
             offset = lut_interpolate(lut, delta)
             mu_hat = float(np.mod(phis[k0] + sign * lut.delta_mu * offset, 2.0 * np.pi))
             fb = Feedback(delta_ratio=sign * delta, beam_index_bits=k0)
-        raw.append(CoarsePath(tau_int=d, mu_hat=mu_hat,
-                              theta_hat_deg=mu_to_theta_deg(mu_hat),
-                              peak_power=det.peak_power, k_index=k0, feedback=fb))
+        raw.append(CoarsePath(tau_int=d, mu_hat=mu_hat, peak_power=det.peak_power,
+                              feedback=fb))
 
-    kept = _refine_model_order(raw, lut, arr, caz, noise_var, p_fa)
-    return CoarseEstimate(r_hat=len(kept), paths=tuple(kept))
+    return CoarseEstimate(paths=tuple(_refine_model_order(raw, lut, arr, caz, noise_var, p_fa)))
 
 
 def _refine_model_order(paths: List[CoarsePath], lut: Lut, arr: ArrayConfig,

@@ -23,7 +23,7 @@ formed and bounded as one (P, 4R, 4R) stack.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Tuple
 
@@ -35,18 +35,6 @@ from .errors import ConfigurationError
 from .pilots import CazacConfig
 
 COND_LIMIT = 1e12
-
-
-@dataclass(frozen=True)
-class FisherMatrix:
-    """4R x 4R information matrix in the block order [Re g | Im g | mu | tau],
-    or a (P, 4R, 4R) stack of them."""
-
-    f: np.ndarray = field(repr=False)
-
-    @property
-    def n_paths(self) -> int:
-        return self.f.shape[-1] // 4
 
 
 @dataclass(frozen=True)
@@ -84,8 +72,9 @@ def _gram_index(n: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def fisher_matrix(real: ChannelRealization, arr: ArrayConfig, caz: CazacConfig,
-                  rows: Optional[np.ndarray] = None) -> FisherMatrix:
-    """Assemble the 4R x 4R information matrix from the Gram factorization.
+                  rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """Assemble the 4R x 4R information matrix, in the block order
+    [Re g | Im g | mu | tau], from the Gram factorization.
 
     ``rows`` may hold the realization's (2R, L) pilot rows [v | v'] from
     :func:`beamest.channel.delayed_pilots`; without them they are computed here.
@@ -112,7 +101,7 @@ def fisher_matrix(real: ChannelRealization, arr: ArrayConfig, caz: CazacConfig,
     gram_v = v.conj() @ v.T
     k = np.take(gram_a, ia) * np.take(gram_v, iv)
     f = (2.0 / real.noise_var) * np.real(w.conj()[:, None] * k * w)
-    return FisherMatrix(f=0.5 * (f + f.T))
+    return 0.5 * (f + f.T)
 
 
 @lru_cache(maxsize=16)
@@ -123,7 +112,7 @@ def _power_columns(n: int) -> np.ndarray:
     return out
 
 
-def fisher_at_power(f0: FisherMatrix, pt, noise_var) -> FisherMatrix:
+def fisher_at_power(f0: np.ndarray, pt, noise_var) -> np.ndarray:
     """Information matrix at transmit power ``pt`` from the unit-power, unit-noise one.
 
     Only the delay and angle derivatives carry the gain sqrt(P_T), so
@@ -138,11 +127,11 @@ def fisher_at_power(f0: FisherMatrix, pt, noise_var) -> FisherMatrix:
     if min(noise_var.flat) <= 0:
         raise ConfigurationError("the information matrix needs a positive noise variance")
     a = 1.0 / np.sqrt(noise_var)
-    d = np.where(_power_columns(f0.n_paths), (a * np.sqrt(pt))[..., None], a[..., None])
-    return FisherMatrix(f=d[..., :, None] * d[..., None, :] * f0.f)
+    d = np.where(_power_columns(f0.shape[-1] // 4), (a * np.sqrt(pt))[..., None], a[..., None])
+    return d[..., :, None] * d[..., None, :] * f0
 
 
-def crlb_bounds(f: FisherMatrix) -> CrlbReport:
+def crlb_bounds(mat: np.ndarray) -> CrlbReport:
     """Square roots of the inverse information diagonal, gated on conditioning.
 
     The 2-norm condition number of the symmetric matrix is lambda_max /
@@ -157,7 +146,6 @@ def crlb_bounds(f: FisherMatrix) -> CrlbReport:
     ``eigvalsh`` over the stack and one ``inv`` over the members that pass;
     each member's report equals that of its own 2-D call bit for bit.
     """
-    mat = f.f
     if not np.isfinite(mat).all():
         raise ValueError("information matrix has non-finite entries")
     eig = np.linalg.eigvalsh(mat)

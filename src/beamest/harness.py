@@ -24,7 +24,7 @@ import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .channel import (ChannelRealization, ReceiveMatrix, ScenarioConfig, awgn,
 from .coarse import (build_lut, coarse_estimate, correlate, detect_paths,
                      detection_threshold, mu_to_theta_deg)
 from .crlb import crlb_bounds, fisher_at_power, fisher_matrix
-from .errors import ConfigurationError, require_integers
+from .errors import ConfigurationError, require_integers, require_reals
 from .pilots import CazacConfig
 from .sage import PathEstimate, SageConfig, run_sage
 
@@ -62,6 +62,7 @@ class CoarseParams:
 
     def __post_init__(self):
         require_integers(self, "k_points")
+        require_reals(self, "p_fa", "v")
         if self.k_points < 2:
             raise ConfigurationError(f"LUT needs at least 2 intervals, got {self.k_points}")
         if not 0.0 < self.p_fa < 1.0:
@@ -233,25 +234,33 @@ def match_paths(truth: ChannelRealization,
 class TrialRecord:
     """Everything scored in one trial, kept for deterministic aggregation.
 
-    Every scalar is a builtin int, float, complex, str or bool, so a record
-    pickles small on its way back from a pool worker.
+    Each quantity is stored once; a path's class follows from its truth index
+    (:func:`path_class`).  Every scalar is a builtin int, float, complex, str
+    or bool, so a record pickles small on its way back from a pool worker.
     """
 
     trial_id: int
     snr_db: float
-    truth_classes: List[str]
     truth: List[tuple]           # per path: (theta_deg, combined gain, tau_symbols)
-    coarse: List[tuple]          # per coarse path: (tau_int, mu_hat, theta_deg, peak, beam)
+    coarse: List[tuple]          # per coarse path: (tau_int, mu_hat, theta_deg, peak,
+    #                              beam_index_bits, delta_ratio), the last two its feedback
     refined: List[tuple]         # per refined path: (mu_hat, tau_hat, alpha_hat)
-    assignment: List[Tuple[int, int]]
-    matched: List[dict]          # per matched pair: class + squared errors
-    crlb_vars: List[dict]        # per truth path: class + bound variances
-    fim_invertible: bool
-    detection_counts: Dict[str, List[int]]   # class -> [matched, total]
+    assignment: List[Tuple[int, int]]   # (truth index, refined index) pairs
+    matched: List[dict]          # per assignment pair: squared error per PARAMETERS name
+    crlb_vars: List[dict]        # per truth path: bound variance per PARAMETERS name;
+    #                              empty when the information matrix was not inverted
     sage_iterations: int
-    r_hat: int
     detection_status: str
-    feedback: List[dict]
+
+    @property
+    def r_hat(self) -> int:
+        """The coarse model order."""
+        return len(self.coarse)
+
+
+def path_class(truth_index: int) -> str:
+    """The class of a true path: path 0 is the line-of-sight path."""
+    return "los" if truth_index == 0 else "nlos"
 
 
 def _theta_slope_deg_per_rad(theta_deg: float) -> float:
@@ -301,8 +310,7 @@ def synthesize_trial(cfg: RunConfig, snr_idx: int, trial: int):
         for _ in range(reps - 1):
             noise += awgn(noise_rng, y.shape, real.noise_var)
         y = y + noise / reps
-    return real, ReceiveMatrix(y=y, truth=real, arr=cfg.array, caz=cfg.cazac), \
-        real.noise_var / reps
+    return real, ReceiveMatrix(y=y, arr=cfg.array, caz=cfg.cazac), real.noise_var / reps
 
 
 def run_trial(cfg: RunConfig, snr_idx: int, trial: int) -> TrialRecord:
@@ -326,7 +334,7 @@ def _trial_records(cfg: RunConfig, trial: int,
     bounds = [None] * len(points)
     if noise_eff > 0:
         real, _, rows = _trial_signal(cfg.scenario, cfg.array, cfg.cazac, trial)
-        f0 = fisher_matrix(replace(real, pt=1.0, noise_var=1.0), cfg.array, cfg.cazac, rows)
+        f0 = fisher_matrix(replace(real, noise_var=1.0), cfg.array, cfg.cazac, rows)
         report = crlb_bounds(fisher_at_power(f0, [p[0].pt for p in points], noise_eff))
         bounds = [b if ok else None for b, ok in zip(report.bounds, report.invertible)]
     return [_score_point(cfg, snr_idx, trial, *point, bound)
@@ -339,10 +347,6 @@ def _score_point(cfg: RunConfig, snr_idx: int, trial: int, real: ChannelRealizat
     """Estimate and score one synthesized observation; ``bounds`` are the
     square-root bounds at the truth, None when the information matrix was not
     invertible or the synthesis is noiseless."""
-    snr_db = float(cfg.snr_sweep_db[snr_idx])
-    classes = ["los"] + ["nlos"] * (real.r - 1)
-    counts = {"los": [0, 1], "nlos": [0, real.r - 1]}
-
     # bound variances at the truth, independent of what the estimator did
     crlb_vars = []
     if bounds is not None:
@@ -350,67 +354,56 @@ def _score_point(cfg: RunConfig, snr_idx: int, trial: int, real: ChannelRealizat
         var_re, var_im, var_mu, var_tau = (bounds ** 2).reshape(4, real.r).tolist()
         for r, p in enumerate(real.paths):
             gain = math.sqrt(real.pt) * abs(p.alpha)
-            crlb_vars.append({
-                "cls": classes[r],
-                "aod_deg2": var_mu[r] * _theta_slope_deg_per_rad(p.theta_deg) ** 2,
-                "gain_rel2": float((var_re[r] + var_im[r]) / gain ** 2),
-                "delay_sym2": var_tau[r],
-            })
+            aod = var_mu[r] * _theta_slope_deg_per_rad(p.theta_deg) ** 2
+            # the coarse and the refined angle share one bound
+            crlb_vars.append({"aod_coarse_deg": aod, "aod_ml_deg": aod,
+                              "gain_ml_rel": float((var_re[r] + var_im[r]) / gain ** 2),
+                              "delay_ml_sym": var_tau[r]})
 
     # a noiseless synthesis is detected and refined as if at unit noise
     guard_noise = noise_eff if noise_eff > 0 else 1.0
-    pm = correlate(y)
-    detections = detect_paths(pm, detection_threshold(guard_noise, cfg.array.m, cfg.coarse.p_fa))
+    power = correlate(y)
+    detections = detect_paths(power,
+                              detection_threshold(guard_noise, cfg.array.m, cfg.coarse.p_fa))
 
-    matched_records: List[dict] = []
-    feedback_rows: List[dict] = []
+    matched: List[dict] = []
     coarse_rows: List[tuple] = []
     refined_rows: List[tuple] = []
     assignment: List[Tuple[int, int]] = []
     iterations = 0
-    r_hat = 0
     status = "no_detection"
     if detections:
         lut = _shared_lut(cfg.array, cfg.coarse.k_points)
-        coarse = coarse_estimate(pm, detections, lut, cfg.array, cfg.cazac,
+        coarse = coarse_estimate(power, detections, lut, cfg.array, cfg.cazac,
                                  guard_noise, v=cfg.coarse.v, p_fa=cfg.coarse.p_fa)
-        r_hat = coarse.r_hat
         refined = run_sage(y, coarse, cfg.sage, guard_noise)
         iterations = refined.iterations
         status = "ok" if refined.converged else "not_converged"
 
-        coarse_rows = [(cp.tau_int, cp.mu_hat, cp.theta_hat_deg, cp.peak_power, cp.k_index)
+        coarse_rows = [(cp.tau_int, cp.mu_hat, cp.theta_hat_deg, cp.peak_power,
+                        cp.feedback.beam_index_bits, cp.feedback.delta_ratio)
                        for cp in coarse.paths]
         refined_rows = [(p.mu_hat, p.tau_hat, p.alpha_hat) for p in refined.paths]
-        for i, cp in enumerate(coarse.paths):
-            feedback_rows.append({"path": i, "beam_index_bits": cp.feedback.beam_index_bits,
-                                  "delta_ratio": cp.feedback.delta_ratio})
 
-        pairs = match_paths(real, refined.paths)
-        assignment = pairs
-        for ti, ei in pairs:
+        assignment = match_paths(real, refined.paths)
+        for ti, ei in assignment:
             p = real.paths[ti]
             ml = refined.paths[ei]
-            co = coarse.paths[ei]
-            counts[classes[ti]][0] += 1
             truth_gain = math.sqrt(real.pt) * p.alpha
-            matched_records.append({
-                "cls": classes[ti],
-                "aod_coarse_deg2": (p.theta_deg - co.theta_hat_deg) ** 2,
-                "aod_ml_deg2": (p.theta_deg - mu_to_theta_deg(ml.mu_hat)) ** 2,
-                "gain_ml_rel2": float(abs((truth_gain - ml.alpha_hat) / truth_gain) ** 2),
-                "delay_ml_sym2": (p.tau_symbols - ml.tau_hat) ** 2,
+            matched.append({
+                "aod_coarse_deg": (p.theta_deg - coarse.paths[ei].theta_hat_deg) ** 2,
+                "aod_ml_deg": (p.theta_deg - mu_to_theta_deg(ml.mu_hat)) ** 2,
+                "gain_ml_rel": float(abs((truth_gain - ml.alpha_hat) / truth_gain) ** 2),
+                "delay_ml_sym": (p.tau_symbols - ml.tau_hat) ** 2,
             })
 
     amp = math.sqrt(real.pt)
     return TrialRecord(
-        trial_id=trial, snr_db=snr_db, truth_classes=classes,
+        trial_id=trial, snr_db=float(cfg.snr_sweep_db[snr_idx]),
         truth=[(p.theta_deg, complex(amp * p.alpha), p.tau_symbols) for p in real.paths],
         coarse=coarse_rows, refined=refined_rows, assignment=assignment,
-        matched=matched_records, crlb_vars=crlb_vars,
-        fim_invertible=bounds is not None, detection_counts=counts,
-        sage_iterations=iterations, r_hat=r_hat, detection_status=status,
-        feedback=feedback_rows)
+        matched=matched, crlb_vars=crlb_vars, sage_iterations=iterations,
+        detection_status=status)
 
 
 # ---------------------------------------------------------------------------
@@ -454,37 +447,38 @@ def run_sweep(cfg: RunConfig, threads: int = 1) -> Tuple[List[dict], List[TrialR
 
 
 def aggregate_snr(run_id: str, snr_db: float, records: Sequence[TrialRecord]) -> List[dict]:
-    """Reduce one SNR point's trial records to the per-(parameter, class) rows."""
-    err: Dict[Tuple[str, str], List[float]] = {}
-    var: Dict[Tuple[str, str], List[float]] = {}
-    det = {c: [0, 0] for c in PATH_CLASSES}
+    """Reduce one SNR point's trial records to the per-(parameter, class) rows.
+
+    A class's detection rate is its matched truths over its truths.  The
+    line-of-sight delay is zero by construction, so its error is not scored;
+    its bound still is.
+    """
+    err = {(param, cls): [] for param in PARAMETERS for cls in PATH_CLASSES}
+    var = {(param, cls): [] for param in PARAMETERS for cls in PATH_CLASSES}
+    det = {c: [0, 0] for c in PATH_CLASSES}   # class -> [matched, total]
     iters = []
     for rec in sorted(records, key=lambda r: r.trial_id):
         if rec.r_hat > 0:
             iters.append(rec.sage_iterations)
-        for c in PATH_CLASSES:
-            det[c][0] += rec.detection_counts.get(c, [0, 0])[0]
-            det[c][1] += rec.detection_counts.get(c, [0, 0])[1]
-        for m in rec.matched:
-            err.setdefault(("aod_coarse_deg", m["cls"]), []).append(m["aod_coarse_deg2"])
-            err.setdefault(("aod_ml_deg", m["cls"]), []).append(m["aod_ml_deg2"])
-            err.setdefault(("gain_ml_rel", m["cls"]), []).append(m["gain_ml_rel2"])
-            if m["cls"] != "los":
-                # direct-path delay is zero by construction and excluded from scoring
-                err.setdefault(("delay_ml_sym", m["cls"]), []).append(m["delay_ml_sym2"])
-        for cv in rec.crlb_vars:
-            var.setdefault(("aod_coarse_deg", cv["cls"]), []).append(cv["aod_deg2"])
-            var.setdefault(("aod_ml_deg", cv["cls"]), []).append(cv["aod_deg2"])
-            var.setdefault(("gain_ml_rel", cv["cls"]), []).append(cv["gain_rel2"])
-            var.setdefault(("delay_ml_sym", cv["cls"]), []).append(cv["delay_sym2"])
+        for ti in range(len(rec.truth)):
+            det[path_class(ti)][1] += 1
+        for (ti, _), sq in zip(rec.assignment, rec.matched):
+            cls = path_class(ti)
+            det[cls][0] += 1
+            for param in PARAMETERS:
+                if not (cls == "los" and param == "delay_ml_sym"):
+                    err[param, cls].append(sq[param])
+        for ti, bound in enumerate(rec.crlb_vars):
+            for param in PARAMETERS:
+                var[param, path_class(ti)].append(bound[param])
 
     mean_iters = float(np.mean(iters)) if iters else float("nan")
     rows = []
     for cls in PATH_CLASSES:
         rate = det[cls][0] / det[cls][1] if det[cls][1] else float("nan")
         for param in PARAMETERS:
-            sq = err.get((param, cls), [])
-            bounds = var.get((param, cls), [])
+            sq = err[param, cls]
+            bounds = var[param, cls]
             rows.append({
                 "run_id": run_id,
                 "snr_db": snr_db,
@@ -540,8 +534,7 @@ def write_outputs(cfg: RunConfig, rows: Sequence[dict],
             writer.writerow(("run_id", "snr_db", "trial_id", "path",
                              "beam_index_bits", "delta_ratio"))
             for rec in sorted(records, key=lambda r: (r.snr_db, r.trial_id)):
-                for fb in rec.feedback:
+                for i, (*_, beam, delta_ratio) in enumerate(rec.coarse):
                     writer.writerow((cfg.run_id, _fmt(rec.snr_db), rec.trial_id,
-                                     fb["path"], fb["beam_index_bits"],
-                                     _fmt(float(fb["delta_ratio"]))))
+                                     i, beam, _fmt(delta_ratio)))
     return path

@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from numbers import Integral
 
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigurationError, require_integers
+from .errors import ConfigurationError, require_integers, require_reals
 
 
 @dataclass(frozen=True)
@@ -39,15 +38,13 @@ class CazacConfig:
     pulse_halfwidth: int = 8
 
     def __post_init__(self):
-        require_integers(self, "length")
+        require_integers(self, "length", "pulse_halfwidth")
+        require_reals(self, "rolloff")
         if self.length < 1 or isqrt(self.length) ** 2 != self.length:
             raise ConfigurationError(
                 f"sequence length must be a perfect square, got {self.length}")
         if not 0.0 <= self.rolloff <= 1.0:
             raise ConfigurationError(f"roll-off must lie in [0, 1], got {self.rolloff}")
-        if not isinstance(self.pulse_halfwidth, Integral):
-            raise ConfigurationError(
-                f"pulse halfwidth must be an integer number of symbols, got {self.pulse_halfwidth!r}")
         if self.pulse_halfwidth < 1:
             raise ConfigurationError(
                 f"pulse halfwidth must be at least 1 symbol, got {self.pulse_halfwidth}")

@@ -35,7 +35,8 @@ from . import _kernels
 from .arrays import ArrayConfig, beam_gains
 from .channel import ReceiveMatrix, path_signal
 from .coarse import CoarseEstimate
-from .errors import ConfigurationError, NumericalDegeneracyError, require_integers
+from .errors import (ConfigurationError, NumericalDegeneracyError, is_real, require_integers,
+                     require_reals)
 from .pilots import CazacConfig, _cached_base, _stack_shifted
 
 # below this a delay or spatial frequency counts as zero: its change stops absolutely
@@ -61,11 +62,15 @@ class SageConfig:
     refine_tol: float = 1e-7
 
     def __post_init__(self):
+        require_integers(self, "max_iterations", "grid_points")
+        require_reals(self, "beta", "gamma_stop", "tau_window_symbols", "refine_tol")
+        if self.mu_window is not None and not is_real(self.mu_window):
+            raise ConfigurationError(
+                f"mu_window must be None or a real number, got {self.mu_window!r}")
         if not 0.0 < self.beta <= 1.0:
             raise ConfigurationError(f"beta must lie in (0, 1], got {self.beta}")
         if self.gamma_stop <= 0:
             raise ConfigurationError(f"stopping threshold must be positive, got {self.gamma_stop}")
-        require_integers(self, "max_iterations", "grid_points")
         if self.max_iterations < 1:
             raise ConfigurationError(f"need at least one iteration, got {self.max_iterations}")
         if not self.tau_window_symbols > 0:
@@ -312,7 +317,7 @@ def run_sage(y: ReceiveMatrix, init: CoarseEstimate, cfg: SageConfig,
     Paths are updated strongest-first (by coarse peak power) within each pass;
     the returned path order matches ``init.paths``.  ``noise_var`` is not read.
     """
-    if init.r_hat < 1 or not init.paths:
+    if not init.paths:
         raise ConfigurationError("refinement needs a coarse estimate with at least one path")
     initial = [PathEstimate(mu_hat=p.mu_hat, tau_hat=float(p.tau_int), alpha_hat=0.0 + 0.0j)
                for p in init.paths]

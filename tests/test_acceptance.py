@@ -132,9 +132,9 @@ def test_criterion_4_fisher_matrix_vs_finite_differences():
     worst = 0.0
     for trial in range(50):
         n_paths = int(rng.integers(1, 4))
-        scen = ScenarioConfig(n_nlos=n_paths - 1, snr_db=float(rng.uniform(-5, 15)))
-        real = draw_realization(scen, rng)
-        analytic = fisher_matrix(real, ARR, CAZ).f
+        snr_db = float(rng.uniform(-5, 15))
+        real = draw_realization(ScenarioConfig(n_nlos=n_paths - 1), rng).with_snr_db(snr_db)
+        analytic = fisher_matrix(real, ARR, CAZ)
 
         gains = list(real.gains())
         mus = [p.mu for p in real.paths]
@@ -287,11 +287,11 @@ def test_criterion_9_maximizers_match_brute_force():
     t0 = time.perf_counter()
     rng = np.random.default_rng(17)
     cfg = SageConfig(refine_tol=1e-9)
-    scen = ScenarioConfig(n_nlos=1, snr_db=10.0)
+    scen = ScenarioConfig(n_nlos=1)
     ws = _Workspace(ARR, CAZ)
     worst = 0.0
     for trial in range(20):
-        real = draw_realization(scen, np.random.default_rng((99, trial)))
+        real = draw_realization(scen, np.random.default_rng((99, trial))).with_snr_db(10.0)
         y = synthesize(real, ARR, CAZ, np.random.default_rng((98, trial)))
         ests = [PathEstimate(p.mu, p.tau_symbols, math.sqrt(real.pt) * p.alpha)
                 for p in real.paths]

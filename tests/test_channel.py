@@ -73,8 +73,10 @@ def test_nlos_delays_within_configured_span():
 
 
 def test_snr_definition():
-    cfg = ScenarioConfig(snr_db=10.0, noise_var=2.0)
+    cfg = ScenarioConfig(noise_var=2.0)
     real = draw_realization(cfg, rng_for(4))
+    assert real.pt == 1.0
+    real = real.with_snr_db(10.0)
     assert real.pt * abs(real.paths[0].alpha) ** 2 / real.noise_var == pytest.approx(10.0)
 
 
@@ -140,9 +142,11 @@ def test_unit_power_signal_is_the_per_path_sum(arr, caz):
 
 
 def test_reproducibility_bit_exact():
-    cfg = ScenarioConfig(n_nlos=2, snr_db=5.0)
-    a = synthesize(draw_realization(cfg, rng_for(9, 3)), ARR, CAZ, rng_for(9, 103)).y
-    b = synthesize(draw_realization(cfg, rng_for(9, 3)), ARR, CAZ, rng_for(9, 103)).y
+    cfg = ScenarioConfig(n_nlos=2)
+    a = synthesize(draw_realization(cfg, rng_for(9, 3)).with_snr_db(5.0), ARR, CAZ,
+                   rng_for(9, 103)).y
+    b = synthesize(draw_realization(cfg, rng_for(9, 3)).with_snr_db(5.0), ARR, CAZ,
+                   rng_for(9, 103)).y
     assert np.array_equal(a, b)
 
 

@@ -47,7 +47,7 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     ({"snr_sweep_db": "10"}, "snr_sweep_db"),
     ({"scenario": {"ple_los": "x"}}, "scenario.ple_los"),
     ({"scenario": {"ple_nlos": True}}, "scenario.ple_nlos"),
-    ({"scenario": {"snr_db": "x"}}, "scenario.snr_db"),
+    ({"scenario": {"d0_m": "x"}}, "scenario.d0_m"),
     ({"scenario": {"noise_var": None}}, "scenario.noise_var"),
     ({"scenario": {"theta_range_deg": ["a", "b"]}}, "scenario.theta_range_deg"),
     ({"scenario": {"delta_nlos_range_m": [4.5, "24"]}}, "scenario.delta_nlos_range_m"),
@@ -56,6 +56,16 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     ({"output_path": ["a.csv"]}, "output_path"),
     ({"emit_feedback_log": "yes"}, "emit_feedback_log"),
     ({"emit_feedback_log": 1}, "emit_feedback_log"),
+    ({"cazac": {"pulse_halfwidth": True}}, "cazac.pulse_halfwidth"),
+    ({"cazac": {"rolloff": True}}, "cazac.rolloff"),
+    ({"coarse": {"p_fa": "0.1"}}, "coarse.p_fa"),
+    ({"coarse": {"v": True}}, "coarse.v"),
+    ({"sage": {"beta": True}}, "sage.beta"),
+    ({"sage": {"gamma_stop": True}}, "sage.gamma_stop"),
+    ({"sage": {"tau_window_symbols": True}}, "sage.tau_window_symbols"),
+    ({"sage": {"mu_window": True}}, "sage.mu_window"),
+    ({"sage": {"refine_tol": True}}, "sage.refine_tol"),
+    ({"array": {"spacing_over_lambda": True}}, "array.spacing_over_lambda"),
 ])
 def test_wrongly_typed_value_is_config_error(tmp_path, capsys, data, key):
     with pytest.raises(ConfigurationError, match=re.escape(key)):
@@ -66,6 +76,26 @@ def test_wrongly_typed_value_is_config_error(tmp_path, capsys, data, key):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["crlb", "--out", "x.csv"], ["crlb", "--trials", "3"], ["crlb", "--threads", "7"],
+    ["demo", "--out", "x.csv"], ["demo", "--trials", "3"], ["demo", "--threads", "2"],
+    ["lut", "--seed", "1"], ["lut", "--snr", "0"], ["lut", "--trials", "3"],
+    ["lut", "--threads", "2"], ["run", "--bogus"], ["bogus"],
+])
+def test_flag_the_subcommand_does_not_read_is_usage_error(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "usage:" in captured.err and not captured.out
+    assert not list(tmp_path.iterdir())
+
+
+def test_subcommand_help_lists_only_its_flags(capsys):
+    assert main(["lut", "--help"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "--out" in out and "--seed" not in out and "--threads" not in out
 
 
 def test_lut_row_count(tmp_path):

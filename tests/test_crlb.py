@@ -8,7 +8,7 @@ from beamest import (ArrayConfig, CazacConfig, ConfigurationError, crlb_bounds,
                      fisher_matrix, parameter_index)
 from beamest.channel import ChannelRealization, PathParams, spatial_frequency
 from beamest.coarse import mu_to_theta_deg
-from beamest.crlb import COND_LIMIT, FisherMatrix, fisher_at_power
+from beamest.crlb import COND_LIMIT, fisher_at_power
 from beamest.pilots import cazac_base, _stack_shifted
 from beamest import _kernels
 from beamest.arrays import beam_gains, dft_codebook
@@ -155,7 +155,7 @@ def test_jacobian_on_grid_single_row():
 
 def test_fisher_symmetric_psd():
     real = random_real(np.random.default_rng(2), 3)
-    f = fisher_matrix(real, ARR, CAZ).f
+    f = fisher_matrix(real, ARR, CAZ)
     assert np.allclose(f, f.T, atol=1e-10)
     eig = np.linalg.eigvalsh(f)
     assert eig.min() >= -1e-8 * np.linalg.norm(f)
@@ -165,22 +165,22 @@ def test_fisher_on_grid_gain_entry():
     # on-grid single path, zero delay, unit power: the gain-gain entry is
     # (2/sigma^2) * tr{C^H A^H A C} = 2 * M * L = 512 for M = L = 16
     real = make_real([(1.0 + 0j, float(ARR.beam_phases[3]), 0.0)])
-    f = fisher_matrix(real, ARR, CAZ).f
+    f = fisher_matrix(real, ARR, CAZ)
     idx = parameter_index("re", 0, 1)
     assert f[idx, idx] == pytest.approx(512.0, rel=1e-10)
 
 
 def test_fisher_noise_scaling():
     real = random_real(np.random.default_rng(3), 2)
-    f1 = fisher_matrix(real, ARR, CAZ).f
+    f1 = fisher_matrix(real, ARR, CAZ)
     real2 = make_real([(p.alpha, p.mu, p.tau_symbols) for p in real.paths],
                       pt=real.pt, noise_var=2.0)
-    f2 = fisher_matrix(real2, ARR, CAZ).f
+    f2 = fisher_matrix(real2, ARR, CAZ)
     assert np.allclose(f2, 0.5 * f1, rtol=1e-12)
 
 
 def test_bounds_diagonal_inverse():
-    f = FisherMatrix(f=np.diag([4.0, 16.0, 25.0, 100.0]))
+    f = np.diag([4.0, 16.0, 25.0, 100.0])
     report = crlb_bounds(f)
     assert report.invertible
     assert np.allclose(report.bounds, [0.5, 0.25, 0.2, 0.1])
@@ -189,8 +189,8 @@ def test_bounds_diagonal_inverse():
 def test_bounds_on_grid_gain_decoupled():
     # the full-inverse oracle confirms the on-grid gain entry decouples
     real = make_real([(1.0 + 0j, float(ARR.beam_phases[3]), 0.0)])
-    f = fisher_matrix(real, ARR, CAZ).f
-    report = crlb_bounds(FisherMatrix(f=f))
+    f = fisher_matrix(real, ARR, CAZ)
+    report = crlb_bounds(f)
     oracle = np.sqrt(np.linalg.inv(f)[0, 0])
     assert report.bounds[parameter_index("re", 0, 1)] == pytest.approx(oracle, rel=1e-12)
     assert oracle == pytest.approx(1.0 / np.sqrt(512.0), rel=1e-9)
@@ -207,7 +207,7 @@ def test_bounds_flag_near_singular():
 
 def test_bounds_reject_non_finite():
     with pytest.raises(ValueError):
-        crlb_bounds(FisherMatrix(f=np.array([[np.nan]])))
+        crlb_bounds(np.array([[np.nan]]))
 
 
 def test_fisher_requires_positive_noise():
@@ -236,8 +236,8 @@ def test_unit_power_information_scales_to_any_snr(n_paths):
     real = random_real(rng, n_paths)
     f0 = fisher_matrix(replace(real, pt=1.0, noise_var=1.0), ARR, CAZ)
     for pt, noise_var in ((real.pt, 1.0), (1e-3, 0.25), (250.0, 3.0)):
-        direct = fisher_matrix(replace(real, pt=pt, noise_var=noise_var), ARR, CAZ).f
-        scaled = fisher_at_power(f0, pt, noise_var).f
+        direct = fisher_matrix(replace(real, pt=pt, noise_var=noise_var), ARR, CAZ)
+        scaled = fisher_at_power(f0, pt, noise_var)
         assert np.max(np.abs(scaled - direct)) <= 1e-12 * np.max(np.abs(direct))
         assert np.array_equal(scaled, scaled.T)
     with pytest.raises(ConfigurationError):
@@ -269,7 +269,7 @@ def test_fisher_equals_jacobian_oracle(n_paths, arr, caz):
         real = make_real(params, pt=rng.uniform(0.5, 50.0), noise_var=rng.uniform(0.5, 2.0))
         flat = model_jacobian(real, arr, caz).reshape(arr.m * caz.length, -1)
         oracle = (2.0 / real.noise_var) * np.real(flat.conj().T @ flat)
-        f = fisher_matrix(real, arr, caz).f
+        f = fisher_matrix(real, arr, caz)
         assert np.max(np.abs(f - oracle)) <= 1e-12 * np.max(np.abs(oracle)), taus
         assert np.array_equal(f, f.T)
 
@@ -335,7 +335,7 @@ def test_eigenvalue_gate_matches_svd_condition(kind):
     for seed in range(5):
         mat = _symmetric_with_eigenvalues(eig, seed)
         svd_cond = np.linalg.cond(mat)
-        report = crlb_bounds(FisherMatrix(f=mat))
+        report = crlb_bounds(mat)
         assert report.invertible == (svd_cond < COND_LIMIT), (kind, seed, svd_cond)
         if report.invertible:
             assert report.condition_number == pytest.approx(svd_cond, rel=1e-3)
@@ -352,20 +352,20 @@ def test_stacked_bounds_equal_per_matrix_calls():
              "cond1e11": np.logspace(3, -8, 12),
              "indefinite": np.r_[np.logspace(3, 0, 11), -1e-11]}
     mats = [_symmetric_with_eigenvalues(eig, seed) for seed in range(3) for eig in kinds.values()]
-    stacked = crlb_bounds(FisherMatrix(f=np.stack(mats)))
+    stacked = crlb_bounds(np.stack(mats))
     assert stacked.bounds.shape == (len(mats), 12)
     assert 0 < stacked.invertible.sum() < len(mats)
     for i, mat in enumerate(mats):
-        single = crlb_bounds(FisherMatrix(f=mat))
+        single = crlb_bounds(mat)
         assert type(single.condition_number) is float and type(single.invertible) is bool
         assert stacked.invertible[i] == single.invertible
         assert stacked.condition_number[i] == single.condition_number
         assert np.array_equal(stacked.bounds[i], single.bounds, equal_nan=True)
     # a stack whose members all pass, and one whose members all fail
     for members in (mats[0::5], mats[2::5]):
-        report = crlb_bounds(FisherMatrix(f=np.stack(members)))
+        report = crlb_bounds(np.stack(members))
         for i, mat in enumerate(members):
-            assert np.array_equal(report.bounds[i], crlb_bounds(FisherMatrix(f=mat)).bounds,
+            assert np.array_equal(report.bounds[i], crlb_bounds(mat).bounds,
                                   equal_nan=True)
 
 
@@ -375,14 +375,14 @@ def test_stacked_fisher_at_power_equals_per_point_calls():
     pts = 10.0 ** (np.arange(-30.0, 31.0, 6.0) / 10.0)
     for noise in (0.25, np.linspace(0.5, 2.0, pts.size)):
         stack = fisher_at_power(f0, pts, noise)
-        assert stack.f.shape == (pts.size, 12, 12) and stack.n_paths == 3
+        assert stack.shape == (pts.size, 12, 12)
         for i, pt in enumerate(pts):
             point_noise = float(np.broadcast_to(noise, pts.shape)[i])
-            assert np.array_equal(stack.f[i], fisher_at_power(f0, float(pt), point_noise).f)
+            assert np.array_equal(stack[i], fisher_at_power(f0, float(pt), point_noise))
             # the per-point weights as written before the stack: d_i d_j first
             a = 1.0 / math.sqrt(point_noise)
             d = np.array([a] * 6 + [a * math.sqrt(pt)] * 6)
-            assert np.array_equal(stack.f[i], d[:, None] * d * f0.f)
+            assert np.array_equal(stack[i], d[:, None] * d * f0)
     with pytest.raises(ConfigurationError):
         fisher_at_power(f0, pts, np.r_[np.ones(pts.size - 1), 0.0])
 
@@ -390,13 +390,13 @@ def test_stacked_fisher_at_power_equals_per_point_calls():
 def test_eigenvalue_gate_flags_indefinite_and_rejects_non_finite():
     # no information matrix is markedly indefinite; the SVD condition (1 here)
     # would pass this one, the eigenvalue gate flags it
-    report = crlb_bounds(FisherMatrix(f=np.diag([1.0, -1.0])))
+    report = crlb_bounds(np.diag([1.0, -1.0]))
     assert not report.invertible and report.condition_number == math.inf
     for bad in (np.nan, np.inf, -np.inf):
         mat = np.eye(4)
         mat[1, 2] = mat[2, 1] = bad
         with pytest.raises(ValueError):
-            crlb_bounds(FisherMatrix(f=mat))
+            crlb_bounds(mat)
 
 
 def test_parameter_index_round_trip():

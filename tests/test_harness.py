@@ -12,10 +12,11 @@ from beamest import (ArrayConfig, ConfigurationError, PathEstimate,
                      RunConfig, ScenarioConfig, active_backend, match_paths, run_sweep,
                      run_trial)
 from beamest.channel import ChannelRealization, PathParams
-from beamest.coarse import mu_to_theta_deg
+from beamest.coarse import (build_lut, coarse_estimate, correlate, detect_paths,
+                            detection_threshold, mu_to_theta_deg)
 from beamest import _kernels, harness
 from beamest.harness import (CSV_COLUMNS, PARAMETERS, PATH_CLASSES, CoarseParams,
-                             aggregate_snr, config_from_dict, load_config,
+                             aggregate_snr, config_from_dict, load_config, path_class,
                              rows_to_csv_bytes, write_outputs)
 
 
@@ -71,12 +72,12 @@ def test_run_trial_noiseless_recovery():
                     snr_sweep_db=(0.0,), trials=1)
     rec = run_trial(cfg, 0, 0)
     assert rec.r_hat == 2
-    assert {m["cls"] for m in rec.matched} == {"los", "nlos"}
+    assert {path_class(ti) for ti, _ in rec.assignment} == {"los", "nlos"}
     for m in rec.matched:
-        assert m["aod_ml_deg2"] < 1e-8
-        assert m["delay_ml_sym2"] < 1e-8
-        assert m["gain_ml_rel2"] < 1e-12
-    assert not rec.fim_invertible  # undefined without noise
+        assert m["aod_ml_deg"] < 1e-8
+        assert m["delay_ml_sym"] < 1e-8
+        assert m["gain_ml_rel"] < 1e-12
+    assert not rec.crlb_vars  # undefined without noise
 
 
 def test_run_trial_deterministic():
@@ -93,7 +94,7 @@ def test_run_trial_geometry_shared_across_snr():
     b = run_trial(cfg, 1, 2)
     assert a.crlb_vars and b.crlb_vars
     # same geometry, different transmit power: delay bound scales by 10^(10/20)
-    ratio = a.crlb_vars[1]["delay_sym2"] / b.crlb_vars[1]["delay_sym2"]
+    ratio = a.crlb_vars[1]["delay_ml_sym"] / b.crlb_vars[1]["delay_ml_sym"]
     assert ratio == pytest.approx(10.0, rel=1e-9)
 
 
@@ -241,13 +242,28 @@ def test_range_lists_give_the_tuple_result():
 
 
 def test_feedback_log(tmp_path):
-    cfg = small_cfg(trials=2, snr_sweep_db=(10.0,), emit_feedback_log=True,
+    cfg = small_cfg(trials=4, snr_sweep_db=(0.0, 10.0, 30.0), emit_feedback_log=True,
                     output_path=str(tmp_path / "fb.csv"))
     rows, recs = run_sweep(cfg)
     write_outputs(cfg, rows, recs)
     lines = (tmp_path / "fb.csv.feedback.csv").read_text().splitlines()
     assert lines[0] == "run_id,snr_db,trial_id,path,beam_index_bits,delta_ratio"
     assert len(lines) > 1
+    # every row is the feedback of its coarse path, recomputed from the observation
+    lut = build_lut(cfg.array, cfg.coarse.k_points)
+    expected = []
+    for s, snr_db in enumerate(cfg.snr_sweep_db):
+        for t in range(cfg.trials):
+            _, y, noise = harness.synthesize_trial(cfg, s, t)
+            power = correlate(y)
+            dets = detect_paths(power, detection_threshold(noise, cfg.array.m, cfg.coarse.p_fa))
+            if not dets:
+                continue
+            est = coarse_estimate(power, dets, lut, cfg.array, cfg.cazac, noise,
+                                  v=cfg.coarse.v, p_fa=cfg.coarse.p_fa)
+            expected += [f"t,{snr_db:.12g},{t},{i},{cp.feedback.beam_index_bits},"
+                         f"{cp.feedback.delta_ratio:.12g}" for i, cp in enumerate(est.paths)]
+    assert lines[1:] == expected
 
 
 def test_aggregate_empty_class():
@@ -265,8 +281,8 @@ def test_repetitions_average_noise():
     a = run_trial(base, 0, 0)
     b = run_trial(rep, 0, 0)
     # averaging two pilot blocks halves the bound variances
-    assert b.crlb_vars[0]["aod_deg2"] == pytest.approx(a.crlb_vars[0]["aod_deg2"] / 2,
-                                                       rel=1e-9)
+    assert b.crlb_vars[0]["aod_ml_deg"] == pytest.approx(a.crlb_vars[0]["aod_ml_deg"] / 2,
+                                                         rel=1e-9)
 
 
 def test_config_validation_cross_checks():
@@ -297,6 +313,7 @@ def test_config_accepts_every_field_and_refuses_unknown_ones():
     # every field of every section, as a JSON config writes it, loads back unchanged
     full = json.loads(json.dumps(dataclasses.asdict(RunConfig())))
     assert config_from_dict(full) == RunConfig()
+    assert config_from_dict({"sage": {"mu_window": 0.25}}).sage.mu_window == 0.25
     sections = [name for name, value in full.items() if isinstance(value, dict)]
     assert sections == ["scenario", "array", "cazac", "sage", "coarse"]
     for name in sections:
@@ -350,20 +367,22 @@ def test_aggregation_matches_hand_computed_rmse():
     from beamest.harness import TrialRecord
 
     def rec(trial_id, los_err2, nlos_err2, var=None):
-        matched = [{"cls": "los", "aod_coarse_deg2": los_err2, "aod_ml_deg2": los_err2,
-                    "gain_ml_rel2": 0.0, "delay_ml_sym2": 0.0}]
+        # truth 0 is the LOS path, truth 1 the reflected one
+        assignment = [(0, 0)]
+        matched = [{"aod_coarse_deg": los_err2, "aod_ml_deg": los_err2,
+                    "gain_ml_rel": 0.0, "delay_ml_sym": 0.0}]
         if nlos_err2 is not None:
-            matched.append({"cls": "nlos", "aod_coarse_deg2": 0.0, "aod_ml_deg2": 0.0,
-                            "gain_ml_rel2": 0.0, "delay_ml_sym2": nlos_err2})
+            assignment.append((1, 1))
+            matched.append({"aod_coarse_deg": 0.0, "aod_ml_deg": 0.0,
+                            "gain_ml_rel": 0.0, "delay_ml_sym": nlos_err2})
         crlb_vars = [] if var is None else [
-            {"cls": cls, "aod_deg2": k * var, "gain_rel2": 2 * k * var, "delay_sym2": 3 * k * var}
-            for k, cls in ((1, "los"), (5, "nlos"))]
+            {"aod_coarse_deg": k * var, "aod_ml_deg": k * var, "gain_ml_rel": 2 * k * var,
+             "delay_ml_sym": 3 * k * var}
+            for k in (1, 5)]
         return TrialRecord(
-            trial_id=trial_id, snr_db=10.0, truth_classes=["los", "nlos"],
-            truth=[], coarse=[], refined=[], assignment=[],
-            matched=matched, crlb_vars=crlb_vars, fim_invertible=var is not None,
-            detection_counts={"los": [1, 1], "nlos": [1 if nlos_err2 is not None else 0, 1]},
-            sage_iterations=3, r_hat=2, detection_status="ok", feedback=[])
+            trial_id=trial_id, snr_db=10.0, truth=[(0.0, 1 + 0j, 0.0), (0.0, 0.5 + 0j, 5.0)],
+            coarse=[(0, 0.0, 0.0, 1.0, 0, math.inf)] * 2, refined=[], assignment=assignment,
+            matched=matched, crlb_vars=crlb_vars, sage_iterations=3, detection_status="ok")
 
     # trial 1's information matrix is singular: no bound, but its errors count
     rows = aggregate_snr("t", 10.0, [rec(0, 4.0, 9.0, var=0.25), rec(1, 16.0, None),

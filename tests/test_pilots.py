@@ -38,9 +38,9 @@ def test_config_validation():
 
 def test_pulse_halfwidth_must_be_integer():
     # the tap matrices hold 2 * halfwidth taps; a fractional value cannot be honoured
-    with pytest.raises(ConfigurationError, match="integer number of symbols"):
+    with pytest.raises(ConfigurationError, match="pulse_halfwidth must be an integer"):
         CazacConfig(pulse_halfwidth=8.5)
-    with pytest.raises(ConfigurationError, match="'cazac'.*integer number of symbols"):
+    with pytest.raises(ConfigurationError, match="'cazac'.*pulse_halfwidth must be an integer"):
         config_from_dict({"cazac": {"pulse_halfwidth": 8.5}})
     assert CazacConfig(pulse_halfwidth=np.int64(6)).pulse_halfwidth == 6
 

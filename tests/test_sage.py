@@ -211,7 +211,7 @@ def test_step_helpers_equal_one_loop_update():
     rng = np.random.default_rng(21)
     cfg = SageConfig(max_iterations=1)
     for _ in range(50):
-        real = draw_realization(ScenarioConfig(n_nlos=1, snr_db=10.0), rng)
+        real = draw_realization(ScenarioConfig(n_nlos=1), rng).with_snr_db(10.0)
         y = synthesize(real, ARR, CAZ, rng)
         start = [PathEstimate(mu_hat=p.mu + rng.uniform(-0.05, 0.05),
                               tau_hat=p.tau_symbols + rng.uniform(-0.3, 0.3),
@@ -227,7 +227,7 @@ def test_step_helpers_equal_one_loop_update():
 
 def test_single_path_refinement_not_worse_than_coarse():
     rng = np.random.default_rng(5)
-    real = draw_realization(ScenarioConfig(n_nlos=0, snr_db=10.0), rng)
+    real = draw_realization(ScenarioConfig(n_nlos=0), rng).with_snr_db(10.0)
     y = synthesize(real, ARR, CAZ, rng)
     coarse, refined = run_pipeline(y)
     cfg = SageConfig()
