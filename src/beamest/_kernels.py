@@ -4,8 +4,10 @@ The raised-cosine pulse evaluation, delayed pilot rows and the 1-D peak
 searches inside the refinement stage dominate the Monte-Carlo runtime.  One
 kernel, batched over delays, builds the delayed pilot (:func:`pilot_rows`);
 the delay derivatives and the delay objective share its tap support.  The
-search objectives take a whole array of points per call, so each search
-costs a handful of numpy calls rather than one call per point.
+search objectives take a whole array of points per call, each point against
+its own row of a stack of statistics, and the searches advance a batch of
+problems in lockstep, so a search round costs a handful of numpy calls for
+the whole batch rather than one call per point or per problem.
 
 All delay arguments are in symbol units (t / T_s).
 """
@@ -26,6 +28,7 @@ _VERTEX_SHRINK = 256.0
 _INT_EPS = 1e-12
 _SING_EPS = 1e-8
 _ZERO_EPS = 1e-7
+_FLOAT_EPS = float(np.finfo(float).eps)
 
 
 def _rc_factors(x, rolloff):
@@ -36,7 +39,11 @@ def _rc_factors(x, rolloff):
     denominator (1 on a pole), cos(beta pi x) and |x| - 1/(2 beta); without
     roll-off g = 1 and the last four are None.
     """
-    s = np.sinc(x)
+    # np.sinc(x) without its per-call dtype lookup: sin(pi x) / (pi x), the
+    # float epsilon standing in for pi x = 0
+    px = np.pi * x
+    px = np.where(px, px, _FLOAT_EPS)
+    s = np.sin(px) / px
     if rolloff <= 0.0:
         return s, np.ones_like(x), None, None, None, None
     dx0 = np.abs(x) - 1.0 / (2.0 * rolloff)
@@ -128,19 +135,23 @@ def pilot_rows_and_derivs(cbase, taus, rolloff, halfwidth):
     return rows[0], rows[1]
 
 
-def tau_objective(w, tau, rolloff, halfwidth, ell):
+def tau_objective(w, tau, rolloff, halfwidth, ell, rows=None):
     """Delay-search objective |sum_u h(u - tau) w[u mod L]|^2 / ||v(tau)||^2.
 
     ``tau`` is a scalar or a 1-D array; an array is evaluated as one
     (N x 2*halfwidth) tap matrix, ``halfwidth`` being a whole number of
     symbols.  Row n holds the taps
     u = ceil(tau_n - halfwidth) ... ceil(tau_n - halfwidth) + 2*halfwidth - 1,
-    the taps of :func:`pilot_rows`.
+    the taps of :func:`pilot_rows`.  With ``rows`` given, ``w`` is a (B, L)
+    stack of statistics and the (N, 1) index ``rows`` picks each point's row.
+    Every point is evaluated elementwise, so its value does not depend on the
+    other points of the call.
     """
     t = np.asarray(tau, dtype=float)[..., None]
     u = _support(t, halfwidth, 2 * halfwidth)
     taps = rc_samples(u - t, rolloff)
-    num = abs((taps * w[u % ell]).sum(axis=-1)) ** 2
+    wu = w[u % ell] if rows is None else w[rows, u % ell]
+    num = abs((taps * wu).sum(axis=-1)) ** 2
     # ||v||^2 = L * sum of tap products over pairs congruent mod L
     energy = (taps ** 2).sum(axis=-1)
     for i in range(taps.shape[-1] - ell):
@@ -148,15 +159,25 @@ def tau_objective(w, tau, rolloff, halfwidth, ell):
     return num / (ell * energy)
 
 
-def mu_objective(qt, mu):
+def mu_objective(qt, mu, rows=None):
     """Angle-search objective |sum_m exp(-j m mu) qt[m]|^2 / M.
 
     ``mu`` is a scalar or a 1-D array; an array is evaluated as one (N x M)
-    phase matrix.
+    phase matrix.  With ``rows`` given, ``qt`` is a (B, M) stack of spectra
+    and ``rows`` picks each point's, as in :func:`tau_objective`; the points
+    of one row must be consecutive.  Each run of one row takes one
+    matrix-vector product, the product a call for that row alone would
+    take: a product over several rows' points would round differently.
     """
-    m = qt.shape[0]
+    m = qt.shape[-1]
     ph = np.exp(-1j * np.arange(m) * np.asarray(mu, dtype=float)[..., None])
-    return abs(np.dot(ph, qt)) ** 2 / m
+    if rows is None:
+        s = np.dot(ph, qt)
+    else:
+        r = rows[:, 0]
+        cuts = [0, *(np.flatnonzero(r[1:] != r[:-1]) + 1).tolist(), r.size]
+        s = np.concatenate([np.dot(ph[a:b], qt[r[a]]) for a, b in zip(cuts, cuts[1:])])
+    return abs(s) ** 2 / m
 
 
 def _vertex_stencil(x, y, tol):
@@ -179,56 +200,88 @@ def _vertex_stencil(x, y, tol):
     return None
 
 
-def _zoom_max(f, lo, hi, n_grid, tol):
-    """Maximize ``f`` over [lo, hi] by a grid, then by zooming into its bracket.
+def _even(lo, hi, n):
+    """``np.linspace(lo, hi, n)`` bit for bit: k * step + lo, and hi exact."""
+    x = np.arange(n) * ((hi - lo) / (n - 1)) + lo
+    x[-1] = hi
+    return x
 
-    ``f`` takes a 1-D array of points.  The bracket is the pair of neighbours
-    of the best point of the last call (the point itself standing in for a
-    missing neighbour at a window edge).  Each zoom round fits a parabola
-    through the best point and its two neighbours and evaluates, in one call,
-    the bracket ends and three points packed around the parabola's vertex
-    (:func:`_vertex_stencil`); on a smooth peak the next bracket is
-    ``_VERTEX_SHRINK / 2`` times narrower, from function values alone
-    (successive parabolic interpolation).  A round evaluates ``_ZOOM_POINTS``
-    even points across the bracket instead when the best point is a bracket
-    end, when the stencil does not fit, or when the last round did not halve
-    the bracket, which bounds the cost of a peak far from parabolic to about
-    twice that of even rounds alone.  It stops when the bracket is no wider
-    than ``tol``, or when a round no longer narrows it, which happens once
-    ``tol`` is below the float spacing at the maximizer.  Returns the bracket
-    midpoint.
+
+def _zoom_max(f, lo, hi, n_grid, tol):
+    """Maximize B independent objectives in lockstep, each over its [lo[b], hi[b]].
+
+    ``f(x, rows)`` evaluates flat points ``x``, those of problem b consecutive
+    and marked by ``rows`` as in :func:`tau_objective`; when one problem is
+    left, ``rows`` is its index b and ``x`` its points alone.  Each round is
+    one call for every problem still searching; per problem the search runs
+    as if alone.  It starts on a grid
+    and then zooms into the bracket, the pair of neighbours of the best point
+    of the last round (the point itself standing in for a missing neighbour
+    at a window edge).  Each zoom round fits a parabola through the best
+    point and its two neighbours and evaluates the bracket ends and three
+    points packed around the parabola's vertex (:func:`_vertex_stencil`); on a
+    smooth peak the next bracket is ``_VERTEX_SHRINK / 2`` times narrower,
+    from function values alone (successive parabolic interpolation).  A round
+    evaluates ``_ZOOM_POINTS`` even points across the bracket instead when the
+    best point is a bracket end, when the stencil does not fit, or when the
+    last round did not halve the bracket, which bounds the cost of a peak far
+    from parabolic to about twice that of even rounds alone.  A problem stops
+    when its bracket is no wider than ``tol``, or when a round no longer
+    narrows it, which happens once ``tol`` is below the float spacing at the
+    maximizer.  Returns each problem's bracket midpoint.
     """
-    xs = np.linspace(lo, hi, n_grid)
-    fs = f(xs)
-    width = math.inf
-    while True:
-        i = int(np.argmax(fs))
-        a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, xs.size - 1)]
-        if b - a <= tol or b - a >= width:
-            break
-        # a vertex that did not halve the bracket sits on a poor parabola
-        trusted = 2.0 * (b - a) <= width
-        width = b - a
-        stencil = None
-        if trusted and 0 < i < xs.size - 1:
-            stencil = _vertex_stencil(xs[i - 1:i + 2], fs[i - 1:i + 2], tol)
-        xs = np.linspace(a, b, _ZOOM_POINTS) if stencil is None else stencil
-        fs = f(xs)
-    return 0.5 * (a + b)
+    xs = [_even(a, b, n_grid) for a, b in zip(lo, hi)]
+    fs = [None] * len(xs)
+    width = [math.inf] * len(xs)
+    best = [0.0] * len(xs)
+    active = list(range(len(xs)))
+    while active:
+        if len(active) == 1:
+            fs[active[0]] = f(xs[active[0]], active[0])
+        else:
+            values = f(np.concatenate([xs[p] for p in active]),
+                       np.repeat(active, [xs[p].size for p in active])[:, None])
+            start = 0
+            for p in active:
+                fs[p] = values[start:start + xs[p].size]
+                start += xs[p].size
+        searching = []
+        for p in active:
+            x, fx = xs[p], fs[p]
+            i = int(fx.argmax())
+            a = x[max(i - 1, 0)]
+            b = x[min(i + 1, x.size - 1)]
+            if b - a <= tol or b - a >= width[p]:
+                best[p] = 0.5 * (a + b)
+                continue
+            # a vertex that did not halve the bracket sits on a poor parabola
+            trusted = 2.0 * (b - a) <= width[p]
+            width[p] = b - a
+            stencil = None
+            if trusted and 0 < i < x.size - 1:
+                stencil = _vertex_stencil(x[i - 1:i + 2], fx[i - 1:i + 2], tol)
+            xs[p] = _even(a, b, _ZOOM_POINTS) if stencil is None else stencil
+            searching.append(p)
+        active = searching
+    return best
 
 
 def search_tau(w, rolloff, halfwidth, ell, lo, hi, n_grid, tol):
-    """Delay in [lo, hi] maximizing :func:`tau_objective`."""
-    return _zoom_max(lambda t: tau_objective(w, t, rolloff, halfwidth, ell),
-                     lo, hi, n_grid, tol)
+    """Delays maximizing :func:`tau_objective`, row b of the (B, L) ``w`` over
+    [lo[b], hi[b]]."""
+    def f(t, rows):
+        if isinstance(rows, int):
+            return tau_objective(w[rows], t, rolloff, halfwidth, ell)
+        return tau_objective(w, t, rolloff, halfwidth, ell, rows)
+    return _zoom_max(f, lo, hi, n_grid, tol)
 
 
-def search_mu(qt, center, half_window, n_grid, tol):
-    """Spatial frequency within ``center`` +/- ``half_window`` maximizing
-    :func:`mu_objective`."""
-    return _zoom_max(lambda x: mu_objective(qt, x),
-                     center - half_window, center + half_window, n_grid, tol)
+def search_mu(qt, lo, hi, n_grid, tol):
+    """Spatial frequencies maximizing :func:`mu_objective`, row b of the (B, M)
+    ``qt`` over [lo[b], hi[b]]."""
+    def f(x, rows):
+        return mu_objective(qt[rows], x) if isinstance(rows, int) else mu_objective(qt, x, rows)
+    return _zoom_max(f, lo, hi, n_grid, tol)
 
 
 def active_backend() -> str:

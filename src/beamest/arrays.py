@@ -95,9 +95,17 @@ def _cached_codebook(cfg: ArrayConfig) -> np.ndarray:
     return out
 
 
-def beam_gains(cfg: ArrayConfig, mu: float) -> np.ndarray:
-    """Diagonal of A(mu): inner products a(mu)^H w_k for every beam k."""
-    return np.exp(1j * np.arange(cfg.m) * mu) @ _cached_codebook(cfg)
+def beam_gains(cfg: ArrayConfig, mu) -> np.ndarray:
+    """Diagonal of A(mu): inner products a(mu)^H w_k for every beam k.
+
+    A 1-D array of S spatial frequencies gives one row each, (S, M), by one
+    vector-matrix product per row, so every row equals its lone call bit for bit.
+    """
+    steps = 1j * np.arange(cfg.m)
+    if np.isscalar(mu):
+        return np.exp(steps * mu) @ _cached_codebook(cfg)
+    phases = np.exp(steps * np.asarray(mu, dtype=float)[:, None])
+    return np.matmul(phases[:, None, :], _cached_codebook(cfg))[:, 0]
 
 
 def _is_power_of_two(n: int) -> bool:

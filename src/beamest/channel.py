@@ -14,7 +14,7 @@ import numpy as np
 
 from .arrays import ArrayConfig, beam_gains
 from .errors import ConfigurationError, is_real, require_integers, require_reals
-from .pilots import CazacConfig, _cached_base, _stack_shifted
+from .pilots import CazacConfig, _cached_base, _shift_index
 from . import _kernels
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, propagation constant for distance-to-delay conversion
@@ -150,10 +150,15 @@ def draw_realization(cfg: ScenarioConfig, rng: np.random.Generator,
     return ChannelRealization(paths=tuple(paths), pt=1.0, noise_var=cfg.noise_var)
 
 
-def path_signal(alpha: complex, gains: np.ndarray, v: np.ndarray) -> np.ndarray:
+def path_signal(alpha, gains: np.ndarray, v: np.ndarray) -> np.ndarray:
     """One path's term alpha * A(mu) * C(tau), from the beam gains A(mu) and the
-    delayed pilot row v(tau); row k of C(tau) is v shifted by k."""
-    return alpha * gains[:, None] * _stack_shifted(v, gains.shape[0])
+    delayed pilot row v(tau); row k of C(tau) is v shifted by k.  Stacked
+    arguments, S gains (S,), gain rows (S, M) and pilot rows (S, L), give one
+    term per problem, (S, M, L)."""
+    shift = _shift_index(gains.shape[-1], v.shape[-1])
+    if gains.ndim == 1:
+        return alpha * gains[:, None] * v[shift]
+    return np.asarray(alpha)[:, None, None] * gains[:, :, None] * v.take(shift, axis=1)
 
 
 def delayed_pilots(real: ChannelRealization, caz: CazacConfig) -> np.ndarray:

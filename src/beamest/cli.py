@@ -30,13 +30,17 @@ FLAGS = {
                       help="worker processes (overrides the THREADS env var)"),
 }
 
-# each subcommand takes only the flags it reads; crlb and demo read the first SNR point
+# each subcommand takes only the flags it reads
 SUBCOMMANDS = (
     ("run", "full Monte-Carlo sweep to CSV", tuple(FLAGS)),
     ("lut", "dump the beam-ratio LUT to CSV", ("--config", "--out")),
     ("crlb", "bounds for one drawn realization", ("--config", "--seed", "--snr")),
     ("demo", "one verbose trial: truth vs coarse vs refined", ("--config", "--seed", "--snr")),
 )
+# crlb and demo read one SNR point: the config's first, or the one --snr names
+ONE_POINT = {"crlb", "demo"}
+ONE_POINT_SNR = dict(default=None,
+                     help="one SNR point in dB (default: the config's first sweep point)")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text, flags in SUBCOMMANDS:
         p = sub.add_parser(name, help=help_text)
         for flag in flags:
-            p.add_argument(flag, **FLAGS[flag])
+            one_point = flag == "--snr" and name in ONE_POINT
+            p.add_argument(flag, **(ONE_POINT_SNR if one_point else FLAGS[flag]))
     return parser
 
 
@@ -65,6 +70,9 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
             raise ConfigurationError(f"bad --snr list {snr!r}: {exc}") from exc
         if not sweep:
             raise ConfigurationError("--snr produced an empty sweep")
+        if args.command in ONE_POINT and len(sweep) > 1:
+            raise ConfigurationError(
+                f"{args.command} takes one SNR point, got --snr {snr!r}")
         cfg = replace(cfg, snr_sweep_db=sweep)
     if trials is not None:
         cfg = replace(cfg, trials=trials)

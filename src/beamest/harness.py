@@ -1,16 +1,21 @@
 """Seeded Monte-Carlo orchestration, scoring against ground truth and CSV output.
 
-Per trial, once: draw the realization, evaluate its pilot rows and their
-delay derivatives in one tap pass, and build from those rows its noiseless
-signal at unit transmit power and its information matrix at unit power and
-unit noise.  Per SNR point of that trial: scale the signal to the point's
+A sweep task is a chunk of consecutive trials at every SNR point.  Per
+trial, once: draw the realization, evaluate its pilot rows and their delay
+derivatives in one tap pass, and build from those rows its noiseless signal
+at unit transmit power and its information matrix at unit power and unit
+noise.  Per SNR point of that trial: scale the signal to the point's
 transmit power and add fresh noise.  The information matrix is scaled to
 every point's power and noise at once, and the stack is gated and inverted
-in one call.  Per point again: run the coarse stage and the refinement,
-match estimated paths to true paths, and record squared errors and bound
-variances.  Each SNR point's records then aggregate to one CSV row per
-(parameter, path class).  Trials use counter-derived substreams so results
-are bit-identical regardless of worker count or execution order.
+in one call.  Per point again: run the coarse stage.  Then every detected
+observation of the chunk is refined in lockstep (``sage.run_sage_batch``),
+each exactly as it would be alone, and each point's estimates are matched to
+its true paths and its squared errors and bound variances recorded.
+``run_trial`` is the chunk of one trial at one point, and calls the stages
+(``synthesize_trial`` ... ``run_sage``, ``match_paths``) by their names in
+this module.  Each SNR point's records then aggregate to one CSV row per
+(parameter, path class).  Trials use counter-derived substreams, so results
+are bit-identical regardless of worker count, chunking or execution order.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache
+from numbers import Integral
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,12 +39,12 @@ from ._kernels import active_backend
 from .arrays import ArrayConfig
 from .channel import (ChannelRealization, ReceiveMatrix, ScenarioConfig, awgn,
                       delayed_pilots, draw_realization, unit_power_signal)
-from .coarse import (build_lut, coarse_estimate, correlate, detect_paths,
+from .coarse import (CoarseEstimate, build_lut, coarse_estimate, correlate, detect_paths,
                      detection_threshold, mu_to_theta_deg)
 from .crlb import crlb_bounds, fisher_at_power, fisher_matrix
 from .errors import ConfigurationError, require_integers, require_reals
 from .pilots import CazacConfig
-from .sage import PathEstimate, SageConfig, run_sage
+from .sage import PathEstimate, RefinedEstimate, SageConfig, run_sage, run_sage_batch
 
 CSV_SCHEMA = "beamest-results v1"
 CSV_COLUMNS = ("run_id", "snr_db", "path_class", "parameter", "rmse",
@@ -315,38 +321,78 @@ def synthesize_trial(cfg: RunConfig, snr_idx: int, trial: int):
 
 def run_trial(cfg: RunConfig, snr_idx: int, trial: int) -> TrialRecord:
     """Draw, synthesize, estimate and score one trial at one SNR point."""
-    return _trial_records(cfg, trial, (snr_idx,))[0]
+    return _chunk_records(cfg, (trial,), (snr_idx,))[0][0]
 
 
-def _trial_records(cfg: RunConfig, trial: int,
-                   snr_indices: Sequence[int]) -> List[TrialRecord]:
-    """Score one trial at each of the given SNR points.
+@dataclass
+class _Observation:
+    """One synthesized (SNR point, trial) pair after the coarse stage."""
 
-    The realization, the noiseless signal and the pilot rows come from one
-    draw, and the information matrix at unit power and unit noise, F0, from
-    those rows.  F0 is scaled to every point's transmit power and effective
-    noise, and the (P, 4R, 4R) stack is gated and inverted in one
-    ``crlb_bounds`` call; ``run_trial`` is the stack of one.
+    snr_idx: int
+    trial: int
+    real: ChannelRealization
+    y: ReceiveMatrix
+    guard_noise: float                # the noise the detector assumes
+    crlb_vars: List[dict]             # per truth path, empty without a bound
+    coarse: Optional[CoarseEstimate]  # None without a detection
+
+
+def _chunk_records(cfg: RunConfig, trials: Sequence[int],
+                   snr_indices: Sequence[int]) -> List[List[TrialRecord]]:
+    """Score each of ``trials`` at each of the given SNR points, per trial a list.
+
+    Per trial, the realization, the noiseless signal and the pilot rows come
+    from one draw, and the information matrix at unit power and unit noise,
+    F0, from those rows.  F0 is scaled to every point's transmit power and
+    effective noise, and the (P, 4R, 4R) stack is gated and inverted in one
+    ``crlb_bounds`` call.  Every observation then gets its coarse estimate,
+    and all detected observations of the chunk are refined in lockstep by
+    one ``run_sage_batch`` call, or by ``run_sage`` when there is one;
+    ``run_trial`` is the chunk of one trial at one point.
     """
-    points = [synthesize_trial(cfg, snr_idx, trial) for snr_idx in snr_indices]
+    records: List[Optional[TrialRecord]] = []
+    detected: List[Tuple[int, _Observation]] = []   # (record slot, observation)
+    for trial in trials:
+        points = [synthesize_trial(cfg, snr_idx, trial) for snr_idx in snr_indices]
+        bounds = _trial_bounds(cfg, trial, points)
+        for snr_idx, point, bound in zip(snr_indices, points, bounds):
+            obs = _front_end(cfg, snr_idx, trial, *point, bound)
+            if obs.coarse is None:
+                records.append(_score(cfg, obs, None))
+            else:
+                detected.append((len(records), obs))
+                records.append(None)
+    refined = []
+    if len(detected) == 1:
+        obs = detected[0][1]
+        refined = [run_sage(obs.y, obs.coarse, cfg.sage, obs.guard_noise)]
+    elif detected:
+        refined = run_sage_batch([obs.y for _, obs in detected],
+                                 [obs.coarse for _, obs in detected], cfg.sage)
+    for (slot, obs), result in zip(detected, refined):
+        records[slot] = _score(cfg, obs, result)
+    n = len(snr_indices)
+    return [records[i:i + n] for i in range(0, len(records), n)]
+
+
+def _trial_bounds(cfg: RunConfig, trial: int, points: Sequence[tuple]) -> list:
+    """Square-root bounds at the truth per point, None where the information
+    matrix was not invertible or the synthesis is noiseless."""
     # every point has the scenario's noise; a noiseless synthesis has no bound
     noise_eff = points[0][2]
-    bounds = [None] * len(points)
-    if noise_eff > 0:
-        real, _, rows = _trial_signal(cfg.scenario, cfg.array, cfg.cazac, trial)
-        f0 = fisher_matrix(replace(real, noise_var=1.0), cfg.array, cfg.cazac, rows)
-        report = crlb_bounds(fisher_at_power(f0, [p[0].pt for p in points], noise_eff))
-        bounds = [b if ok else None for b, ok in zip(report.bounds, report.invertible)]
-    return [_score_point(cfg, snr_idx, trial, *point, bound)
-            for snr_idx, point, bound in zip(snr_indices, points, bounds)]
+    if not noise_eff > 0:
+        return [None] * len(points)
+    real, _, rows = _trial_signal(cfg.scenario, cfg.array, cfg.cazac, trial)
+    f0 = fisher_matrix(replace(real, noise_var=1.0), cfg.array, cfg.cazac, rows)
+    report = crlb_bounds(fisher_at_power(f0, [p[0].pt for p in points], noise_eff))
+    return [b if ok else None for b, ok in zip(report.bounds, report.invertible)]
 
 
-def _score_point(cfg: RunConfig, snr_idx: int, trial: int, real: ChannelRealization,
-                 y: ReceiveMatrix, noise_eff: float,
-                 bounds: Optional[np.ndarray]) -> TrialRecord:
-    """Estimate and score one synthesized observation; ``bounds`` are the
-    square-root bounds at the truth, None when the information matrix was not
-    invertible or the synthesis is noiseless."""
+def _front_end(cfg: RunConfig, snr_idx: int, trial: int, real: ChannelRealization,
+               y: ReceiveMatrix, noise_eff: float,
+               bounds: Optional[np.ndarray]) -> _Observation:
+    """Bound variances at the truth, detection and the coarse estimate of one
+    synthesized observation."""
     # bound variances at the truth, independent of what the estimator did
     crlb_vars = []
     if bounds is not None:
@@ -365,18 +411,25 @@ def _score_point(cfg: RunConfig, snr_idx: int, trial: int, real: ChannelRealizat
     power = correlate(y)
     detections = detect_paths(power,
                               detection_threshold(guard_noise, cfg.array.m, cfg.coarse.p_fa))
+    coarse = None
+    if detections:
+        lut = _shared_lut(cfg.array, cfg.coarse.k_points)
+        coarse = coarse_estimate(power, detections, lut, cfg.array, cfg.cazac,
+                                 guard_noise, v=cfg.coarse.v, p_fa=cfg.coarse.p_fa)
+    return _Observation(snr_idx, trial, real, y, guard_noise, crlb_vars, coarse)
 
+
+def _score(cfg: RunConfig, obs: _Observation,
+           refined: Optional[RefinedEstimate]) -> TrialRecord:
+    """Match the refined paths of one observation to its truth and record the errors."""
+    real, coarse = obs.real, obs.coarse
     matched: List[dict] = []
     coarse_rows: List[tuple] = []
     refined_rows: List[tuple] = []
     assignment: List[Tuple[int, int]] = []
     iterations = 0
     status = "no_detection"
-    if detections:
-        lut = _shared_lut(cfg.array, cfg.coarse.k_points)
-        coarse = coarse_estimate(power, detections, lut, cfg.array, cfg.cazac,
-                                 guard_noise, v=cfg.coarse.v, p_fa=cfg.coarse.p_fa)
-        refined = run_sage(y, coarse, cfg.sage, guard_noise)
+    if refined is not None:
         iterations = refined.iterations
         status = "ok" if refined.converged else "not_converged"
 
@@ -399,10 +452,10 @@ def _score_point(cfg: RunConfig, snr_idx: int, trial: int, real: ChannelRealizat
 
     amp = math.sqrt(real.pt)
     return TrialRecord(
-        trial_id=trial, snr_db=float(cfg.snr_sweep_db[snr_idx]),
+        trial_id=obs.trial, snr_db=float(cfg.snr_sweep_db[obs.snr_idx]),
         truth=[(p.theta_deg, complex(amp * p.alpha), p.tau_symbols) for p in real.paths],
         coarse=coarse_rows, refined=refined_rows, assignment=assignment,
-        matched=matched, crlb_vars=crlb_vars, sage_iterations=iterations,
+        matched=matched, crlb_vars=obs.crlb_vars, sage_iterations=iterations,
         detection_status=status)
 
 
@@ -412,37 +465,54 @@ def _score_point(cfg: RunConfig, snr_idx: int, trial: int, real: ChannelRealizat
 
 _WORKER_CFG: Optional[RunConfig] = None
 
+# most observations (trials x SNR points) in one sweep task: a chunk's
+# lockstep search temporaries grow with its detected observations, about
+# 0.1 MB each, while its speed levels off by ~100 observations
+_CHUNK_OBSERVATIONS = 160
+
 
 def _worker_init(cfg: RunConfig) -> None:
     global _WORKER_CFG
     _WORKER_CFG = cfg
 
 
-def _worker_run(trial: int) -> List[TrialRecord]:
-    return _trial_records(_WORKER_CFG, trial, range(len(_WORKER_CFG.snr_sweep_db)))
+def _worker_run(trials: range) -> List[List[TrialRecord]]:
+    return _chunk_records(_WORKER_CFG, trials, range(len(_WORKER_CFG.snr_sweep_db)))
+
+
+def _chunk_trials(trials: int, n_snr: int, threads: int) -> int:
+    """Trials per sweep task: a quarter of a worker's share, so an uneven chunk
+    does not idle the others, and at most ``_CHUNK_OBSERVATIONS`` observations
+    (one trial at least)."""
+    return max(1, min(trials // (4 * threads), _CHUNK_OBSERVATIONS // n_snr))
 
 
 def run_sweep(cfg: RunConfig, threads: int = 1) -> Tuple[List[dict], List[TrialRecord]]:
     """Execute the full sweep; returns aggregated CSV rows and the raw records.
 
-    One task is one trial at every SNR point.  Records come back sorted by
-    SNR index then trial id, so the rows are identical for any worker count.
+    One task is a chunk of consecutive trials at every SNR point
+    (:func:`_chunk_trials`), the same chunks on one worker as on several.
+    Records come back sorted by SNR index then trial id, so the rows are
+    identical for any worker count.
     """
+    if isinstance(threads, bool) or not isinstance(threads, Integral) or threads < 1:
+        raise ConfigurationError(f"threads must be a positive integer, got {threads!r}")
     n_snr = len(cfg.snr_sweep_db)
+    size = _chunk_trials(cfg.trials, n_snr, threads)
+    chunks = [range(t, min(t + size, cfg.trials)) for t in range(0, cfg.trials, size)]
     if threads > 1:
-        # several chunks per worker, so an uneven chunk does not idle the others
-        chunk = max(1, cfg.trials // (4 * threads))
         with ProcessPoolExecutor(max_workers=threads, initializer=_worker_init,
                                  initargs=(cfg,)) as pool:
-            by_trial = list(pool.map(_worker_run, range(cfg.trials), chunksize=chunk))
+            by_chunk = list(pool.map(_worker_run, chunks))
     else:
-        by_trial = [_trial_records(cfg, t, range(n_snr)) for t in range(cfg.trials)]
+        by_chunk = [_chunk_records(cfg, chunk, range(n_snr)) for chunk in chunks]
+    by_trial = [recs for chunk in by_chunk for recs in chunk]
     records = [recs[s] for s in range(n_snr) for recs in by_trial]
 
     rows = []
     for snr_idx, snr_db in enumerate(cfg.snr_sweep_db):
-        chunk = records[snr_idx * cfg.trials:(snr_idx + 1) * cfg.trials]
-        rows.extend(aggregate_snr(cfg.run_id, float(snr_db), chunk))
+        point = records[snr_idx * cfg.trials:(snr_idx + 1) * cfg.trials]
+        rows.extend(aggregate_snr(cfg.run_id, float(snr_db), point))
     return rows, records
 
 

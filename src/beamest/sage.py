@@ -17,10 +17,20 @@ base pilot row:
 * tr{C^H A^H A C} = M * ||v_tau||^2, since the beam gains of any spatial
   frequency have total power M (the codebook is unitary).
 
-``run_sage_from`` and the public step helpers call one copy of each step of a
-path update: ``_hidden_observation``, then the ``_Workspace`` methods for the
-delay statistic z -> w and its search, the beam statistic q and the angle
-search over M * ifft(q), the gain quotient and the reconstruction.
+One engine, ``_lockstep``, refines B independent problems (observations
+with their own initial paths and update orders) in lockstep: iteration i,
+update slot j advances every problem still iterating that has a j-th path,
+and a problem leaves the batch when it converges or reaches
+``max_iterations``.  The hidden observations go through the update as one
+(B, M, L) stack; the delay statistic z -> w, the beam statistic q and
+M * ifft(q), the pilot rows, the gains and the reconstructions are one array
+expression each for the batch, and each search round is one objective call
+over the points of every problem still searching (``_kernels._zoom_max``).
+Every value is computed per problem with the operations a lone problem uses
+(a matrix-vector product stays one BLAS call per problem), so a problem's
+result does not depend on its batch.  ``run_sage_batch`` refines many coarse
+estimates; ``run_sage``, ``run_sage_from`` and the public step helpers are
+batches of one.
 """
 
 from __future__ import annotations
@@ -101,28 +111,43 @@ class RefinedEstimate:
 
 
 class _Workspace:
-    """Per-configuration quantities and the steps of one path update; arrays are read-only."""
+    """Per-configuration quantities and the batched steps of a path update.
+
+    Each step takes a stack of S problems, one row (or (M, L) slab) per
+    problem, and computes every row as a lone problem would; arrays are
+    read-only.
+    """
 
     def __init__(self, arr: ArrayConfig, caz: CazacConfig):
         self.arr = arr
         self.caz = caz
         self.cbase = _cached_base(caz)
         self.ell = ell = caz.length
-        self.rows = np.arange(arr.m)[:, None]
+        rows = np.arange(arr.m)[:, None]
         # gather matrix undoing the per-beam shift: Xg[k, s] = X[k, (s + k) % L]
-        self.gather = (np.arange(ell)[None, :] + self.rows) % ell
+        self.gather = (np.arange(ell)[None, :] + rows) % ell
+        # the same as flat positions in one observation
+        self.flat = rows * ell + self.gather
         # conj pilot shifts for integer-lag correlation: corr[d, s] = conj(c((s - d) % L))
         self.corr = _stack_shifted(self.cbase, ell).conj()
-        for a in (self.rows, self.gather, self.corr):
+        for a in (self.gather, self.flat, self.corr):
             a.setflags(write=False)
 
     def gathered(self, x: np.ndarray) -> np.ndarray:
-        return x[self.rows, self.gather]
+        """X_g of one (M, L) observation or of each slab of an (S, M, L) stack.
+
+        The result is C-ordered, as later steps rely on: a matrix-vector
+        product over a strided vector, or a sum whose reduced axis is the
+        innermost in memory, rounds differently.
+        """
+        return x.reshape(x.shape[:-2] + (-1,)).take(self.flat, axis=-1)
 
     def pilot(self, tau: float) -> np.ndarray:
         """The base pilot row delayed by ``tau`` symbols."""
-        return _kernels.pilot_rows(self.cbase, [tau], self.caz.rolloff,
-                                   self.caz.pulse_halfwidth)[0]
+        return self.pilots([tau])[0]
+
+    def pilots(self, taus: Sequence[float]) -> np.ndarray:
+        return _kernels.pilot_rows(self.cbase, taus, self.caz.rolloff, self.caz.pulse_halfwidth)
 
     def reconstruct(self, est: PathEstimate) -> np.ndarray:
         return path_signal(est.alpha_hat, beam_gains(self.arr, est.mu_hat),
@@ -131,37 +156,52 @@ class _Workspace:
     def reconstructions(self, estimates: Sequence[PathEstimate], y: np.ndarray) -> List[np.ndarray]:
         return [self.reconstruct(e) if e.alpha_hat != 0 else np.zeros_like(y) for e in estimates]
 
-    def delay_statistic(self, xg: np.ndarray, mu: float) -> Optional[np.ndarray]:
-        """w[d] = sum_s corr[d, s] z(s), z(s) = sum_k conj(A_kk(mu)) X_g[k, s]; None if z = 0."""
-        z = (beam_gains(self.arr, mu).conj()[:, None] * xg).sum(axis=0)
-        return self.corr @ z if np.any(z) else None
+    def delay_statistics(self, xg: np.ndarray,
+                         mus: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+        """w[b, d] = sum_s corr[d, s] z_b(s), z_b(s) = sum_k conj(A_kk(mu_b)) X_g[b, k, s],
+        and whether z_b is nonzero (a zero z_b has no delay to search)."""
+        z = (beam_gains(self.arr, mus).conj()[:, :, None] * xg).sum(axis=1)
+        return np.matmul(self.corr, z[:, :, None])[..., 0], z.any(axis=1)
 
-    def search_delay(self, w: np.ndarray, center: float, cfg: SageConfig) -> float:
-        lo, hi = _tau_bounds(center, cfg, self.ell)
-        return float(_kernels.search_tau(w, self.caz.rolloff, self.caz.pulse_halfwidth,
-                                         self.ell, lo, hi, cfg.grid_points, cfg.refine_tol))
+    def search_delays(self, w: np.ndarray, centers: Sequence[float],
+                      cfg: SageConfig) -> List[float]:
+        lo, hi = zip(*(_tau_bounds(c, cfg, self.ell) for c in centers))
+        return [float(t) for t in _kernels.search_tau(
+            w, self.caz.rolloff, self.caz.pulse_halfwidth, self.ell, lo, hi,
+            cfg.grid_points, cfg.refine_tol)]
 
-    def beam_statistic(self, xg: np.ndarray, tau: float) -> Tuple[np.ndarray, np.ndarray]:
-        """The pilot row v(tau) and q[k] = sum_s X_g[k, s] conj(v(s))."""
-        v = self.pilot(tau)
-        return v, (xg * v.conj()[None, :]).sum(axis=1)
+    def beam_statistics(self, xg: np.ndarray,
+                        taus: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+        """The pilot rows v_b(tau_b) and q[b, k] = sum_s X_g[b, k, s] conj(v_b(s))."""
+        v = self.pilots(taus)
+        return v, (xg * v.conj()[:, None, :]).sum(axis=2)
 
-    def angle_spectrum(self, q: np.ndarray) -> np.ndarray:
+    def angle_spectra(self, q: np.ndarray) -> np.ndarray:
         return self.arr.m * np.fft.ifft(q)
 
-    def search_angle(self, q: np.ndarray, center: float, cfg: SageConfig) -> float:
-        """Angle search around ``center``, wrapped to [0, 2*pi); a vanishing q keeps the center."""
+    def search_angles(self, q: np.ndarray, centers: Sequence[float],
+                      cfg: SageConfig) -> List[float]:
+        """Angle searches around ``centers``, wrapped to [0, 2*pi); a vanishing
+        q_b keeps its center."""
         half = cfg.mu_window if cfg.mu_window is not None else 2.0 * np.pi / self.arr.m
-        mu = _kernels.search_mu(self.angle_spectrum(q), center, half, cfg.grid_points,
-                                cfg.refine_tol) if np.any(q) else center
-        return float(np.mod(mu, 2.0 * np.pi))
+        mus = list(centers)
+        moving = [b for b, m in enumerate(q.any(axis=1).tolist()) if m]
+        if moving:
+            found = _kernels.search_mu(
+                self.angle_spectra(q if len(moving) == len(mus) else q[moving]),
+                [mus[b] - half for b in moving], [mus[b] + half for b in moving],
+                cfg.grid_points, cfg.refine_tol)
+            for b, mu in zip(moving, found):
+                mus[b] = mu
+        return np.mod(mus, 2.0 * np.pi).tolist()
 
-    def gain(self, q: np.ndarray, v: np.ndarray, gains: np.ndarray) -> complex:
-        """tr{C^H A^H X} / tr{C^H A^H A C}, the numerator being A(mu)^H q."""
-        den = self.arr.m * _pilot_energy(v)
-        if den < 1e-30:
+    def gain_quotients(self, q: np.ndarray, v: np.ndarray, gains: np.ndarray) -> List[complex]:
+        """tr{C^H A^H X} / tr{C^H A^H A C} per problem, the numerator being A(mu)^H q."""
+        den = (self.arr.m * (np.abs(v) ** 2).sum(axis=1)).tolist()
+        if min(den) < 1e-30:
             raise NumericalDegeneracyError("vanishing pilot energy in the gain update")
-        return complex(np.dot(gains.conj(), q)) / den
+        num = np.matmul(gains.conj()[:, None, :], q[:, :, None])[:, 0, 0]
+        return [n / d for n, d in zip(num.tolist(), den)]
 
 
 # one workspace per (array, pilot) configuration, shared by every run and step helper
@@ -212,8 +252,8 @@ def maximize_tau(x_hat: np.ndarray, mu_fixed: float, cfg: SageConfig, search_cen
     observation returns the center unchanged.
     """
     ws = _workspace(arr, caz)
-    w = ws.delay_statistic(ws.gathered(x_hat), mu_fixed)
-    return float(search_center) if w is None else ws.search_delay(w, search_center, cfg)
+    w, moving = ws.delay_statistics(ws.gathered(x_hat[None]), [mu_fixed])
+    return ws.search_delays(w, [search_center], cfg)[0] if moving[0] else float(search_center)
 
 
 def maximize_mu(x_hat: np.ndarray, tau_fixed: float, cfg: SageConfig, search_center: float,
@@ -224,18 +264,18 @@ def maximize_mu(x_hat: np.ndarray, tau_fixed: float, cfg: SageConfig, search_cen
     result is wrapped into [0, 2*pi).
     """
     ws = _workspace(arr, caz)
-    _, q = ws.beam_statistic(ws.gathered(x_hat), tau_fixed)
-    return ws.search_angle(q, search_center, cfg)
+    _, q = ws.beam_statistics(ws.gathered(x_hat[None]), [tau_fixed])
+    return ws.search_angles(q, [search_center], cfg)[0]
 
 
 def tau_objective_value(x_hat: np.ndarray, mu_fixed: float, tau: float, cfg: SageConfig,
                         *, arr: ArrayConfig, caz: CazacConfig) -> float:
     """The delay-search objective evaluated at one point (for ascent checks)."""
     ws = _workspace(arr, caz)
-    w = ws.delay_statistic(ws.gathered(x_hat), mu_fixed)
-    if w is None:
+    w, moving = ws.delay_statistics(ws.gathered(x_hat[None]), [mu_fixed])
+    if not moving[0]:
         return 0.0
-    raw = _kernels.tau_objective(w, tau, caz.rolloff, caz.pulse_halfwidth, ws.ell)
+    raw = _kernels.tau_objective(w[0], tau, caz.rolloff, caz.pulse_halfwidth, ws.ell)
     return raw * _objective_scale(cfg, arr.m)
 
 
@@ -243,17 +283,91 @@ def mu_objective_value(x_hat: np.ndarray, tau_fixed: float, mu: float, cfg: Sage
                        *, arr: ArrayConfig, caz: CazacConfig) -> float:
     """The spatial-frequency objective evaluated at one point (for ascent checks)."""
     ws = _workspace(arr, caz)
-    v, q = ws.beam_statistic(ws.gathered(x_hat), tau_fixed)
-    raw = _kernels.mu_objective(ws.angle_spectrum(q), mu)
-    return raw * _objective_scale(cfg, arr.m) / _pilot_energy(v)
+    v, q = ws.beam_statistics(ws.gathered(x_hat[None]), [tau_fixed])
+    raw = _kernels.mu_objective(ws.angle_spectra(q)[0], mu)
+    return raw * _objective_scale(cfg, arr.m) / _pilot_energy(v[0])
 
 
 def update_alpha(x_hat: np.ndarray, mu_fixed: float, tau_fixed: float,
                  *, arr: ArrayConfig, caz: CazacConfig) -> complex:
     """Closed-form combined gain tr{C^H A^H X} / tr{C^H A^H A C}."""
     ws = _workspace(arr, caz)
-    v, q = ws.beam_statistic(ws.gathered(x_hat), tau_fixed)
-    return ws.gain(q, v, beam_gains(arr, mu_fixed))
+    v, q = ws.beam_statistics(ws.gathered(x_hat[None]), [tau_fixed])
+    return ws.gain_quotients(q, v, beam_gains(arr, [mu_fixed]))[0]
+
+
+def _update_paths(ws: _Workspace, ys: Sequence[np.ndarray], recon: List[List[np.ndarray]],
+                  est: List[List[PathEstimate]], idx: List[int], slots: List[int],
+                  cfg: SageConfig) -> None:
+    """Update path ``slots[i]`` of problem ``idx[i]`` for every i, in place.
+
+    One call per step for all of them: the delay statistics and searches, the
+    beam statistics and angle searches, the gains and the reconstructions,
+    from the (S, M, L) stack of hidden observations.  A problem whose delay
+    statistic vanishes keeps that path unchanged.
+    """
+    xg = ws.gathered(np.array([_hidden_observation(ys[p], recon[p], r, cfg.beta)
+                               for p, r in zip(idx, slots)]))
+    old = [est[p][r] for p, r in zip(idx, slots)]
+    w, moving = ws.delay_statistics(xg, [e.mu_hat for e in old])
+    if not moving.all():
+        keep = moving.tolist()
+        idx, slots, old = ([a for a, k in zip(seq, keep) if k] for seq in (idx, slots, old))
+        if not idx:
+            return
+        xg, w = xg[moving], w[moving]
+    taus = ws.search_delays(w, [e.tau_hat for e in old], cfg)
+    v, q = ws.beam_statistics(xg, taus)
+    mus = ws.search_angles(q, [e.mu_hat for e in old], cfg)
+    gains = beam_gains(ws.arr, mus)
+    alphas = ws.gain_quotients(q, v, gains)
+    signals = path_signal(alphas, gains, v)
+    for p, r, mu, tau, alpha, signal in zip(idx, slots, mus, taus, alphas, signals):
+        est[p][r] = PathEstimate(mu_hat=mu, tau_hat=tau, alpha_hat=alpha)
+        recon[p][r] = signal
+
+
+def _lockstep(ys: Sequence[ReceiveMatrix], initials: Sequence[Sequence[PathEstimate]],
+              orders: Sequence[Sequence[int]], cfg: SageConfig) -> List[RefinedEstimate]:
+    """Refine B independent problems in lockstep, each as if alone.
+
+    Iteration i updates slot j of every problem still iterating that has a
+    j-th path in its ``order``, all in one :func:`_update_paths` call.  A
+    problem leaves the batch once its largest relative parameter change falls
+    below the stopping threshold (with an absolute fallback where a parameter
+    sits at zero), or after ``max_iterations``.
+    """
+    if not ys:
+        return []
+    for init in initials:
+        if not init:
+            raise ConfigurationError("refinement needs at least one initial path")
+    arr, caz = ys[0].arr, ys[0].caz
+    if any(obs.arr != arr or obs.caz != caz for obs in ys[1:]):
+        raise ConfigurationError("a refinement batch needs one array and pilot configuration")
+    ws = _workspace(arr, caz)
+    est = [list(init) for init in initials]
+    recon = [ws.reconstructions(e, obs.y) for e, obs in zip(est, ys)]
+    obs_y = [obs.y for obs in ys]
+    results: List[Optional[RefinedEstimate]] = [None] * len(ys)
+    active = list(range(len(ys)))
+    for iterations in range(1, cfg.max_iterations + 1):
+        previous = [list(est[p]) for p in active]
+        for j in range(max(len(orders[p]) for p in active)):
+            idx = [p for p in active if j < len(orders[p])]
+            _update_paths(ws, obs_y, recon, est, idx, [orders[p][j] for p in idx], cfg)
+        still = []
+        for p, prev in zip(active, previous):
+            converged = _max_relative_change(prev, est[p]) <= cfg.gamma_stop
+            if converged or iterations == cfg.max_iterations:
+                results[p] = RefinedEstimate(paths=tuple(est[p]), iterations=iterations,
+                                             converged=converged)
+            else:
+                still.append(p)
+        active = still
+        if not active:
+            break
+    return results
 
 
 def run_sage_from(y: ReceiveMatrix, initial: Sequence[PathEstimate], cfg: SageConfig,
@@ -264,35 +378,9 @@ def run_sage_from(y: ReceiveMatrix, initial: Sequence[PathEstimate], cfg: SageCo
     One iteration is a full update of every path; the loop stops when the
     largest relative parameter change across paths falls below the stopping
     threshold, with an absolute fallback where a parameter sits at zero.
+    This is the lockstep engine's batch of one.
     """
-    if not initial:
-        raise ConfigurationError("refinement needs at least one initial path")
-    ws = _workspace(y.arr, y.caz)
-    est: List[PathEstimate] = list(initial)
-    recon = ws.reconstructions(est, y.y)
-    if order is None:
-        order = range(len(est))
-
-    for iterations in range(1, cfg.max_iterations + 1):
-        previous = list(est)
-        for r in order:
-            xg = ws.gathered(_hidden_observation(y.y, recon, r, cfg.beta))
-            w = ws.delay_statistic(xg, est[r].mu_hat)
-            if w is None:
-                continue
-            tau = ws.search_delay(w, est[r].tau_hat, cfg)
-            v, q = ws.beam_statistic(xg, tau)
-            mu = ws.search_angle(q, est[r].mu_hat, cfg)
-            gains = beam_gains(y.arr, mu)
-            alpha = ws.gain(q, v, gains)
-            est[r] = PathEstimate(mu_hat=mu, tau_hat=tau, alpha_hat=alpha)
-            recon[r] = path_signal(alpha, gains, v)
-
-        converged = _max_relative_change(previous, est) <= cfg.gamma_stop
-        if converged:
-            break
-
-    return RefinedEstimate(paths=tuple(est), iterations=iterations, converged=converged)
+    return _lockstep([y], [initial], [range(len(initial)) if order is None else order], cfg)[0]
 
 
 def _max_relative_change(previous: Sequence[PathEstimate],
@@ -316,10 +404,22 @@ def run_sage(y: ReceiveMatrix, init: CoarseEstimate, cfg: SageConfig,
 
     Paths are updated strongest-first (by coarse peak power) within each pass;
     the returned path order matches ``init.paths``.  ``noise_var`` is not read.
+    This is :func:`run_sage_batch`'s batch of one.
     """
-    if not init.paths:
-        raise ConfigurationError("refinement needs a coarse estimate with at least one path")
-    initial = [PathEstimate(mu_hat=p.mu_hat, tau_hat=float(p.tau_int), alpha_hat=0.0 + 0.0j)
-               for p in init.paths]
-    order = np.argsort([-p.peak_power for p in init.paths], kind="stable")
-    return run_sage_from(y, initial, cfg, order=[int(i) for i in order])
+    return run_sage_batch([y], [init], cfg)[0]
+
+
+def run_sage_batch(ys: Sequence[ReceiveMatrix], inits: Sequence[CoarseEstimate],
+                   cfg: SageConfig) -> List[RefinedEstimate]:
+    """:func:`run_sage` on each (observation, coarse estimate) pair, refined in
+    lockstep; result b equals ``run_sage(ys[b], inits[b], cfg, ...)`` bit for bit."""
+    initials, orders = [], []
+    for init in inits:
+        if not init.paths:
+            raise ConfigurationError(
+                "refinement needs a coarse estimate with at least one path")
+        initials.append([PathEstimate(mu_hat=p.mu_hat, tau_hat=float(p.tau_int),
+                                      alpha_hat=0.0 + 0.0j) for p in init.paths])
+        order = np.argsort([-p.peak_power for p in init.paths], kind="stable")
+        orders.append([int(i) for i in order])
+    return _lockstep(ys, initials, orders, cfg)

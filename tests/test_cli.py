@@ -182,6 +182,20 @@ def test_bad_snr_list_is_config_error(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--snr", "abc"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["crlb", "demo"])
+def test_one_point_subcommand_refuses_an_snr_sweep(tmp_path, capsys, command):
+    # crlb and demo bound or refine one observation; a second point was
+    # silently dropped
+    cfg = write_cfg(tmp_path)
+    assert main([command, "--config", cfg, "--seed", "3", "--snr", "0,10"]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("config error: ") and "one SNR point" in captured.err
+    assert main([command, "--config", cfg, "--seed", "3", "--snr", "0"]) == EXIT_OK
+    assert main([command, "--help"]) == EXIT_OK
+    assert "one SNR point" in " ".join(capsys.readouterr().out.split())
+
+
 def test_unwritable_output_is_runtime_error(tmp_path, capsys):
     from beamest.cli import EXIT_RUNTIME
     cfg = write_cfg(tmp_path, trials=1)

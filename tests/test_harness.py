@@ -174,6 +174,52 @@ def test_sweep_records_equal_per_point_trials(kw):
     assert rows_to_csv_bytes(rows1) == rows_to_csv_bytes(rows)
 
 
+@pytest.mark.parametrize("trials", [7, 9])
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_sweep_chunks_equal_per_point_trials(trials, threads):
+    # a task refines every detected observation of a chunk of trials in
+    # lockstep; where the chunk edges fall must change no bit
+    cfg = small_cfg(trials=trials, snr_sweep_db=(-5.0, 10.0, 30.0),
+                    scenario=ScenarioConfig(n_nlos=2, seed=3))
+    rows, recs = run_sweep(cfg, threads=threads)
+    expected = [run_trial(cfg, s, t) for s in range(3) for t in range(trials)]
+    assert repr(recs) == repr(expected)
+    assert sum(r.r_hat > 0 for r in recs) > trials
+    expected_rows = []
+    for s, snr_db in enumerate(cfg.snr_sweep_db):
+        expected_rows.extend(aggregate_snr(cfg.run_id, snr_db,
+                                           expected[s * trials:(s + 1) * trials]))
+    assert rows_to_csv_bytes(rows) == rows_to_csv_bytes(expected_rows)
+
+
+def test_sweep_chunks_are_bounded(monkeypatch):
+    # a chunk's lockstep batch holds search temporaries for each of its
+    # observations, so a long sweep must not grow its tasks with the trial count
+    for trials in (1, 7, 1000, 10 ** 6):
+        for n_snr in (1, 4, 6, 500):
+            for threads in (1, 2, 8):
+                size = harness._chunk_trials(trials, n_snr, threads)
+                assert 1 <= size <= max(1, trials // (4 * threads))
+                assert size * n_snr <= max(n_snr, harness._CHUNK_OBSERVATIONS)
+    sizes = []
+    chunk_records = harness._chunk_records
+
+    def spy(cfg, trials, snr_indices):
+        sizes.append(len(trials))
+        return chunk_records(cfg, trials, snr_indices)
+
+    monkeypatch.setattr(harness, "_chunk_records", spy)
+    monkeypatch.setattr(harness, "_CHUNK_OBSERVATIONS", 12)
+    run_sweep(small_cfg(trials=50, snr_sweep_db=(-30.0, -25.0, -20.0, -15.0)), threads=1)
+    assert sizes == [3] * 16 + [2]
+
+
+@pytest.mark.parametrize("threads", [0, -3, 1.5])
+def test_sweep_refuses_a_bad_worker_count(threads):
+    with pytest.raises(ConfigurationError, match="threads"):
+        run_sweep(small_cfg(trials=1), threads=threads)
+
+
 def test_sweep_draws_each_trial_once(monkeypatch):
     # one draw, one tap pass (shared by S0 and F0) and one stacked bound per trial
     cfg = small_cfg(trials=3, snr_sweep_db=(0.0, 5.0, 10.0, 20.0))

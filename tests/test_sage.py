@@ -8,7 +8,7 @@ from beamest import (ArrayConfig, CazacConfig, ConfigurationError, PathEstimate,
                      correlate, detect_paths, detection_threshold, draw_realization,
                      expectation_step, maximize_mu, maximize_tau, run_sage,
                      run_sage_from, synthesize, update_alpha)
-from beamest.channel import ChannelRealization, PathParams, spatial_frequency
+from beamest.channel import ChannelRealization, PathParams, ReceiveMatrix, spatial_frequency
 from beamest.coarse import mu_to_theta_deg
 from beamest.harness import config_from_dict
 from beamest.sage import _tau_bounds, mu_objective_value, tau_objective_value
@@ -490,9 +490,93 @@ def test_zoom_finds_peak_far_from_parabolic(c, left):
         return -np.where(d < 0, left, 1.0) * np.abs(d) ** 1.5
 
     tol = 1e-7
-    x = _kernels._zoom_max(f, 0.0, 1.0, 64, tol)
+    x = _kernels._zoom_max(lambda x, rows: f(x), [0.0], [1.0], 64, tol)[0]
     assert abs(x - c) <= tol
     assert len(calls) <= 20
+
+
+def test_lockstep_zoom_makes_one_call_per_round():
+    # problems at different stages (vertex rounds, even rounds, done) share
+    # each round's call, and each ends where it ends alone
+    tol = 1e-7
+    centers = np.array([0.3, 0.123456789, 0.71, 0.55, 0.9])
+    slopes = np.array([1.0, 4.0, 50.0, 1.0, 2.0])
+    powers = np.array([1.5, 1.5, 1.5, 2.0, 2.0])
+
+    def objective(calls, problems):
+        # rows index ``problems``: an int when one problem is left, else (N, 1)
+        def f(x, rows):
+            calls.append(1)
+            b = problems[rows] if isinstance(rows, int) else problems[rows[:, 0]]
+            d = x - centers[b]
+            return -np.where(d < 0, slopes[b], 1.0) * np.abs(d) ** powers[b]
+        return f
+
+    n = centers.size
+    lone_calls, lone = [], []
+    for b in range(n):
+        calls = []
+        lone.append(_kernels._zoom_max(objective(calls, np.array([b])), [0.0], [1.0], 64, tol)[0])
+        lone_calls.append(len(calls))
+    calls = []
+    batch = _kernels._zoom_max(objective(calls, np.arange(n)), [0.0] * n, [1.0] * n, 64, tol)
+    assert batch == lone
+    assert len(set(lone_calls)) > 1
+    assert len(calls) == max(lone_calls) < sum(lone_calls)
+
+
+def _ragged_problems(rng):
+    """Observations with 1, 2 and 3 paths from perturbed starts, plus an
+    all-zero observation, whose delay statistic vanishes at every update."""
+    ys, initials, orders = [], [], []
+    for n_nlos, snr_db in ((0, 5.0), (1, 25.0), (2, 30.0), (2, 10.0), (1, 0.0), (2, 20.0)):
+        real = draw_realization(ScenarioConfig(n_nlos=n_nlos), rng).with_snr_db(snr_db)
+        ys.append(synthesize(real, ARR, CAZ, rng))
+        initials.append([PathEstimate(mu_hat=p.mu + rng.uniform(-0.1, 0.1),
+                                      tau_hat=float(round(p.tau_symbols)), alpha_hat=0j)
+                         for p in real.paths])
+        orders.append(rng.permutation(real.r).tolist())
+    ys.append(ReceiveMatrix(y=np.zeros_like(ys[0].y), arr=ARR, caz=CAZ))
+    initials.append([PathEstimate(mu_hat=1.0, tau_hat=2.0, alpha_hat=0j)])
+    orders.append([0])
+    return ys, initials, orders
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.6])
+def test_lockstep_batch_equals_lone_runs(beta):
+    from beamest.sage import _lockstep
+    cfg = SageConfig(beta=beta, max_iterations=12)
+    ys, initials, orders = _ragged_problems(np.random.default_rng(17))
+    lone = [run_sage_from(y, init, cfg, order) for y, init, order in zip(ys, initials, orders)]
+    batch = _lockstep(ys, initials, orders, cfg)
+    assert repr(batch) == repr(lone)
+    # the batch is ragged in path count and in when each problem leaves it
+    assert {len(r.paths) for r in lone} == {1, 2, 3}
+    assert len({r.iterations for r in lone if r.converged}) >= 2
+    assert any(not r.converged for r in lone[:-1])
+    zero = lone[-1]
+    assert (zero.iterations, zero.converged) == (cfg.max_iterations, False)
+    assert zero.paths == tuple(initials[-1])
+
+
+def test_batch_of_copies_calls_each_objective_as_one_problem(monkeypatch):
+    # one objective call per search round for the whole batch: B copies of
+    # one problem make exactly the calls of one, where a per-problem loop
+    # would make B times as many
+    from beamest.sage import run_sage_batch
+    rng = np.random.default_rng(8)
+    real = draw_realization(ScenarioConfig(n_nlos=2), rng).with_snr_db(15.0)
+    y = synthesize(real, ARR, CAZ, rng)
+    coarse = run_pipeline(y)[0]
+    cfg = SageConfig()
+    tau_calls = counted(monkeypatch, "tau_objective")
+    mu_calls = counted(monkeypatch, "mu_objective")
+    lone = run_sage(y, coarse, cfg, 1.0)
+    n_tau, n_mu = len(tau_calls), len(mu_calls)
+    batch = run_sage_batch([y] * 4, [coarse] * 4, cfg)
+    assert repr(batch) == repr([lone] * 4)
+    assert lone.iterations >= 2 and n_tau > lone.iterations * len(lone.paths)
+    assert (len(tau_calls) - n_tau, len(mu_calls) - n_mu) == (n_tau, n_mu)
 
 
 def test_cached_workspace_is_read_only_and_equals_fresh():
