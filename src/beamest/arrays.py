@@ -98,14 +98,12 @@ def _cached_codebook(cfg: ArrayConfig) -> np.ndarray:
 def beam_gains(cfg: ArrayConfig, mu) -> np.ndarray:
     """Diagonal of A(mu): inner products a(mu)^H w_k for every beam k.
 
-    A 1-D array of S spatial frequencies gives one row each, (S, M), by one
-    vector-matrix product per row, so every row equals its lone call bit for bit.
+    A scalar mu gives (M,) and a 1-D array of S spatial frequencies one row
+    each, (S, M).  Every row is its own vector-matrix product, so it equals
+    its lone call bit for bit.
     """
-    steps = 1j * np.arange(cfg.m)
-    if np.isscalar(mu):
-        return np.exp(steps * mu) @ _cached_codebook(cfg)
-    phases = np.exp(steps * np.asarray(mu, dtype=float)[:, None])
-    return np.matmul(phases[:, None, :], _cached_codebook(cfg))[:, 0]
+    phases = np.exp(1j * np.arange(cfg.m) * np.asarray(mu, dtype=float)[..., None])
+    return np.matmul(phases[..., None, :], _cached_codebook(cfg))[..., 0, :]
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -3,7 +3,8 @@
 A scenario has one line-of-sight path (unit gain, zero delay) plus a number of
 reflected paths whose excess distances set both their delays and, through the
 distance-dependent path loss, their gain magnitudes.  The observation stacks
-one received row per probing beam: Y = sqrt(P_T) * sum_r alpha_r A(mu_r) C(tau_r) + N.
+one received row per probing beam: Y = sqrt(P_T) * sum_r alpha_r A(mu_r) C(tau_r) + N,
+the sum over the stack of path terms that :func:`path_signal` builds.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .arrays import ArrayConfig, beam_gains
 from .errors import ConfigurationError, is_real, require_integers, require_reals
-from .pilots import CazacConfig, _cached_base, _shift_index
+from .pilots import CazacConfig, _cached_base, _stack_shifted
 from . import _kernels
 
 SPEED_OF_LIGHT = 3.0e8  # m/s, propagation constant for distance-to-delay conversion
@@ -47,6 +48,8 @@ class ScenarioConfig:
             raise ConfigurationError(f"bandwidth must be positive, got {self.bandwidth_hz}")
         if self.n_nlos < 0:
             raise ConfigurationError(f"reflected-path count must be >= 0, got {self.n_nlos}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
         if self.noise_var < 0:
             raise ConfigurationError(f"noise variance must be >= 0, got {self.noise_var}")
         for name in ("d_los_range_m", "delta_nlos_range_m", "theta_range_deg"):
@@ -54,12 +57,22 @@ class ScenarioConfig:
             pair = tuple(getattr(self, name))
             object.__setattr__(self, name, pair)
             if len(pair) != 2 or not all(map(is_real, pair)):
-                raise ConfigurationError(f"{name} must be a pair of real numbers, got {pair!r}")
+                raise ConfigurationError(
+                    f"{name} must be a pair of finite real numbers, got {pair!r}")
             lo, hi = pair
             if not lo <= hi:
                 raise ConfigurationError(f"{name} has inverted bounds ({lo}, {hi})")
         if self.d_los_range_m[0] <= 0 or self.d0_m <= 0:
             raise ConfigurationError("distances must be positive")
+        # delays count from the line-of-sight path's tau = 0, and a linear array
+        # cannot tell theta from 180 - theta, so angles beyond +-90 deg alias
+        if self.delta_nlos_range_m[0] < 0:
+            raise ConfigurationError(
+                f"delta_nlos_range_m must not be negative, got {self.delta_nlos_range_m}: "
+                "a reflected path cannot arrive before the line-of-sight path")
+        if self.theta_range_deg[0] < -90.0 or self.theta_range_deg[1] > 90.0:
+            raise ConfigurationError(
+                f"theta_range_deg must lie within [-90, 90], got {self.theta_range_deg}")
 
     @property
     def symbol_period_s(self) -> float:
@@ -151,14 +164,12 @@ def draw_realization(cfg: ScenarioConfig, rng: np.random.Generator,
 
 
 def path_signal(alpha, gains: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One path's term alpha * A(mu) * C(tau), from the beam gains A(mu) and the
-    delayed pilot row v(tau); row k of C(tau) is v shifted by k.  Stacked
-    arguments, S gains (S,), gain rows (S, M) and pilot rows (S, L), give one
-    term per problem, (S, M, L)."""
-    shift = _shift_index(gains.shape[-1], v.shape[-1])
-    if gains.ndim == 1:
-        return alpha * gains[:, None] * v[shift]
-    return np.asarray(alpha)[:, None, None] * gains[:, :, None] * v.take(shift, axis=1)
+    """Path terms alpha * A(mu) * C(tau), from the beam gains A(mu) and the
+    delayed pilot rows v(tau); row k of C(tau) is v shifted by k.  A lone path,
+    gain rows (M,) and pilot row (L,), gives (M, L); a stack of S paths, gains
+    (S,), gain rows (S, M) and pilot rows (S, L), gives (S, M, L)."""
+    c = _stack_shifted(v, gains.shape[-1])
+    return np.asarray(alpha)[..., None, None] * gains[..., None] * c
 
 
 def delayed_pilots(real: ChannelRealization, caz: CazacConfig) -> np.ndarray:
@@ -174,21 +185,17 @@ def unit_power_signal(real: ChannelRealization, arr: ArrayConfig, caz: CazacConf
     """Noiseless M x L observation at unit transmit power, sum_r alpha_r A(mu_r) C(tau_r).
 
     The observation at transmit power P_T is sqrt(P_T) times this matrix, so
-    an SNR sweep over one realization builds it once.  ``rows`` may hold the
-    realization's pilot rows v(tau_r) as its first R rows, as the rows
-    [v | v'] of :func:`delayed_pilots` do; without them they are computed
-    here.
+    an SNR sweep over one realization builds it once.  ``rows`` are the
+    realization's pilot rows [v | v'] from :func:`delayed_pilots`, computed
+    here when not given; the path terms use their first R rows.
     """
     if arr.m > caz.length:
         raise ConfigurationError(
             f"more beams ({arr.m}) than pilot shifts ({caz.length}) is not supported")
     if rows is None:
-        rows = _kernels.pilot_rows(_cached_base(caz), [p.tau_symbols for p in real.paths],
-                                   caz.rolloff, caz.pulse_halfwidth)
-    s = np.zeros((arr.m, caz.length), dtype=complex)
-    for p, v in zip(real.paths, rows):
-        s += path_signal(p.alpha, beam_gains(arr, p.mu), v)
-    return s
+        rows = delayed_pilots(real, caz)
+    return path_signal([p.alpha for p in real.paths], beam_gains(arr, [p.mu for p in real.paths]),
+                       rows[:real.r]).sum(axis=0)
 
 
 def awgn(rng: np.random.Generator, shape: tuple, noise_var: float) -> np.ndarray:

@@ -20,7 +20,7 @@ import numpy as np
 from .arrays import ArrayConfig, beam_gains
 from .channel import ReceiveMatrix
 from .errors import ConfigurationError
-from .pilots import CazacConfig, _cached_base, _stack_shifted, sidelobe_power_ratios
+from .pilots import CazacConfig, _conj_shifts, sidelobe_power_ratios
 
 
 class Detection(NamedTuple):
@@ -85,18 +85,10 @@ class CoarseEstimate:
         return len(self.paths)
 
 
-@lru_cache(maxsize=8)
-def _pilot_conj_t(caz: CazacConfig, m: int) -> np.ndarray:
-    """Read-only C(0)^H, L x M, built once per (pilot configuration, beam count)."""
-    out = _stack_shifted(_cached_base(caz), m).conj()
-    out.setflags(write=False)
-    return out.T
-
-
 def correlate(y: ReceiveMatrix) -> np.ndarray:
     """The M x M power matrix |Z|^2 of the correlation matrix Z = Y C(0)^H
     (a single-snapshot estimate)."""
-    z = y.y @ _pilot_conj_t(y.caz, y.arr.m)
+    z = y.y @ _conj_shifts(y.caz)[:y.arr.m].T
     return np.abs(z) ** 2
 
 

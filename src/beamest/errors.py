@@ -1,5 +1,6 @@
 """Exception types shared across the package, and the numeric-field checks."""
 
+from math import isfinite
 from numbers import Integral, Real
 
 
@@ -20,13 +21,14 @@ def require_integers(cfg, *names: str) -> None:
 
 
 def is_real(value) -> bool:
-    """Whether ``value`` is a real number; a bool is no quantity."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+    """Whether ``value`` is a finite real number; a bool is no quantity, and
+    NaN or an infinity (which JSON configs can spell) is no setting."""
+    return isinstance(value, Real) and not isinstance(value, bool) and isfinite(value)
 
 
 def require_reals(cfg, *names: str) -> None:
-    """Refuse a named field of ``cfg`` that holds no real number."""
+    """Refuse a named field of ``cfg`` that holds no finite real number."""
     for name in names:
         value = getattr(cfg, name)
         if not is_real(value):
-            raise ConfigurationError(f"{name} must be a real number, got {value!r}")
+            raise ConfigurationError(f"{name} must be a finite real number, got {value!r}")

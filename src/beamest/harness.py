@@ -108,6 +108,8 @@ class RunConfig:
                 f"snr_sweep_db must be a list of numbers, got {self.snr_sweep_db!r}") from exc
         if not self.snr_sweep_db:
             raise ConfigurationError("the SNR sweep must not be empty")
+        if not all(map(math.isfinite, self.snr_sweep_db)):
+            raise ConfigurationError(f"snr_sweep_db must be finite, got {self.snr_sweep_db!r}")
         if self.repetitions_per_beam < 1:
             raise ConfigurationError(
                 f"repetitions per beam must be >= 1, got {self.repetitions_per_beam}")

@@ -4,7 +4,8 @@ The base sequence is a length-L polyphase construction (L a perfect square)
 whose cyclic shifts are mutually orthogonal; each probing beam k transmits the
 base sequence cyclically shifted by k.  Non-integer path delays are modelled
 by raised-cosine interpolation of the wrapped sequence, truncated to
-``pulse_halfwidth`` symbols either side.
+``pulse_halfwidth`` symbols either side.  Only this module lays rows out as
+C(tau), row k shifted by k: ``_stack_shifted`` and ``_conj_shifts``.
 """
 
 from __future__ import annotations
@@ -102,8 +103,18 @@ def _shift_index(m: int, ell: int) -> np.ndarray:
 
 
 def _stack_shifted(row0: np.ndarray, m: int) -> np.ndarray:
-    """m x L matrix whose row k is ``row0`` cyclically shifted by k."""
-    return row0[_shift_index(m, row0.shape[0])]
+    """m x L matrix whose row k is ``row0`` cyclically shifted by k; a (..., L)
+    stack of rows gives one matrix per row, (..., m, L)."""
+    return row0.take(_shift_index(m, row0.shape[-1]), axis=-1)
+
+
+@lru_cache(maxsize=8)
+def _conj_shifts(cfg: CazacConfig) -> np.ndarray:
+    """Read-only L x L conjugated base-pilot shifts, row d = conj(c((s - d) mod L));
+    its first M rows are C(0)^H transposed."""
+    out = _stack_shifted(_cached_base(cfg), cfg.length).conj()
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=8)

@@ -24,7 +24,8 @@ and a problem leaves the batch when it converges or reaches
 ``max_iterations``.  The hidden observations go through the update as one
 (B, M, L) stack; the delay statistic z -> w, the beam statistic q and
 M * ifft(q), the pilot rows, the gains and the reconstructions are one array
-expression each for the batch, and each search round is one objective call
+expression each for the batch (the initial reconstructions one call over
+every (problem, path) pair), and each search round is one objective call
 over the points of every problem still searching (``_kernels._zoom_max``).
 Every value is computed per problem with the operations a lone problem uses
 (a matrix-vector product stays one BLAS call per problem), so a problem's
@@ -47,7 +48,7 @@ from .channel import ReceiveMatrix, path_signal
 from .coarse import CoarseEstimate
 from .errors import (ConfigurationError, NumericalDegeneracyError, is_real, require_integers,
                      require_reals)
-from .pilots import CazacConfig, _cached_base, _stack_shifted
+from .pilots import CazacConfig, _cached_base, _conj_shifts
 
 # below this a delay or spatial frequency counts as zero: its change stops absolutely
 _CHANGE_ZERO_EPS = 1e-9
@@ -129,8 +130,8 @@ class _Workspace:
         # the same as flat positions in one observation
         self.flat = rows * ell + self.gather
         # conj pilot shifts for integer-lag correlation: corr[d, s] = conj(c((s - d) % L))
-        self.corr = _stack_shifted(self.cbase, ell).conj()
-        for a in (self.gather, self.flat, self.corr):
+        self.corr = _conj_shifts(caz)
+        for a in (self.gather, self.flat):
             a.setflags(write=False)
 
     def gathered(self, x: np.ndarray) -> np.ndarray:
@@ -142,19 +143,18 @@ class _Workspace:
         """
         return x.reshape(x.shape[:-2] + (-1,)).take(self.flat, axis=-1)
 
-    def pilot(self, tau: float) -> np.ndarray:
-        """The base pilot row delayed by ``tau`` symbols."""
-        return self.pilots([tau])[0]
-
     def pilots(self, taus: Sequence[float]) -> np.ndarray:
         return _kernels.pilot_rows(self.cbase, taus, self.caz.rolloff, self.caz.pulse_halfwidth)
 
-    def reconstruct(self, est: PathEstimate) -> np.ndarray:
-        return path_signal(est.alpha_hat, beam_gains(self.arr, est.mu_hat),
-                           self.pilot(est.tau_hat))
-
-    def reconstructions(self, estimates: Sequence[PathEstimate], y: np.ndarray) -> List[np.ndarray]:
-        return [self.reconstruct(e) if e.alpha_hat != 0 else np.zeros_like(y) for e in estimates]
+    def reconstructions(self, estimates: Sequence[PathEstimate]) -> np.ndarray:
+        """The (n, M, L) path terms of ``estimates``; a zero gain gives exact zeros."""
+        out = np.zeros((len(estimates), self.arr.m, self.ell), dtype=complex)
+        live = [e.alpha_hat != 0 for e in estimates]
+        if any(live):
+            alpha, mu, tau = zip(*((e.alpha_hat, e.mu_hat, e.tau_hat)
+                                   for e, keep in zip(estimates, live) if keep))
+            out[live] = path_signal(alpha, beam_gains(self.arr, mu), self.pilots(tau))
+        return out
 
     def delay_statistics(self, xg: np.ndarray,
                          mus: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
@@ -239,7 +239,7 @@ def expectation_step(y: ReceiveMatrix, estimates: Sequence[PathEstimate], r: int
     reconstruction.
     """
     ws = _workspace(y.arr, y.caz)
-    return _hidden_observation(y.y, ws.reconstructions(estimates, y.y), r, cfg.beta)
+    return _hidden_observation(y.y, ws.reconstructions(estimates), r, cfg.beta)
 
 
 def maximize_tau(x_hat: np.ndarray, mu_fixed: float, cfg: SageConfig, search_center: float,
@@ -296,7 +296,7 @@ def update_alpha(x_hat: np.ndarray, mu_fixed: float, tau_fixed: float,
     return ws.gain_quotients(q, v, beam_gains(arr, [mu_fixed]))[0]
 
 
-def _update_paths(ws: _Workspace, ys: Sequence[np.ndarray], recon: List[List[np.ndarray]],
+def _update_paths(ws: _Workspace, ys: Sequence[np.ndarray], recon: List[np.ndarray],
                   est: List[List[PathEstimate]], idx: List[int], slots: List[int],
                   cfg: SageConfig) -> None:
     """Update path ``slots[i]`` of problem ``idx[i]`` for every i, in place.
@@ -347,7 +347,8 @@ def _lockstep(ys: Sequence[ReceiveMatrix], initials: Sequence[Sequence[PathEstim
         raise ConfigurationError("a refinement batch needs one array and pilot configuration")
     ws = _workspace(arr, caz)
     est = [list(init) for init in initials]
-    recon = [ws.reconstructions(e, obs.y) for e, obs in zip(est, ys)]
+    recon = np.split(ws.reconstructions([e for init in est for e in init]),
+                     np.cumsum([len(init) for init in est[:-1]]))
     obs_y = [obs.y for obs in ys]
     results: List[Optional[RefinedEstimate]] = [None] * len(ys)
     active = list(range(len(ys)))

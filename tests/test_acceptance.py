@@ -309,7 +309,7 @@ def test_criterion_9_maximizers_match_brute_force():
         tau_hat = maximize_tau(x, p.mu, cfg, center, arr=ARR, caz=CAZ)
         worst = max(worst, abs(tau_hat - brute_tau))
 
-        v = ws.pilot(p.tau_symbols)
+        v = ws.pilots([p.tau_symbols])[0]
         q = (xg * v.conj()[None, :]).sum(axis=1)
         qt = 16 * np.fft.ifft(q)
         c0 = p.mu + 0.02

@@ -83,6 +83,18 @@ def test_beam_gains_total_power_is_m():
         assert abs(np.sum(np.abs(beam_gains(cfg, mu)) ** 2) - 16.0) < 1e-9
 
 
+@pytest.mark.parametrize("scalar", [float, np.float64])
+def test_beam_gains_stack_rows_equal_lone_calls_bit_for_bit(scalar):
+    # one expression serves a scalar mu, (M,), and a 1-D array, (S, M)
+    cfg = ArrayConfig(m=16)
+    mus = np.random.default_rng(3).uniform(0.0, 2 * np.pi, 40)
+    stacked = beam_gains(cfg, mus)
+    lone = np.stack([beam_gains(cfg, scalar(mu)) for mu in mus])
+    assert stacked.shape == (40, 16) and lone.shape == (40, 16)
+    assert stacked.tobytes() == lone.tobytes()
+    assert beam_gains(cfg, list(mus)).tobytes() == stacked.tobytes()
+
+
 def test_hybrid_coupler_pinned_entries():
     h = hybrid_coupler().entries
     expected = (-1 / np.sqrt(2)) * np.array([[1j, 1.0], [1.0, 1j]])

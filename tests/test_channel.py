@@ -5,7 +5,7 @@ from beamest import (ArrayConfig, CazacConfig, ConfigurationError, ScenarioConfi
                      cazac_base, draw_realization, synthesize)
 from beamest import _kernels
 from beamest.arrays import beam_gains
-from beamest.channel import path_loss_db, spatial_frequency, unit_power_signal
+from beamest.channel import path_loss_db, path_signal, spatial_frequency, unit_power_signal
 
 
 ARR = ArrayConfig(m=16)
@@ -35,6 +35,9 @@ def test_config_validation():
         ScenarioConfig(d_los_range_m=(60.0, 30.0))
     with pytest.raises(ConfigurationError):
         ScenarioConfig(bandwidth_hz=0.0)
+    # the representable ranges are closed: a reflected path level with the
+    # line-of-sight path, and endfire departure angles
+    ScenarioConfig(delta_nlos_range_m=(0.0, 24.0), theta_range_deg=(-90.0, 90.0))
 
 
 def test_los_only_realization():
@@ -139,6 +142,19 @@ def test_unit_power_signal_is_the_per_path_sum(arr, caz):
             c = np.stack([np.roll(v, k) for k in range(arr.m)])
             ref += p.alpha * beam_gains(arr, p.mu)[:, None] * c
         assert np.array_equal(unit_power_signal(real, arr, caz), ref)
+
+
+def test_path_signal_stack_rows_equal_lone_calls_bit_for_bit():
+    # one expression serves a lone path, (M, L), and a stack of S paths, (S, M, L)
+    rng = rng_for(9)
+    alphas = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    gains = beam_gains(ARR, rng.uniform(0.0, 2 * np.pi, 12))
+    rows = _kernels.pilot_rows(cazac_base(CAZ), rng.uniform(0.0, 16.0, 12), CAZ.rolloff,
+                               CAZ.pulse_halfwidth)
+    stacked = path_signal(alphas, gains, rows)
+    lone = np.stack([path_signal(complex(a), g, v) for a, g, v in zip(alphas, gains, rows)])
+    assert stacked.shape == lone.shape == (12, ARR.m, CAZ.length)
+    assert stacked.tobytes() == lone.tobytes()
 
 
 def test_reproducibility_bit_exact():

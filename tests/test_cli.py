@@ -66,6 +66,23 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     ({"sage": {"mu_window": True}}, "sage.mu_window"),
     ({"sage": {"refine_tol": True}}, "sage.refine_tol"),
     ({"array": {"spacing_over_lambda": True}}, "array.spacing_over_lambda"),
+    # JSON spells NaN and Infinity, and a non-finite setting ran on silently
+    ({"scenario": {"noise_var": float("nan")}}, "scenario.noise_var"),
+    ({"sage": {"refine_tol": float("inf")}}, "sage.refine_tol"),
+    ({"sage": {"mu_window": float("inf")}}, "sage.mu_window"),
+    ({"coarse": {"v": float("inf")}}, "coarse.v"),
+    ({"scenario": {"d_los_range_m": [30.0, float("inf")]}}, "scenario.d_los_range_m"),
+    ({"snr_sweep_db": [0.0, float("nan")]}, "snr_sweep_db"),
+    ({"snr_sweep_db": [float("-inf")]}, "snr_sweep_db"),
+    ({"seed": -1}, "scenario.seed"),
+    ({"scenario": {"seed": -1}}, "scenario.seed"),
+    # ranges the model cannot represent: a reflected path ahead of the
+    # line-of-sight path, and departure angles that alias
+    ({"scenario": {"delta_nlos_range_m": [-12.0, -6.0]}}, "scenario.delta_nlos_range_m"),
+    ({"scenario": {"delta_nlos_range_m": [-1.0, 24.0]}}, "scenario.delta_nlos_range_m"),
+    ({"scenario": {"theta_range_deg": [100.0, 150.0]}}, "scenario.theta_range_deg"),
+    ({"scenario": {"theta_range_deg": [-95.0, 60.0]}}, "scenario.theta_range_deg"),
+    ({"scenario": {"theta_range_deg": [0.0, 90.5]}}, "scenario.theta_range_deg"),
 ])
 def test_wrongly_typed_value_is_config_error(tmp_path, capsys, data, key):
     with pytest.raises(ConfigurationError, match=re.escape(key)):
@@ -180,6 +197,19 @@ def test_crlb_truths_are_the_trial_truth(tmp_path, capsys, seed):
 def test_bad_snr_list_is_config_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["run", "--config", cfg, "--snr", "abc"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["crlb", "--snr", "nan"], "snr_sweep_db"),
+    (["run", "--snr", "0,inf"], "snr_sweep_db"),
+    (["run", "--seed", "-1"], "seed"),
+])
+def test_non_finite_snr_or_negative_seed_flag_is_config_error(tmp_path, capsys, argv, key):
+    cfg = write_cfg(tmp_path, output_path=str(tmp_path / "r.csv"))
+    assert main([*argv, "--config", cfg]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and key in captured.err
+    assert not list(tmp_path.glob("r.csv*"))
 
 
 @pytest.mark.parametrize("command", ["crlb", "demo"])

@@ -3,8 +3,9 @@ import pytest
 
 from beamest import (ArrayConfig, CazacConfig, ConfigurationError, ScenarioConfig,
                      build_lut, coarse_estimate, correlate, detect_paths,
-                     detection_threshold, draw_realization, mu_to_theta_deg, synthesize)
-from beamest.channel import ChannelRealization, PathParams
+                     detection_threshold, draw_realization, mu_to_theta_deg, pilot_matrix,
+                     synthesize)
+from beamest.channel import ChannelRealization, PathParams, ReceiveMatrix
 from beamest.coarse import Detection, lut_interpolate, wrap_diagonal
 
 ARR = ArrayConfig(m=16)
@@ -38,6 +39,18 @@ def test_correlate_zero_input():
     y = noiseless_observation(0.0, 0.0)
     pm = correlate(type(y)(y=np.zeros_like(y.y), arr=ARR, caz=CAZ))
     assert np.all(pm == 0.0)
+
+
+@pytest.mark.parametrize("m", [4, 16])
+def test_correlate_equals_the_pilot_matrix_product_bit_for_bit(m):
+    # Z = Y C(0)^H, C(0) read off the cached L x L conjugate-shift matrix
+    arr = ArrayConfig(m=m)
+    rng = np.random.default_rng(m)
+    for _ in range(5):
+        y = rng.standard_normal((m, 16)) + 1j * rng.standard_normal((m, 16))
+        z = y @ pilot_matrix(CAZ, m, 0.0).conj().T
+        pm = correlate(ReceiveMatrix(y=y, arr=arr, caz=CAZ))
+        assert pm.tobytes() == (np.abs(z) ** 2).tobytes()
 
 
 def test_correlate_noise_floor():

@@ -182,3 +182,25 @@ def test_cached_base_is_read_only_copy():
     fresh = cazac_base(CFG)         # the public base sequence stays writable
     fresh[0] = 0.0
     assert cached[0] != 0.0
+
+
+@pytest.mark.parametrize("m", [1, 4, 16])
+def test_stack_shifted_stack_equals_lone_rows_bit_for_bit(m):
+    # a (S, L) stack of rows gives one (m, L) shift matrix per row
+    from beamest.pilots import _stack_shifted
+    rows = _kernels.pilot_rows(cazac_base(CFG), np.linspace(0.0, 15.5, 9), CFG.rolloff,
+                               CFG.pulse_halfwidth)
+    stacked = _stack_shifted(rows, m)
+    lone = np.stack([_stack_shifted(v, m) for v in rows])
+    assert stacked.shape == lone.shape == (9, m, CFG.length)
+    assert stacked.tobytes() == lone.tobytes()
+    np.testing.assert_array_equal(lone[3], np.stack([np.roll(rows[3], k) for k in range(m)]))
+
+
+def test_conj_shifts_rows_are_the_conjugated_pilot_matrix():
+    from beamest.pilots import _conj_shifts
+    full = _conj_shifts(CFG)
+    assert _conj_shifts(CazacConfig()) is full and full.shape == (CFG.length, CFG.length)
+    assert full[:5].tobytes() == pilot_matrix(CFG, 5, 0.0).conj().tobytes()
+    with pytest.raises(ValueError):
+        full[0, 0] = 0.0

@@ -249,7 +249,7 @@ def test_monotone_likelihood_over_iterations():
         total = np.zeros_like(y.y)
         for e in current:
             if e.alpha_hat != 0:
-                total += ws.reconstruct(e)
+                total += ws.reconstructions([e])[0]
         return float(np.linalg.norm(y.y - total) ** 2)
 
     rng = np.random.default_rng(7)
@@ -308,7 +308,7 @@ def brute_force_maximizers(x, mu_t, tau_t, center, n_points=100000):
     vals = _kernels.tau_objective(w, taus, CAZ.rolloff, CAZ.pulse_halfwidth, 16)
     tau_best = float(taus[int(np.argmax(vals))])
 
-    v = ws.pilot(tau_t)
+    v = ws.pilots([tau_t])[0]
     q = (xg * v.conj()[None, :]).sum(axis=1)
     qt = 16 * np.fft.ifft(q)
     half = 2 * np.pi / 16
@@ -469,7 +469,7 @@ def test_searches_need_few_objective_calls(monkeypatch, seed):
     lo, hi = _tau_bounds(center, cfg, 16)
     tau_ref = dense_argmax(
         lambda t: _kernels.tau_objective(w, t, CAZ.rolloff, CAZ.pulse_halfwidth, 16), lo, hi)
-    qt = 16 * np.fft.ifft((xg * ws.pilot(tau_hat).conj()[None, :]).sum(axis=1))
+    qt = 16 * np.fft.ifft((xg * ws.pilots([tau_hat])[0].conj()[None, :]).sum(axis=1))
     half = 2 * np.pi / 16
     mu_ref = dense_argmax(lambda m: _kernels.mu_objective(qt, m),
                           mu_t + 0.03 - half, mu_t + 0.03 + half)
