@@ -53,7 +53,7 @@ class ScenarioConfig:
         if self.noise_var < 0:
             raise ConfigurationError(f"noise variance must be >= 0, got {self.noise_var}")
         for name in ("d_los_range_m", "delta_nlos_range_m", "theta_range_deg"):
-            # a tuple keeps the config hashable, as the harness's per-trial cache needs
+            # a tuple keeps the config hashable, and equal to one given tuples
             pair = tuple(getattr(self, name))
             object.__setattr__(self, name, pair)
             if len(pair) != 2 or not all(map(is_real, pair)):
@@ -115,7 +115,8 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class ReceiveMatrix:
-    """Stacked M x L observation plus the probing configuration that made it."""
+    """Stacked M x L observation, or a (B, M, L) stack of them, plus the
+    probing configuration that made it."""
 
     y: np.ndarray = field(repr=False)
     arr: ArrayConfig
@@ -172,30 +173,52 @@ def path_signal(alpha, gains: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.asarray(alpha)[..., None, None] * gains[..., None] * c
 
 
-def delayed_pilots(real: ChannelRealization, caz: CazacConfig) -> np.ndarray:
+def _as_stack(real) -> tuple:
+    """A lone realization as a stack of one, and whether it was lone."""
+    lone = isinstance(real, ChannelRealization)
+    return ([real] if lone else list(real)), lone
+
+
+def delayed_pilots(real, caz: CazacConfig) -> np.ndarray:
     """The (2R, L) pilot rows [v | v'] at the realization's delays: every path's
-    v(tau_r), then every path's dv/dtau_r, from one tap evaluation."""
-    return np.concatenate(_kernels.pilot_rows_and_derivs(
-        _cached_base(caz), [p.tau_symbols for p in real.paths], caz.rolloff,
-        caz.pulse_halfwidth))
+    v(tau_r), then every path's dv/dtau_r, from one tap evaluation.  A sequence
+    of T realizations of R paths each gives the (T, 2R, L) stack from one
+    evaluation over all T*R delays, each block equal to its lone call bit for bit."""
+    reals, lone = _as_stack(real)
+    v, dv = _kernels.pilot_rows_and_derivs(
+        _cached_base(caz), [p.tau_symbols for r in reals for p in r.paths], caz.rolloff,
+        caz.pulse_halfwidth)
+    shape = (len(reals), -1, caz.length)
+    rows = np.concatenate([v.reshape(shape), dv.reshape(shape)], axis=1)
+    return rows[0] if lone else rows
 
 
-def unit_power_signal(real: ChannelRealization, arr: ArrayConfig, caz: CazacConfig,
+def unit_power_signal(real, arr: ArrayConfig, caz: CazacConfig,
                       rows: np.ndarray | None = None) -> np.ndarray:
     """Noiseless M x L observation at unit transmit power, sum_r alpha_r A(mu_r) C(tau_r).
 
     The observation at transmit power P_T is sqrt(P_T) times this matrix, so
-    an SNR sweep over one realization builds it once.  ``rows`` are the
-    realization's pilot rows [v | v'] from :func:`delayed_pilots`, computed
-    here when not given; the path terms use their first R rows.
+    an SNR sweep over one realization builds it once.  A sequence of T
+    realizations of R paths each gives the (T, M, L) stack from one stacked
+    :func:`path_signal` call, each matrix equal to its lone call bit for bit.
+    ``rows`` are the pilot rows [v | v'] from :func:`delayed_pilots`, of which
+    the path terms use the first R per realization; without them only the
+    rows v are built, from one ``pilot_rows`` call.
     """
     if arr.m > caz.length:
         raise ConfigurationError(
             f"more beams ({arr.m}) than pilot shifts ({caz.length}) is not supported")
+    reals, lone = _as_stack(real)
+    paths = [p for r in reals for p in r.paths]
+    n = reals[0].r
     if rows is None:
-        rows = delayed_pilots(real, caz)
-    return path_signal([p.alpha for p in real.paths], beam_gains(arr, [p.mu for p in real.paths]),
-                       rows[:real.r]).sum(axis=0)
+        v = _kernels.pilot_rows(_cached_base(caz), [p.tau_symbols for p in paths],
+                                caz.rolloff, caz.pulse_halfwidth)
+    else:
+        v = rows[..., :n, :].reshape(-1, caz.length)
+    terms = path_signal([p.alpha for p in paths], beam_gains(arr, [p.mu for p in paths]), v)
+    s0 = terms.reshape(len(reals), n, arr.m, caz.length).sum(axis=1)
+    return s0[0] if lone else s0
 
 
 def awgn(rng: np.random.Generator, shape: tuple, noise_var: float) -> np.ndarray:

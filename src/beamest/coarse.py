@@ -87,7 +87,9 @@ class CoarseEstimate:
 
 def correlate(y: ReceiveMatrix) -> np.ndarray:
     """The M x M power matrix |Z|^2 of the correlation matrix Z = Y C(0)^H
-    (a single-snapshot estimate)."""
+    (a single-snapshot estimate).  A (B, M, L) stack of observations in ``y``
+    gives the (B, M, M) stack from one ``matmul``, each matrix equal to its
+    lone call bit for bit."""
     z = y.y @ _conj_shifts(y.caz)[:y.arr.m].T
     return np.abs(z) ** 2
 
@@ -120,21 +122,30 @@ def _diagonal_index(m: int) -> np.ndarray:
     return out
 
 
-def detect_paths(p: np.ndarray, g: float) -> List[Detection]:
+def detect_paths(p: np.ndarray, g: float):
     """Scan all M wrap-around diagonals and report maxima above the threshold.
 
     Diagonal 1 is the main diagonal (zero delay); diagonal i maps to the
     integer delay i - 1.  All diagonals are gathered into one M x M matrix
     (row i - 1 is :func:`wrap_diagonal` i) and scanned along rows at once;
-    ``argmax`` keeps the first maximum on ties.
+    ``argmax`` keeps the first maximum on ties.  A (B, M, M) stack of power
+    matrices is scanned in the same pass and gives one list per matrix, each
+    equal to its lone call.
     """
     if g <= 0:
         raise ConfigurationError(f"detection threshold must be positive, got {g}")
-    diags = p.ravel()[_diagonal_index(p.shape[0])]
-    ks = diags.argmax(axis=1).tolist()
-    peaks = diags.max(axis=1).tolist()
-    return [Detection(diag_index=i + 1, row_index=k + 1, peak_power=peak)
-            for i, (k, peak) in enumerate(zip(ks, peaks)) if peak >= g]
+    m = p.shape[-1]
+    diags = p.reshape(-1, m * m).take(_diagonal_index(m), axis=-1)
+    peaks = diags.max(axis=-1)
+    hit = peaks >= g
+    found: List[List[Detection]] = [[] for _ in range(len(diags))]
+    if hit.any():
+        hit_b, hit_i = hit.nonzero()
+        ks = diags[hit_b, hit_i].argmax(axis=-1)
+        for b, i, k, peak in zip(hit_b.tolist(), hit_i.tolist(), ks.tolist(),
+                                 peaks[hit_b, hit_i].tolist()):
+            found[b].append(Detection(diag_index=i + 1, row_index=k + 1, peak_power=peak))
+    return found[0] if p.ndim == 2 else found
 
 
 def build_lut(arr: ArrayConfig, k_points: int) -> Lut:

@@ -1,21 +1,25 @@
 """Seeded Monte-Carlo orchestration, scoring against ground truth and CSV output.
 
-A sweep task is a chunk of consecutive trials at every SNR point.  Per
-trial, once: draw the realization, evaluate its pilot rows and their delay
-derivatives in one tap pass, and build from those rows its noiseless signal
-at unit transmit power and its information matrix at unit power and unit
-noise.  Per SNR point of that trial: scale the signal to the point's
-transmit power and add fresh noise.  The information matrix is scaled to
-every point's power and noise at once, and the stack is gated and inverted
-in one call.  Per point again: run the coarse stage.  Then every detected
-observation of the chunk is refined in lockstep (``sage.run_sage_batch``),
-each exactly as it would be alone, and each point's estimates are matched to
-its true paths and its squared errors and bound variances recorded.
-``run_trial`` is the chunk of one trial at one point, and calls the stages
-(``synthesize_trial`` ... ``run_sage``, ``match_paths``) by their names in
-this module.  Each SNR point's records then aggregate to one CSV row per
-(parameter, path class).  Trials use counter-derived substreams, so results
-are bit-identical regardless of worker count, chunking or execution order.
+A sweep task is a chunk of consecutive trials at every SNR point, and its
+front half runs once per chunk, not once per trial or per observation.
+Each trial draws its realization from its own substream; one tap pass
+evaluates the pilot rows and their delay derivatives at every delay of the
+chunk, and from those rows one stacked call builds every trial's noiseless
+signal at unit transmit power.  Per (trial, SNR point): scale the signal to
+the point's transmit power and add noise from the pair's own substream.
+Per trial, the information matrix at unit power and unit noise comes from
+the same rows; scaled to every point's power and noise, the chunk's stack
+is gated and inverted in one call.  The chunk's observation stack is
+correlated in one call and its diagonals scanned in one pass; only the
+observations with a detection get a coarse estimate, and all of them are
+refined in lockstep (``sage.run_sage_batch``), each exactly as it would be
+alone.  Each point's estimates are then matched to its true paths and its
+squared errors and bound variances recorded.  ``run_trial`` is the chunk
+of one trial at one point, and calls the stages (``synthesize_trial`` ...
+``run_sage``, ``match_paths``) by their names in this module.  Each SNR
+point's records then aggregate to one CSV row per (parameter, path class).
+Trials use counter-derived substreams, so results are bit-identical
+regardless of worker count, chunking or execution order.
 """
 
 from __future__ import annotations
@@ -113,6 +117,11 @@ class RunConfig:
         if self.repetitions_per_beam < 1:
             raise ConfigurationError(
                 f"repetitions per beam must be >= 1, got {self.repetitions_per_beam}")
+        # mu_to_theta_deg and the bound's angle slope invert mu = pi sin(theta)
+        if self.array.spacing_over_lambda != 0.5:
+            raise ConfigurationError(
+                f"array.spacing_over_lambda must be 0.5, got {self.array.spacing_over_lambda}: "
+                "angles are read back from spatial frequencies at half-wavelength spacing")
         if self.array.m > self.cazac.length:
             raise ConfigurationError(
                 f"array size {self.array.m} exceeds the pilot length {self.cazac.length}: "
@@ -282,43 +291,64 @@ def _shared_lut(arr: ArrayConfig, k_points: int):
     return build_lut(arr, k_points)
 
 
-@lru_cache(maxsize=1)
-def _trial_signal(scen: ScenarioConfig, arr: ArrayConfig, caz: CazacConfig,
-                  trial: int) -> Tuple[ChannelRealization, np.ndarray, np.ndarray]:
-    # the realization, its pilot rows [v | v'] and its unit-power noiseless
-    # signal depend on the trial only, so a trial's consecutive SNR points
-    # share one cached draw, and S0 and F0 share one tap evaluation
-    geom_rng = np.random.default_rng(np.random.SeedSequence(entropy=(scen.seed, trial, 0)))
-    real = draw_realization(scen, geom_rng, arr.spacing_over_lambda)
-    rows = delayed_pilots(real, caz)
-    s0 = unit_power_signal(real, arr, caz, rows)
-    for a in (rows, s0):
-        a.setflags(write=False)
-    return real, s0, rows
+@dataclass
+class _Synthesis:
+    """The synthesized observations of a chunk of T trials at P SNR points."""
+
+    reals: List[ChannelRealization]   # per trial, at unit transmit power
+    points: List[ChannelRealization]  # per observation, trial-major, at its power
+    rows: np.ndarray                  # (T, 2R, L) pilot rows [v | v'] per trial
+    pts: np.ndarray                   # (P,) transmit power per SNR point
+    noise_eff: float                  # noise variance after averaging repetitions
+    y: np.ndarray                     # (T, P, M, L) observations
 
 
-def synthesize_trial(cfg: RunConfig, snr_idx: int, trial: int):
-    """Deterministic observation for one (SNR point, trial) pair.
+def synthesize_trial(cfg: RunConfig, snr_idx, trial):
+    """Deterministic observation for one (SNR point, trial) pair: the
+    realization at the point's transmit power, the observation and the
+    effective noise variance.
 
-    The realization substream depends only on (seed, trial), so geometry is
-    shared across SNR points, and so is the unit-power noiseless signal S0:
-    the observation is sqrt(P_T) * S0 plus noise from a substream that also
-    keys on the SNR index.  Pilot repetitions are averaged before anything
-    downstream sees them, leaving an effective noise variance of
-    noise_var / repetitions.
+    Sequences of SNR indices and trials synthesize every trial at every one
+    of those points, as one :class:`_Synthesis`; one pair is the chunk of
+    one.  The realization substream depends only on (seed, trial), so
+    geometry is shared across SNR points, and so is the unit-power noiseless
+    signal S0: the observation is sqrt(P_T) * S0 plus noise from a substream
+    that also keys on the SNR index.  All of the chunk's delays go through
+    one tap pass (:func:`delayed_pilots`), and every trial's S0 is one
+    stacked :func:`unit_power_signal` call.  Pilot repetitions are averaged
+    before anything downstream sees them, leaving an effective noise
+    variance of noise_var / repetitions.
     """
-    real, s0, _ = _trial_signal(cfg.scenario, cfg.array, cfg.cazac, trial)
-    real = real.with_snr_db(float(cfg.snr_sweep_db[snr_idx]))
+    if not isinstance(trial, Integral):
+        return _synthesize(cfg, snr_idx, trial)
+    chunk = _synthesize(cfg, (snr_idx,), (trial,))
+    y = ReceiveMatrix(y=chunk.y[0, 0], arr=cfg.array, caz=cfg.cazac)
+    return chunk.points[0], y, chunk.noise_eff
+
+
+def _synthesize(cfg: RunConfig, snr_indices: Sequence[int],
+                trials: Sequence[int]) -> _Synthesis:
+    scen, arr, caz = cfg.scenario, cfg.array, cfg.cazac
+    reals = [draw_realization(
+        scen, np.random.default_rng(np.random.SeedSequence(entropy=(scen.seed, trial, 0))),
+        arr.spacing_over_lambda) for trial in trials]
+    rows = delayed_pilots(reals, caz)
+    s0 = unit_power_signal(reals, arr, caz, rows)
+    points = [real.with_snr_db(float(cfg.snr_sweep_db[s])) for real in reals for s in snr_indices]
+    # every realization carries the scenario's noise, so a point's power is shared
+    pts = np.array([real.pt for real in points[:len(snr_indices)]])
+    y = np.sqrt(pts)[:, None, None] * s0[:, None]
     reps = cfg.repetitions_per_beam
-    y = np.sqrt(real.pt) * s0
-    if real.noise_var > 0:
-        noise_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=(cfg.scenario.seed, trial, 1 + snr_idx)))
-        noise = awgn(noise_rng, y.shape, real.noise_var)
-        for _ in range(reps - 1):
-            noise += awgn(noise_rng, y.shape, real.noise_var)
-        y = y + noise / reps
-    return real, ReceiveMatrix(y=y, arr=cfg.array, caz=cfg.cazac), real.noise_var / reps
+    if scen.noise_var > 0:
+        for trial, y_trial in zip(trials, y):
+            for snr_idx, y_point in zip(snr_indices, y_trial):
+                noise_rng = np.random.default_rng(
+                    np.random.SeedSequence(entropy=(scen.seed, trial, 1 + snr_idx)))
+                noise = awgn(noise_rng, y_point.shape, scen.noise_var)
+                for _ in range(reps - 1):
+                    noise += awgn(noise_rng, y_point.shape, scen.noise_var)
+                y_point += noise / reps
+    return _Synthesis(reals, points, rows, pts, scen.noise_var / reps, y)
 
 
 def run_trial(cfg: RunConfig, snr_idx: int, trial: int) -> TrialRecord:
@@ -333,41 +363,56 @@ class _Observation:
     snr_idx: int
     trial: int
     real: ChannelRealization
-    y: ReceiveMatrix
-    guard_noise: float                # the noise the detector assumes
-    crlb_vars: List[dict]             # per truth path, empty without a bound
-    coarse: Optional[CoarseEstimate]  # None without a detection
+    crlb_vars: List[dict]                     # per truth path, empty without a bound
+    y: Optional[ReceiveMatrix] = None         # with a detection, for the refinement
+    coarse: Optional[CoarseEstimate] = None   # None without a detection
 
 
 def _chunk_records(cfg: RunConfig, trials: Sequence[int],
                    snr_indices: Sequence[int]) -> List[List[TrialRecord]]:
     """Score each of ``trials`` at each of the given SNR points, per trial a list.
 
-    Per trial, the realization, the noiseless signal and the pilot rows come
-    from one draw, and the information matrix at unit power and unit noise,
-    F0, from those rows.  F0 is scaled to every point's transmit power and
-    effective noise, and the (P, 4R, 4R) stack is gated and inverted in one
-    ``crlb_bounds`` call.  Every observation then gets its coarse estimate,
-    and all detected observations of the chunk are refined in lockstep by
-    one ``run_sage_batch`` call, or by ``run_sage`` when there is one;
-    ``run_trial`` is the chunk of one trial at one point.
+    The chunk is synthesized in one pass (:func:`synthesize_trial`).  Per
+    trial, the information matrix at unit power and unit noise, F0, comes
+    from the pilot rows of that pass; every F0 is scaled to every point's
+    transmit power and effective noise, and the (T x P, 4R, 4R) stack is
+    gated and inverted in one ``crlb_bounds`` call.  The (T x P, M, L)
+    observation stack is correlated in one call and its diagonals scanned in
+    one pass; only the observations with a detection get a coarse estimate,
+    and all of them are refined in lockstep by one ``run_sage_batch`` call,
+    or by ``run_sage`` when there is one.  ``run_trial`` is the chunk of one
+    trial at one point.
     """
+    arr, caz = cfg.array, cfg.cazac
+    chunk = synthesize_trial(cfg, snr_indices, trials)
+    variances = _chunk_variances(cfg, chunk)
+    ys = chunk.y.reshape(-1, arr.m, caz.length)
+    power = correlate(ReceiveMatrix(y=ys, arr=arr, caz=caz))
+    # a noiseless synthesis is detected and refined as if at unit noise
+    guard_noise = chunk.noise_eff if chunk.noise_eff > 0 else 1.0
+    g = detection_threshold(guard_noise, arr.m, cfg.coarse.p_fa)
+    # a lone observation is scanned in its 2-D form, so that stage returns its
+    # own list of detections
+    found = detect_paths(power, g) if len(ys) > 1 else [detect_paths(power[0], g)]
+
     records: List[Optional[TrialRecord]] = []
     detected: List[Tuple[int, _Observation]] = []   # (record slot, observation)
-    for trial in trials:
-        points = [synthesize_trial(cfg, snr_idx, trial) for snr_idx in snr_indices]
-        bounds = _trial_bounds(cfg, trial, points)
-        for snr_idx, point, bound in zip(snr_indices, points, bounds):
-            obs = _front_end(cfg, snr_idx, trial, *point, bound)
-            if obs.coarse is None:
-                records.append(_score(cfg, obs, None))
-            else:
-                detected.append((len(records), obs))
-                records.append(None)
+    for b, detections in enumerate(found):
+        t, s = divmod(b, len(snr_indices))
+        real = chunk.points[b]
+        obs = _Observation(snr_indices[s], trials[t], real, _bound_vars(real, variances[b]))
+        if not detections:
+            records.append(_score(cfg, obs, None))
+            continue
+        obs.y = ReceiveMatrix(y=ys[b], arr=arr, caz=caz)
+        obs.coarse = coarse_estimate(power[b], detections, _shared_lut(arr, cfg.coarse.k_points),
+                                     arr, caz, guard_noise, v=cfg.coarse.v, p_fa=cfg.coarse.p_fa)
+        detected.append((len(records), obs))
+        records.append(None)
     refined = []
     if len(detected) == 1:
         obs = detected[0][1]
-        refined = [run_sage(obs.y, obs.coarse, cfg.sage, obs.guard_noise)]
+        refined = [run_sage(obs.y, obs.coarse, cfg.sage, guard_noise)]
     elif detected:
         refined = run_sage_batch([obs.y for _, obs in detected],
                                  [obs.coarse for _, obs in detected], cfg.sage)
@@ -377,48 +422,35 @@ def _chunk_records(cfg: RunConfig, trials: Sequence[int],
     return [records[i:i + n] for i in range(0, len(records), n)]
 
 
-def _trial_bounds(cfg: RunConfig, trial: int, points: Sequence[tuple]) -> list:
-    """Square-root bounds at the truth per point, None where the information
-    matrix was not invertible or the synthesis is noiseless."""
-    # every point has the scenario's noise; a noiseless synthesis has no bound
-    noise_eff = points[0][2]
-    if not noise_eff > 0:
-        return [None] * len(points)
-    real, _, rows = _trial_signal(cfg.scenario, cfg.array, cfg.cazac, trial)
-    f0 = fisher_matrix(replace(real, noise_var=1.0), cfg.array, cfg.cazac, rows)
-    report = crlb_bounds(fisher_at_power(f0, [p[0].pt for p in points], noise_eff))
-    return [b if ok else None for b, ok in zip(report.bounds, report.invertible)]
+def _chunk_variances(cfg: RunConfig, chunk: _Synthesis) -> list:
+    """Bound variances at the truth per observation, trial-major, in the
+    information matrix's order; None where it was not invertible or the
+    synthesis is noiseless."""
+    n = len(chunk.reals) * len(chunk.pts)
+    if not chunk.noise_eff > 0:
+        return [None] * n
+    f0 = np.array([fisher_matrix(replace(real, noise_var=1.0), cfg.array, cfg.cazac, rows)
+                   for real, rows in zip(chunk.reals, chunk.rows)])
+    stack = fisher_at_power(f0[:, None], chunk.pts, chunk.noise_eff)
+    report = crlb_bounds(stack.reshape(n, *f0.shape[1:]))
+    return [var if ok else None for var, ok in zip(report.bounds ** 2, report.invertible)]
 
 
-def _front_end(cfg: RunConfig, snr_idx: int, trial: int, real: ChannelRealization,
-               y: ReceiveMatrix, noise_eff: float,
-               bounds: Optional[np.ndarray]) -> _Observation:
-    """Bound variances at the truth, detection and the coarse estimate of one
-    synthesized observation."""
-    # bound variances at the truth, independent of what the estimator did
-    crlb_vars = []
-    if bounds is not None:
-        # rows follow the information matrix's block order [Re g | Im g | mu | tau]
-        var_re, var_im, var_mu, var_tau = (bounds ** 2).reshape(4, real.r).tolist()
-        for r, p in enumerate(real.paths):
-            gain = math.sqrt(real.pt) * abs(p.alpha)
-            aod = var_mu[r] * _theta_slope_deg_per_rad(p.theta_deg) ** 2
-            # the coarse and the refined angle share one bound
-            crlb_vars.append({"aod_coarse_deg": aod, "aod_ml_deg": aod,
-                              "gain_ml_rel": float((var_re[r] + var_im[r]) / gain ** 2),
-                              "delay_ml_sym": var_tau[r]})
-
-    # a noiseless synthesis is detected and refined as if at unit noise
-    guard_noise = noise_eff if noise_eff > 0 else 1.0
-    power = correlate(y)
-    detections = detect_paths(power,
-                              detection_threshold(guard_noise, cfg.array.m, cfg.coarse.p_fa))
-    coarse = None
-    if detections:
-        lut = _shared_lut(cfg.array, cfg.coarse.k_points)
-        coarse = coarse_estimate(power, detections, lut, cfg.array, cfg.cazac,
-                                 guard_noise, v=cfg.coarse.v, p_fa=cfg.coarse.p_fa)
-    return _Observation(snr_idx, trial, real, y, guard_noise, crlb_vars, coarse)
+def _bound_vars(real: ChannelRealization, variances: Optional[np.ndarray]) -> List[dict]:
+    """Per truth path, the bound variance of each scored parameter; empty without a bound."""
+    if variances is None:
+        return []
+    # rows follow the information matrix's block order [Re g | Im g | mu | tau]
+    var_re, var_im, var_mu, var_tau = variances.reshape(4, real.r).tolist()
+    out = []
+    for r, p in enumerate(real.paths):
+        gain = math.sqrt(real.pt) * abs(p.alpha)
+        aod = var_mu[r] * _theta_slope_deg_per_rad(p.theta_deg) ** 2
+        # the coarse and the refined angle share one bound
+        out.append({"aod_coarse_deg": aod, "aod_ml_deg": aod,
+                    "gain_ml_rel": float((var_re[r] + var_im[r]) / gain ** 2),
+                    "delay_ml_sym": var_tau[r]})
+    return out
 
 
 def _score(cfg: RunConfig, obs: _Observation,

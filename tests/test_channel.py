@@ -5,7 +5,8 @@ from beamest import (ArrayConfig, CazacConfig, ConfigurationError, ScenarioConfi
                      cazac_base, draw_realization, synthesize)
 from beamest import _kernels
 from beamest.arrays import beam_gains
-from beamest.channel import path_loss_db, path_signal, spatial_frequency, unit_power_signal
+from beamest.channel import (delayed_pilots, path_loss_db, path_signal, spatial_frequency,
+                             unit_power_signal)
 
 
 ARR = ArrayConfig(m=16)
@@ -142,6 +143,38 @@ def test_unit_power_signal_is_the_per_path_sum(arr, caz):
             c = np.stack([np.roll(v, k) for k in range(arr.m)])
             ref += p.alpha * beam_gains(arr, p.mu)[:, None] * c
         assert np.array_equal(unit_power_signal(real, arr, caz), ref)
+
+
+def test_realization_stacks_equal_lone_calls_bit_for_bit():
+    # a sweep chunk evaluates the taps of every trial's delays in one pass and
+    # builds every trial's S0 from one stacked path_signal call
+    reals = [draw_realization(ScenarioConfig(), rng_for(12, t)) for t in range(7)]
+    rows = delayed_pilots(reals, CAZ)
+    assert rows.shape == (7, 6, CAZ.length)
+    assert rows.tobytes() == np.stack([delayed_pilots(r, CAZ) for r in reals]).tobytes()
+    lone = np.stack([unit_power_signal(r, ARR, CAZ) for r in reals])
+    assert unit_power_signal(reals, ARR, CAZ).tobytes() == lone.tobytes()
+    assert unit_power_signal(reals, ARR, CAZ, rows).tobytes() == lone.tobytes()
+    assert unit_power_signal(reals[2], ARR, CAZ, rows[2]).tobytes() == lone[2].tobytes()
+
+
+def test_unit_power_signal_without_rows_builds_no_derivatives(monkeypatch):
+    # synthesize passes no rows; it needs v only, not dv/dtau
+    calls = []
+
+    def counted(name):
+        original = getattr(_kernels, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for name in ("pilot_rows", "pilot_rows_and_derivs"):
+        monkeypatch.setattr(_kernels, name, counted(name))
+    real = draw_realization(ScenarioConfig(), rng_for(13)).with_snr_db(10.0)
+    synthesize(real, ARR, CAZ, rng_for(13, 1))
+    assert calls == ["pilot_rows"]
 
 
 def test_path_signal_stack_rows_equal_lone_calls_bit_for_bit():

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -256,3 +260,26 @@ def test_non_positive_threads_is_config_error(tmp_path, capsys, monkeypatch, fla
     assert "config error: " + ("--threads" if flag is not None else "THREADS") \
         in capsys.readouterr().err
     assert not (tmp_path / "a.csv").exists()
+
+
+@pytest.mark.parametrize("spacing", [0.25, 1.0])
+def test_non_half_wavelength_spacing_is_config_error(tmp_path, capsys, spacing):
+    # angles are read back through arcsin(mu / pi): at spacing 0.25 this run
+    # exited 0 with a 17.6 deg direct-path angle RMSE against a 0.0068 deg bound
+    out = tmp_path / "r.csv"
+    cfg = write_cfg(tmp_path, array={"m": 16, "spacing_over_lambda": spacing}, trials=20,
+                    snr_sweep_db=[30.0], output_path=str(out))
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "array.spacing_over_lambda" in err
+    assert not out.exists()
+
+
+def test_module_entry_point_runs_from_a_checkout(tmp_path):
+    # python -m beamest with src/ on the path, no installed console script
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "beamest", "--help"], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.startswith("usage: beamest")

@@ -269,3 +269,26 @@ def test_detect_paths_matches_per_diagonal_scan():
                 for g in (peak, 0.5, 2.5, 40.0):
                     if g > 0:
                         assert detect_paths(p, g) == per_diagonal_detections(p, g)
+
+
+@pytest.mark.parametrize("m", [4, 16])
+def test_stacked_correlation_and_scan_equal_lone_calls_bit_for_bit(m):
+    # a sweep chunk correlates its (B, M, L) observation stack in one matmul
+    # and scans every observation's diagonals in one pass
+    arr, rng = ArrayConfig(m=m), np.random.default_rng(29)
+    scen = ScenarioConfig(n_nlos=2)
+    ys = []
+    for _ in range(9):
+        real = draw_realization(scen, rng).with_snr_db(float(rng.uniform(-15.0, 25.0)))
+        ys.append(synthesize(real, arr, CAZ, rng).y)
+    ys.append(np.zeros_like(ys[0]))
+    stacked = correlate(ReceiveMatrix(y=np.stack(ys), arr=arr, caz=CAZ))
+    lone = [correlate(ReceiveMatrix(y=y, arr=arr, caz=CAZ)) for y in ys]
+    assert stacked.shape == (len(ys), m, m)
+    assert stacked.tobytes() == np.stack(lone).tobytes()
+    g = detection_threshold(1.0, m)
+    found = detect_paths(stacked, g)
+    assert found == [detect_paths(p, g) for p in lone]
+    assert any(found) and not all(found)
+    # a stack of one is a list of one list
+    assert detect_paths(stacked[:1], g) == [detect_paths(lone[0], g)]

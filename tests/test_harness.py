@@ -221,30 +221,51 @@ def test_sweep_refuses_a_bad_worker_count(threads):
 
 
 def test_sweep_draws_each_trial_once(monkeypatch):
-    # one draw, one tap pass (shared by S0 and F0) and one stacked bound per trial
-    cfg = small_cfg(trials=3, snr_sweep_db=(0.0, 5.0, 10.0, 20.0))
-    targets = {"fisher_matrix": harness, "unit_power_signal": harness,
-               "crlb_bounds": harness, "pilot_rows_and_derivs": _kernels}
-    calls = dict.fromkeys(targets, 0)
+    # one draw and one information matrix per trial; one tap pass, one stacked
+    # signal, one bound stack, one correlation and one diagonal scan per chunk
+    cfg = small_cfg(trials=12, snr_sweep_db=(0.0, 5.0, 10.0, 20.0))
+    per_trial = {"draw_realization": harness, "fisher_matrix": harness}
+    per_chunk = {"unit_power_signal": harness, "crlb_bounds": harness, "correlate": harness,
+                 "detect_paths": harness, "pilot_rows_and_derivs": _kernels}
+    calls = dict.fromkeys({**per_trial, **per_chunk}, 0)
 
-    def counted(name):
-        original = getattr(targets[name], name)
+    def counted(name, module):
+        original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return original(*args, **kwargs)
         return wrapper
 
-    for name, module in targets.items():
-        monkeypatch.setattr(module, name, counted(name))
-    harness._trial_signal.cache_clear()   # an earlier test may have left trial 0 cached
+    for name, module in {**per_trial, **per_chunk}.items():
+        monkeypatch.setattr(module, name, counted(name, module))
+    size = harness._chunk_trials(cfg.trials, len(cfg.snr_sweep_db), 1)
+    assert size > 1
     run_sweep(cfg)
-    assert calls == dict.fromkeys(targets, cfg.trials)
-    # run_trial is the stack of one: one bound call for its one SNR point
-    harness._trial_signal.cache_clear()
-    calls.update(dict.fromkeys(targets, 0))
+    chunks = -(-cfg.trials // size)
+    assert calls == {**dict.fromkeys(per_trial, cfg.trials), **dict.fromkeys(per_chunk, chunks)}
+    # run_trial is the chunk of one
+    calls.update(dict.fromkeys(calls, 0))
     run_trial(cfg, 2, 1)
-    assert calls == dict.fromkeys(targets, 1)
+    assert calls == dict.fromkeys(calls, 1)
+
+
+@pytest.mark.parametrize("kw", [
+    {},
+    {"repetitions_per_beam": 2},
+    {"scenario": ScenarioConfig(n_nlos=2, seed=8, noise_var=0.0)},
+], ids=["plain", "repetitions", "noiseless"])
+def test_chunk_records_equal_per_point_trials(kw):
+    # a chunk of several trials synthesizes, bounds, correlates and scans all
+    # of its observations in stacks; every record must equal its run_trial
+    cfg = small_cfg(**{"scenario": ScenarioConfig(n_nlos=2, seed=8), "trials": 6,
+                       "snr_sweep_db": (-30.0, 10.0, 30.0), **kw})
+    trials, points = range(1, 6), (2, 0)
+    chunk = harness._chunk_records(cfg, trials, points)
+    assert repr(chunk) == repr([[run_trial(cfg, s, t) for s in points] for t in trials])
+    recs = [rec for per_trial in chunk for rec in per_trial]
+    assert any(rec.r_hat == 0 for rec in recs) and sum(rec.r_hat > 0 for rec in recs) > 1
+    assert all(bool(rec.crlb_vars) == (cfg.scenario.noise_var > 0) for rec in recs)
 
 
 def test_records_hold_only_builtin_scalars():
@@ -272,7 +293,7 @@ def test_records_hold_only_builtin_scalars():
 
 
 def test_range_lists_give_the_tuple_result():
-    # the per-trial draw is cached on the scenario, so list ranges must not break it
+    # list ranges are stored as tuples, so they give the same config and draws
     lists = ScenarioConfig(n_nlos=1, seed=11, d_los_range_m=[30.0, 60.0],
                            delta_nlos_range_m=[4.5, 24.0], theta_range_deg=[-60.0, 60.0])
     assert lists == ScenarioConfig(n_nlos=1, seed=11)
