@@ -11,12 +11,11 @@ __version__ = "0.1.0"
 
 from ._kernels import active_backend
 from .arrays import (ArrayConfig, ScatteringMatrix2x2, butler_matrix, dft_beam,
-                     dft_codebook, hybrid_coupler, steering_vector)
+                     dft_codebook, hybrid_coupler, mu_to_theta_deg, steering_vector)
 from .channel import (ChannelRealization, PathParams, ReceiveMatrix, ScenarioConfig,
                       draw_realization, synthesize)
 from .coarse import (CoarseEstimate, CoarsePath, Detection, Feedback, Lut, build_lut,
-                     coarse_estimate, correlate, detect_paths, detection_threshold,
-                     mu_to_theta_deg)
+                     coarse_estimate, correlate, detect_paths, detection_threshold)
 from .crlb import CrlbReport, crlb_bounds, fisher_matrix, parameter_index
 from .errors import ConfigurationError, NumericalDegeneracyError
 from .harness import (CoarseParams, RunConfig, load_config, match_paths, run_sweep,

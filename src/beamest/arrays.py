@@ -1,5 +1,9 @@
 """Uniform linear array geometry, DFT beamforming codebook and Butler synthesis.
 
+The array is half-wavelength spaced, so a departure angle theta has the
+spatial frequency mu = pi sin(theta); the angle helpers here are the one
+place that convention is written.
+
 The probing codebook is the set of columns of the unitary M-point DFT matrix;
 :func:`butler_matrix` builds the same beamformer structurally out of 90-degree
 hybrid couplers, fixed phase shifters and butterfly permutations, which is how
@@ -8,42 +12,59 @@ the codebook is realised in analog hardware without adaptive phase shifters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, require_integers, require_reals
+from .errors import ConfigurationError, require_integers
 
 
 @dataclass(frozen=True)
 class ArrayConfig:
-    """Sub-array geometry and beam grid.
+    """Half-wavelength sub-array geometry and beam grid.
 
     Parameters
     ----------
     m : int
         Antennas per sub-array (power of two required for Butler synthesis).
-    spacing_over_lambda : float
-        Element spacing in wavelengths, default half-wavelength.
     """
 
     m: int
-    spacing_over_lambda: float = 0.5
 
     def __post_init__(self):
         require_integers(self, "m")
-        require_reals(self, "spacing_over_lambda")
         if self.m < 1:
             raise ConfigurationError(f"array size must be positive, got {self.m}")
-        if self.spacing_over_lambda <= 0:
-            raise ConfigurationError(
-                f"element spacing must be positive, got {self.spacing_over_lambda}")
 
     @property
     def beam_phases(self) -> np.ndarray:
         """Beam grid phases 2*pi*k/M for k = 0..M-1."""
         return 2.0 * np.pi * np.arange(self.m) / self.m
+
+
+def spatial_frequency(theta_deg: float) -> float:
+    """mu = pi*sin(theta), wrapped into [0, 2*pi)."""
+    mu = np.pi * np.sin(np.radians(theta_deg))
+    return float(np.mod(mu, 2.0 * np.pi))
+
+
+def mu_to_theta_deg(mu: float) -> float:
+    """Convert a spatial frequency in [0, 2*pi) to a departure angle in degrees."""
+    mu = float(np.mod(mu, 2.0 * np.pi))
+    nu = mu if mu <= np.pi else mu - 2.0 * np.pi
+    return float(np.degrees(np.arcsin(nu / np.pi)))
+
+
+def theta_slope_deg_per_rad(theta_deg: float) -> float:
+    """d theta[deg] / d mu[rad] along theta = arcsin(mu / pi)."""
+    return 180.0 / (np.pi ** 2 * math.cos(math.radians(theta_deg)))
+
+
+def wrapped_distance(a: float, b: float) -> float:
+    """Distance between two spatial frequencies on the 2*pi circle, in [0, pi]."""
+    return abs((a - b + np.pi) % (2.0 * np.pi) - np.pi)
 
 
 @dataclass(frozen=True)

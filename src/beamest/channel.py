@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .arrays import ArrayConfig, beam_gains
+from .arrays import ArrayConfig, beam_gains, spatial_frequency
 from .errors import ConfigurationError, is_real, require_integers, require_reals
 from .pilots import CazacConfig, _cached_base, _stack_shifted
 from . import _kernels
@@ -123,19 +123,12 @@ class ReceiveMatrix:
     caz: CazacConfig
 
 
-def spatial_frequency(theta_deg: float, spacing_over_lambda: float = 0.5) -> float:
-    """mu = 2*pi*(d/lambda)*sin(theta), wrapped into [0, 2*pi)."""
-    mu = 2.0 * np.pi * spacing_over_lambda * np.sin(np.radians(theta_deg))
-    return float(np.mod(mu, 2.0 * np.pi))
-
-
 def path_loss_db(distance_m: float, exponent: float, d0_m: float = 1.0) -> float:
     """Log-distance path loss 10 * n * log10(D / D0) in dB."""
     return 10.0 * exponent * np.log10(distance_m / d0_m)
 
 
-def draw_realization(cfg: ScenarioConfig, rng: np.random.Generator,
-                     spacing_over_lambda: float = 0.5) -> ChannelRealization:
+def draw_realization(cfg: ScenarioConfig, rng: np.random.Generator) -> ChannelRealization:
     """Draw one random channel realization at unit transmit power.
 
     The line-of-sight path has alpha = 1 and tau = 0.  Each reflected path
@@ -147,7 +140,7 @@ def draw_realization(cfg: ScenarioConfig, rng: np.random.Generator,
     thetas = rng.uniform(*cfg.theta_range_deg, size=1 + cfg.n_nlos)
 
     paths = [PathParams(alpha=1.0 + 0.0j, theta_deg=float(thetas[0]),
-                        mu=spatial_frequency(thetas[0], spacing_over_lambda),
+                        mu=spatial_frequency(thetas[0]),
                         tau_symbols=0.0)]
     pl_los = path_loss_db(d_los, cfg.ple_los, cfg.d0_m)
     for i in range(cfg.n_nlos):
@@ -159,7 +152,7 @@ def draw_realization(cfg: ScenarioConfig, rng: np.random.Generator,
         tau = delta / (SPEED_OF_LIGHT * cfg.symbol_period_s)
         paths.append(PathParams(alpha=gamma * np.exp(1j * phase),
                                 theta_deg=float(thetas[i + 1]),
-                                mu=spatial_frequency(thetas[i + 1], spacing_over_lambda),
+                                mu=spatial_frequency(thetas[i + 1]),
                                 tau_symbols=float(tau)))
     return ChannelRealization(paths=tuple(paths), pt=1.0, noise_var=cfg.noise_var)
 

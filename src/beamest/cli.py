@@ -10,7 +10,8 @@ import time
 from dataclasses import replace
 from typing import Optional, Sequence
 
-from .coarse import build_lut, mu_to_theta_deg
+from .arrays import mu_to_theta_deg
+from .coarse import build_lut
 from .crlb import crlb_bounds, fisher_matrix, parameter_index
 from .errors import ConfigurationError
 from .harness import (RunConfig, load_config, run_sweep, run_trial, synthesize_trial,

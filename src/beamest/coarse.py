@@ -17,7 +17,7 @@ from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .arrays import ArrayConfig, beam_gains
+from .arrays import ArrayConfig, beam_gains, mu_to_theta_deg, wrapped_distance
 from .channel import ReceiveMatrix
 from .errors import ConfigurationError
 from .pilots import CazacConfig, _conj_shifts, sidelobe_power_ratios
@@ -186,17 +186,6 @@ def lut_interpolate(lut: Lut, delta: float) -> float:
     return l + min(max(b, 0.0), 1.0)
 
 
-def mu_to_theta_deg(mu: float) -> float:
-    """Convert a spatial frequency in [0, 2*pi) to a departure angle in degrees."""
-    mu = float(np.mod(mu, 2.0 * np.pi))
-    nu = mu if mu <= np.pi else mu - 2.0 * np.pi
-    return float(np.degrees(np.arcsin(nu / np.pi)))
-
-
-def _wrapped_dist(a: float, b: float) -> float:
-    return abs((a - b + np.pi) % (2.0 * np.pi) - np.pi)
-
-
 def coarse_estimate(p: np.ndarray, detections: Sequence[Detection], lut: Lut,
                     arr: ArrayConfig, caz: CazacConfig, noise_var: float,
                     v: float = 3.0, p_fa: float = 1e-3) -> CoarseEstimate:
@@ -261,7 +250,7 @@ def _refine_model_order(paths: List[CoarsePath], lut: Lut, arr: ArrayConfig,
             dcyc = min((cand.tau_int - strong.tau_int) % m, (strong.tau_int - cand.tau_int) % m)
             if not 1 <= dcyc <= len(sidelobe):
                 continue
-            if _wrapped_dist(cand.mu_hat, strong.mu_hat) > tol_mu:
+            if wrapped_distance(cand.mu_hat, strong.mu_hat) > tol_mu:
                 continue
             if cand.peak_power <= 2.0 * sidelobe[dcyc - 1] * strong.peak_power + slack:
                 explained = True

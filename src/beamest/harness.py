@@ -40,11 +40,11 @@ import numpy as np
 
 from . import __version__
 from ._kernels import active_backend
-from .arrays import ArrayConfig
+from .arrays import ArrayConfig, mu_to_theta_deg, theta_slope_deg_per_rad, wrapped_distance
 from .channel import (ChannelRealization, ReceiveMatrix, ScenarioConfig, awgn,
                       delayed_pilots, draw_realization, unit_power_signal)
 from .coarse import (CoarseEstimate, build_lut, coarse_estimate, correlate, detect_paths,
-                     detection_threshold, mu_to_theta_deg)
+                     detection_threshold)
 from .crlb import crlb_bounds, fisher_at_power, fisher_matrix
 from .errors import ConfigurationError, require_integers, require_reals
 from .pilots import CazacConfig
@@ -117,11 +117,6 @@ class RunConfig:
         if self.repetitions_per_beam < 1:
             raise ConfigurationError(
                 f"repetitions per beam must be >= 1, got {self.repetitions_per_beam}")
-        # mu_to_theta_deg and the bound's angle slope invert mu = pi sin(theta)
-        if self.array.spacing_over_lambda != 0.5:
-            raise ConfigurationError(
-                f"array.spacing_over_lambda must be 0.5, got {self.array.spacing_over_lambda}: "
-                "angles are read back from spatial frequencies at half-wavelength spacing")
         if self.array.m > self.cazac.length:
             raise ConfigurationError(
                 f"array size {self.array.m} exceeds the pilot length {self.cazac.length}: "
@@ -234,7 +229,7 @@ def match_paths(truth: ChannelRealization,
             dtau = abs(e.tau_hat - p.tau_symbols)
             if dtau > MATCH_TAU_GATE:
                 continue
-            dmu = abs((e.mu_hat - p.mu + np.pi) % (2.0 * np.pi) - np.pi)
+            dmu = wrapped_distance(e.mu_hat, p.mu)
             candidates.append(((int(dtau / _MATCH_TAU_BUCKET), dmu, dtau), ti, ei))
     pairs = []
     used_t, used_e = set(), set()
@@ -278,11 +273,6 @@ class TrialRecord:
 def path_class(truth_index: int) -> str:
     """The class of a true path: path 0 is the line-of-sight path."""
     return "los" if truth_index == 0 else "nlos"
-
-
-def _theta_slope_deg_per_rad(theta_deg: float) -> float:
-    # d theta[deg] / d mu[rad] along theta = arcsin(mu / pi)
-    return 180.0 / (np.pi ** 2 * math.cos(math.radians(theta_deg)))
 
 
 @lru_cache(maxsize=8)
@@ -330,8 +320,8 @@ def _synthesize(cfg: RunConfig, snr_indices: Sequence[int],
                 trials: Sequence[int]) -> _Synthesis:
     scen, arr, caz = cfg.scenario, cfg.array, cfg.cazac
     reals = [draw_realization(
-        scen, np.random.default_rng(np.random.SeedSequence(entropy=(scen.seed, trial, 0))),
-        arr.spacing_over_lambda) for trial in trials]
+        scen, np.random.default_rng(np.random.SeedSequence(entropy=(scen.seed, trial, 0))))
+        for trial in trials]
     rows = delayed_pilots(reals, caz)
     s0 = unit_power_signal(reals, arr, caz, rows)
     points = [real.with_snr_db(float(cfg.snr_sweep_db[s])) for real in reals for s in snr_indices]
@@ -394,13 +384,17 @@ def _chunk_records(cfg: RunConfig, trials: Sequence[int],
     # a lone observation is scanned in its 2-D form, so that stage returns its
     # own list of detections
     found = detect_paths(power, g) if len(ys) > 1 else [detect_paths(power[0], g)]
+    # the squared angle slope depends on the trial's geometry only
+    slopes_sq = [[theta_slope_deg_per_rad(p.theta_deg) ** 2 for p in real.paths]
+                 for real in chunk.reals]
 
     records: List[Optional[TrialRecord]] = []
     detected: List[Tuple[int, _Observation]] = []   # (record slot, observation)
     for b, detections in enumerate(found):
         t, s = divmod(b, len(snr_indices))
         real = chunk.points[b]
-        obs = _Observation(snr_indices[s], trials[t], real, _bound_vars(real, variances[b]))
+        obs = _Observation(snr_indices[s], trials[t], real,
+                           _bound_vars(real, variances[b], slopes_sq[t]))
         if not detections:
             records.append(_score(cfg, obs, None))
             continue
@@ -436,8 +430,10 @@ def _chunk_variances(cfg: RunConfig, chunk: _Synthesis) -> list:
     return [var if ok else None for var, ok in zip(report.bounds ** 2, report.invertible)]
 
 
-def _bound_vars(real: ChannelRealization, variances: Optional[np.ndarray]) -> List[dict]:
-    """Per truth path, the bound variance of each scored parameter; empty without a bound."""
+def _bound_vars(real: ChannelRealization, variances: Optional[np.ndarray],
+                slopes_sq: List[float]) -> List[dict]:
+    """Per truth path, the bound variance of each scored parameter; empty without a bound.
+    ``slopes_sq`` holds each path's squared angle slope d theta / d mu."""
     if variances is None:
         return []
     # rows follow the information matrix's block order [Re g | Im g | mu | tau]
@@ -445,7 +441,7 @@ def _bound_vars(real: ChannelRealization, variances: Optional[np.ndarray]) -> Li
     out = []
     for r, p in enumerate(real.paths):
         gain = math.sqrt(real.pt) * abs(p.alpha)
-        aod = var_mu[r] * _theta_slope_deg_per_rad(p.theta_deg) ** 2
+        aod = var_mu[r] * slopes_sq[r]
         # the coarse and the refined angle share one bound
         out.append({"aod_coarse_deg": aod, "aod_ml_deg": aod,
                     "gain_ml_rel": float((var_re[r] + var_im[r]) / gain ** 2),

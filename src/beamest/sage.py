@@ -43,7 +43,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .arrays import ArrayConfig, beam_gains
+from .arrays import ArrayConfig, beam_gains, wrapped_distance
 from .channel import ReceiveMatrix, path_signal
 from .coarse import CoarseEstimate
 from .errors import (ConfigurationError, NumericalDegeneracyError, is_real, require_integers,
@@ -125,14 +125,12 @@ class _Workspace:
         self.cbase = _cached_base(caz)
         self.ell = ell = caz.length
         rows = np.arange(arr.m)[:, None]
-        # gather matrix undoing the per-beam shift: Xg[k, s] = X[k, (s + k) % L]
-        self.gather = (np.arange(ell)[None, :] + rows) % ell
-        # the same as flat positions in one observation
-        self.flat = rows * ell + self.gather
+        # flat positions, in one observation, of the gather undoing the
+        # per-beam shift: Xg[k, s] = X[k, (s + k) % L]
+        self.flat = rows * ell + (np.arange(ell)[None, :] + rows) % ell
+        self.flat.setflags(write=False)
         # conj pilot shifts for integer-lag correlation: corr[d, s] = conj(c((s - d) % L))
         self.corr = _conj_shifts(caz)
-        for a in (self.gather, self.flat):
-            a.setflags(write=False)
 
     def gathered(self, x: np.ndarray) -> np.ndarray:
         """X_g of one (M, L) observation or of each slab of an (S, M, L) stack.
@@ -389,7 +387,7 @@ def _max_relative_change(previous: Sequence[PathEstimate],
     """max of the three per-path stopping statistics, absolute when the base is ~0."""
     worst = 0.0
     for p, c in zip(previous, current):
-        dmu = abs((p.mu_hat - c.mu_hat + np.pi) % (2.0 * np.pi) - np.pi)
+        dmu = wrapped_distance(p.mu_hat, c.mu_hat)
         t1 = dmu / abs(c.mu_hat) if abs(c.mu_hat) > _CHANGE_ZERO_EPS else dmu
         dtau = abs(p.tau_hat - c.tau_hat)
         t2 = dtau / abs(c.tau_hat) if abs(c.tau_hat) > _CHANGE_ZERO_EPS else dtau

@@ -4,7 +4,8 @@ import pytest
 from beamest import (ArrayConfig, ConfigurationError, ScatteringMatrix2x2,
                      butler_matrix, dft_beam, dft_codebook, hybrid_coupler,
                      steering_vector)
-from beamest.arrays import _cached_codebook, beam_gains
+from beamest.arrays import (_cached_codebook, beam_gains, mu_to_theta_deg, spatial_frequency,
+                            theta_slope_deg_per_rad, wrapped_distance)
 
 
 def test_beam_phases_exact():
@@ -15,8 +16,44 @@ def test_beam_phases_exact():
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         ArrayConfig(m=0)
-    with pytest.raises(ConfigurationError):
-        ArrayConfig(m=8, spacing_over_lambda=0.0)
+
+
+def test_angle_round_trip():
+    # one-degree grid over (-90, 90]; -90 and 90 are both endfire, mu = pi
+    for theta in np.linspace(-89.0, 90.0, 180):
+        assert abs(mu_to_theta_deg(spatial_frequency(theta)) - theta) <= 1e-12
+    assert spatial_frequency(-90.0) == spatial_frequency(90.0) == np.pi
+
+
+def test_angle_slope_is_derivative_of_inverse():
+    h = 1e-6
+    for theta in np.linspace(-80.0, 80.0, 17):
+        mu = spatial_frequency(theta)
+        diff = (mu_to_theta_deg(mu + h) - mu_to_theta_deg(mu - h)) / (2.0 * h)
+        assert theta_slope_deg_per_rad(theta) == pytest.approx(diff, rel=1e-7)
+
+
+def test_wrapped_distance():
+    rng = np.random.default_rng(0)
+    for a, b in rng.uniform(-10.0, 10.0, size=(200, 2)).tolist():
+        d = wrapped_distance(a, b)
+        assert 0.0 <= d <= np.pi
+        assert d == pytest.approx(wrapped_distance(b, a), abs=1e-12)
+        assert wrapped_distance(a, a + 2.0 * np.pi) == pytest.approx(0.0, abs=1e-12)
+    assert wrapped_distance(0.1, 2.0 * np.pi - 0.1) == pytest.approx(0.2, abs=1e-12)
+
+
+def test_spatial_frequency_keeps_the_spacing_formula_bits():
+    # the general ULA formula 2*pi*(d/lambda)*sin(theta) at d = lambda/2
+    def reference(theta_deg, spacing_over_lambda=0.5):
+        mu = 2.0 * np.pi * spacing_over_lambda * np.sin(np.radians(theta_deg))
+        return float(np.mod(mu, 2.0 * np.pi))
+
+    thetas = np.concatenate([np.linspace(-90.0, 90.0, 721),
+                             np.random.default_rng(1).uniform(-90.0, 90.0, 1000)])
+    for theta in thetas:
+        assert spatial_frequency(theta) == reference(theta)
+        assert spatial_frequency(float(theta)) == reference(float(theta))
 
 
 def test_steering_vector_zero_phase():

@@ -262,10 +262,11 @@ def test_non_positive_threads_is_config_error(tmp_path, capsys, monkeypatch, fla
     assert not (tmp_path / "a.csv").exists()
 
 
-@pytest.mark.parametrize("spacing", [0.25, 1.0])
+@pytest.mark.parametrize("spacing", [0.5, 0.25, 1.0])
 def test_non_half_wavelength_spacing_is_config_error(tmp_path, capsys, spacing):
-    # angles are read back through arcsin(mu / pi): at spacing 0.25 this run
-    # exited 0 with a 17.6 deg direct-path angle RMSE against a 0.0068 deg bound
+    # angles are read back through theta = arcsin(mu / pi), which holds at
+    # half-wavelength spacing only, so the spacing is no setting: the key is
+    # unknown at any value, 0.5 included
     out = tmp_path / "r.csv"
     cfg = write_cfg(tmp_path, array={"m": 16, "spacing_over_lambda": spacing}, trials=20,
                     snr_sweep_db=[30.0], output_path=str(out))

@@ -586,12 +586,13 @@ def test_cached_workspace_is_read_only_and_equals_fresh():
     ell = CAZ.length
     cbase = cazac_base(CAZ)
     np.testing.assert_array_equal(ws.cbase, cbase)
+    rows = np.arange(ARR.m)[:, None]
     np.testing.assert_array_equal(
-        ws.gather, (np.arange(ell)[None, :] + np.arange(ARR.m)[:, None]) % ell)
+        ws.flat, rows * ell + (np.arange(ell)[None, :] + rows) % ell)
     np.testing.assert_array_equal(
         ws.corr, cbase[(np.arange(ell)[None, :] - np.arange(ell)[:, None]) % ell].conj())
     fresh = _Workspace(ARR, CAZ)
-    for name in ("cbase", "gather", "corr"):
+    for name in ("cbase", "flat", "corr"):
         np.testing.assert_array_equal(getattr(ws, name), getattr(fresh, name))
         with pytest.raises(ValueError):
             getattr(ws, name)[0, ...] = 0
