@@ -50,9 +50,6 @@ from .errors import (ConfigurationError, NumericalDegeneracyError, is_real, requ
                      require_reals)
 from .pilots import CazacConfig, _cached_base, _conj_shifts
 
-# below this a delay or spatial frequency counts as zero: its change stops absolutely
-_CHANGE_ZERO_EPS = 1e-9
-
 
 @dataclass(frozen=True)
 class SageConfig:
@@ -61,7 +58,10 @@ class SageConfig:
     ``mu_window`` is the half-width of the spatial-frequency search window;
     ``None`` means one beam spacing (2*pi/M), matching the coarse stage's
     localisation guarantee.  ``tau_window_symbols`` is the half-width of the
-    delay window around the integer initialisation.
+    delay window around the integer initialisation.  Refinement stops once no
+    path's delay or spatial frequency moved by more than ``gamma_stop`` times
+    its search half-width in an iteration, nor its gain by more than
+    ``gamma_stop`` times |alpha_hat|.
     """
 
     beta: float = 1.0
@@ -181,7 +181,7 @@ class _Workspace:
                       cfg: SageConfig) -> List[float]:
         """Angle searches around ``centers``, wrapped to [0, 2*pi); a vanishing
         q_b keeps its center."""
-        half = cfg.mu_window if cfg.mu_window is not None else 2.0 * np.pi / self.arr.m
+        half = _mu_half_window(cfg, self.arr.m)
         mus = list(centers)
         moving = [b for b, m in enumerate(q.any(axis=1).tolist()) if m]
         if moving:
@@ -204,6 +204,11 @@ class _Workspace:
 
 # one workspace per (array, pilot) configuration, shared by every run and step helper
 _workspace = lru_cache(maxsize=8)(_Workspace)
+
+
+def _mu_half_window(cfg: SageConfig, m: int) -> float:
+    """Half-width of the spatial-frequency search window (default one beam spacing)."""
+    return cfg.mu_window if cfg.mu_window is not None else 2.0 * np.pi / m
 
 
 def _tau_bounds(center: float, cfg: SageConfig, ell: int) -> Tuple[float, float]:
@@ -331,9 +336,9 @@ def _lockstep(ys: Sequence[ReceiveMatrix], initials: Sequence[Sequence[PathEstim
 
     Iteration i updates slot j of every problem still iterating that has a
     j-th path in its ``order``, all in one :func:`_update_paths` call.  A
-    problem leaves the batch once its largest relative parameter change falls
-    below the stopping threshold (with an absolute fallback where a parameter
-    sits at zero), or after ``max_iterations``.
+    problem leaves the batch once its largest parameter change, relative to
+    the search windows and to the gain (:func:`_max_change`), falls to the
+    stopping threshold, or after ``max_iterations``.
     """
     if not ys:
         return []
@@ -357,7 +362,7 @@ def _lockstep(ys: Sequence[ReceiveMatrix], initials: Sequence[Sequence[PathEstim
             _update_paths(ws, obs_y, recon, est, idx, [orders[p][j] for p in idx], cfg)
         still = []
         for p, prev in zip(active, previous):
-            converged = _max_relative_change(prev, est[p]) <= cfg.gamma_stop
+            converged = _max_change(prev, est[p], cfg, arr.m) <= cfg.gamma_stop
             if converged or iterations == cfg.max_iterations:
                 results[p] = RefinedEstimate(paths=tuple(est[p]), iterations=iterations,
                                              converged=converged)
@@ -375,25 +380,31 @@ def run_sage_from(y: ReceiveMatrix, initial: Sequence[PathEstimate], cfg: SageCo
 
     ``order`` fixes the within-pass update order (defaults to the given order).
     One iteration is a full update of every path; the loop stops when the
-    largest relative parameter change across paths falls below the stopping
-    threshold, with an absolute fallback where a parameter sits at zero.
-    This is the lockstep engine's batch of one.
+    largest parameter change across paths, relative to the search windows
+    and to the gain, falls to the stopping threshold.  This is the lockstep
+    engine's batch of one.
     """
     return _lockstep([y], [initial], [range(len(initial)) if order is None else order], cfg)[0]
 
 
-def _max_relative_change(previous: Sequence[PathEstimate],
-                         current: Sequence[PathEstimate]) -> float:
-    """max of the three per-path stopping statistics, absolute when the base is ~0."""
+def _max_change(previous: Sequence[PathEstimate], current: Sequence[PathEstimate],
+                cfg: SageConfig, m: int) -> float:
+    """The stopping statistic: the largest per-path change of one iteration.
+
+    A delay change counts in units of the delay search half-width and a
+    wrapped spatial-frequency change in units of the angle search
+    half-width, so the test does not depend on where a path sits (a delay
+    near 0, or mu near the 2*pi wrap); a gain change counts relative to
+    |alpha_hat|, and a gain still at 0 never counts as converged.
+    """
+    mu_half = _mu_half_window(cfg, m)
     worst = 0.0
     for p, c in zip(previous, current):
-        dmu = wrapped_distance(p.mu_hat, c.mu_hat)
-        t1 = dmu / abs(c.mu_hat) if abs(c.mu_hat) > _CHANGE_ZERO_EPS else dmu
-        dtau = abs(p.tau_hat - c.tau_hat)
-        t2 = dtau / abs(c.tau_hat) if abs(c.tau_hat) > _CHANGE_ZERO_EPS else dtau
+        dmu = wrapped_distance(p.mu_hat, c.mu_hat) / mu_half
+        dtau = abs(p.tau_hat - c.tau_hat) / cfg.tau_window_symbols
         dg = abs(p.alpha_hat - c.alpha_hat)
-        t3 = dg / abs(c.alpha_hat) if abs(c.alpha_hat) > 1e-30 else np.inf
-        worst = max(worst, t1, t2, t3)
+        dgain = dg / abs(c.alpha_hat) if abs(c.alpha_hat) > 1e-30 else np.inf
+        worst = max(worst, dmu, dtau, dgain)
     return worst
 
 

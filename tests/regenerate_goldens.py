@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from beamest.cli import EXIT_OK, main
+from beamest import cli
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 NUMPY_VERSION_FILE = "numpy_version.txt"
@@ -51,8 +51,8 @@ PRINTED = (
 def _cli(argv: List[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(argv)
-    if code != EXIT_OK:
+        code = cli.main(argv)
+    if code != cli.EXIT_OK:
         raise RuntimeError(f"beamest {' '.join(argv)} exited {code}")
     return out.getvalue()
 
@@ -130,7 +130,7 @@ def diff_report(name: str, old: Optional[bytes], new: bytes) -> List[str]:
     return out
 
 
-def main_regenerate() -> int:
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         fresh = golden_outputs(Path(tmp))
     GOLDEN_DIR.mkdir(exist_ok=True)
@@ -147,4 +147,4 @@ def main_regenerate() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main_regenerate())
+    sys.exit(main())

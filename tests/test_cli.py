@@ -69,7 +69,7 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     ({"sage": {"tau_window_symbols": True}}, "sage.tau_window_symbols"),
     ({"sage": {"mu_window": True}}, "sage.mu_window"),
     ({"sage": {"refine_tol": True}}, "sage.refine_tol"),
-    ({"array": {"spacing_over_lambda": True}}, "array.spacing_over_lambda"),
+    ({"array": {"m": True}}, "array.m"),
     # JSON spells NaN and Infinity, and a non-finite setting ran on silently
     ({"scenario": {"noise_var": float("nan")}}, "scenario.noise_var"),
     ({"sage": {"refine_tol": float("inf")}}, "sage.refine_tol"),

@@ -10,6 +10,6 @@ def test_outputs_equal_goldens_byte_for_byte(tmp_path):
     fresh = golden_outputs(tmp_path)
     differ = [name for name, data in fresh.items() if (GOLDEN_DIR / name).read_bytes() != data]
     assert not differ, (
-        f"{', '.join(differ)} differ from the goldens, which numpy {recorded} wrote; this run "
-        f"uses numpy {np.__version__}. If the change is meant, run "
+        f"outputs that differ from the goldens: {', '.join(differ)}. The goldens were written "
+        f"with numpy {recorded}; this run uses numpy {np.__version__}. If the change is meant, run "
         "`PYTHONPATH=src python3 tests/regenerate_goldens.py` and state its report.")

@@ -1,4 +1,5 @@
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from beamest import (ArrayConfig, CazacConfig, ConfigurationError, PathEstimate,
 from beamest.channel import ChannelRealization, PathParams, ReceiveMatrix, spatial_frequency
 from beamest.coarse import mu_to_theta_deg
 from beamest.harness import config_from_dict
-from beamest.sage import _tau_bounds, mu_objective_value, tau_objective_value
+from beamest.sage import _max_change, _tau_bounds, mu_objective_value, tau_objective_value
 from beamest import _kernels
 
 ARR = ArrayConfig(m=16)
@@ -421,6 +422,59 @@ def test_angle_search_returns_window_edge(side):
     center = 2.0 - side * 0.6
     mu = maximize_mu(y.y, 4.0, cfg, center, arr=ARR, caz=CAZ)
     assert abs(mu - (center + side * 2 * np.pi / 16)) <= cfg.refine_tol
+
+
+def stop_statistic(previous, current, cfg=SageConfig()):
+    return _max_change(previous, current, cfg, ARR.m)
+
+
+def test_stop_statistic_is_unchanged_when_mu_is_mirrored():
+    # theta -> -theta maps mu -> 2*pi - mu; a path just right of the wrap
+    # must be held to the same test as its mirror image just left of it
+    prev = [PathEstimate(mu_hat=0.0027, tau_hat=0.0, alpha_hat=1.0 + 0j),
+            PathEstimate(mu_hat=1.1, tau_hat=7.5, alpha_hat=0.3j)]
+    cur = [replace(prev[0], mu_hat=0.0027 + 2e-5), prev[1]]
+    mirrored = [[replace(e, mu_hat=2 * np.pi - e.mu_hat) for e in ests] for ests in (prev, cur)]
+    stat = stop_statistic(prev, cur)
+    assert stat == pytest.approx(2e-5 / (2 * np.pi / ARR.m), rel=1e-9)
+    assert stop_statistic(*mirrored) == pytest.approx(stat, rel=1e-9)
+
+
+def test_line_of_sight_delay_jitter_counts_as_converged():
+    # the line-of-sight delay is 0 by construction: search jitter around it is
+    # no reason for another iteration
+    prev = [PathEstimate(mu_hat=2.3, tau_hat=1e-4, alpha_hat=0.8 - 0.1j)]
+    cur = [replace(prev[0], tau_hat=1e-4 - 1e-7)]
+    assert stop_statistic(prev, cur) <= SageConfig().gamma_stop
+
+
+def test_late_delay_move_counts_as_not_converged():
+    # 2e-3 symbols is 2e-3 of the delay window wherever the path sits,
+    # although it is only 1.7e-4 of tau_hat = 12
+    prev = [PathEstimate(mu_hat=2.3, tau_hat=12.0, alpha_hat=0.8 - 0.1j)]
+    cur = [replace(prev[0], tau_hat=12.0 + 2e-3)]
+    assert stop_statistic(prev, cur) > SageConfig().gamma_stop
+
+
+@pytest.mark.parametrize("tau_window, mu_window", [(1.0, None), (0.5, 0.1), (2.5, 0.3)])
+def test_stop_statistic_counts_in_search_half_widths(tau_window, mu_window):
+    cfg = SageConfig(tau_window_symbols=tau_window, mu_window=mu_window)
+    mu_half = 2 * np.pi / ARR.m if mu_window is None else mu_window
+    start = PathEstimate(mu_hat=2.0 - mu_half - 0.2, tau_hat=8.0 - tau_window - 0.5,
+                         alpha_hat=1.0 + 0j)
+    assert stop_statistic([start], [replace(start, tau_hat=start.tau_hat + 1e-3)],
+                          cfg) == pytest.approx(1e-3 / tau_window, rel=1e-9)
+    assert stop_statistic([start], [replace(start, mu_hat=start.mu_hat - 1e-3)],
+                          cfg) == pytest.approx(1e-3 / mu_half, rel=1e-9)
+    # each search, started beyond its reach of the peak, stops at its window
+    # edge: a move of one half-width, which the stop test reads as 1
+    y = observe([(1.0 + 0j, 2.0, 8.0)])
+    tau = maximize_tau(y.y, 2.0, cfg, start.tau_hat, arr=ARR, caz=CAZ)
+    mu = maximize_mu(y.y, 8.0, cfg, start.mu_hat, arr=ARR, caz=CAZ)
+    for moved, half in ((replace(start, tau_hat=tau), tau_window),
+                        (replace(start, mu_hat=mu), mu_half)):
+        assert stop_statistic([start], [moved], cfg) == pytest.approx(
+            1.0, abs=2 * cfg.refine_tol / half)
 
 
 def counted(monkeypatch, name):
