@@ -127,9 +127,9 @@ def _cmd_lut(cfg: RunConfig, args) -> int:
 
 
 def _cmd_crlb(cfg: RunConfig, args) -> int:
-    # trial 0's realization at the first SNR point, as the harness draws it
-    real = synthesize_trial(cfg, 0, 0)[0]
-    report = crlb_bounds(fisher_matrix(real, cfg.array, cfg.cazac))
+    # trial 0 at the first SNR point and its effective noise, as the harness draws them
+    real, _, noise = synthesize_trial(cfg, 0, 0)
+    report = crlb_bounds(fisher_matrix(replace(real, noise_var=noise), cfg.array, cfg.cazac))
     print(f"# condition number {report.condition_number:.6g}, "
           f"invertible={report.invertible}")
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -157,8 +157,8 @@ def _cmd_demo(cfg: RunConfig, args) -> int:
         print("no diagonal cleared the detection threshold")
         return EXIT_OK
     print(f"coarse estimate (model order {rec.r_hat}):")
-    for i, (tau_int, _, theta, peak, beam, _) in enumerate(rec.coarse):
-        print(f"  [{i}] theta {theta:+8.3f} deg  tau {tau_int:7d} sym  "
+    for i, (tau_int, mu, peak, beam, _) in enumerate(rec.coarse):
+        print(f"  [{i}] theta {mu_to_theta_deg(mu):+8.3f} deg  tau {tau_int:7d} sym  "
               f"beam {beam:2d}  peak {peak:12.2f}")
     print(f"refined estimate ({rec.sage_iterations} iterations, "
           f"converged={rec.detection_status == 'ok'}):")

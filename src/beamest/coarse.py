@@ -106,13 +106,6 @@ def detection_threshold(noise_var: float, m: int, p_fa: float = 1e-3) -> float:
     return noise_var * m * math.log(m / p_fa)
 
 
-def wrap_diagonal(p: np.ndarray, i: int) -> np.ndarray:
-    """Wrap-around diagonal p_i (1-based): entry k is P[k, mod(i + k - 2, M) + 1]."""
-    m = p.shape[0]
-    rows = np.arange(m)
-    return p[rows, (rows + i - 1) % m]
-
-
 @lru_cache(maxsize=8)
 def _diagonal_index(m: int) -> np.ndarray:
     # flat index into an M x M matrix: row i - 1 holds wrap-around diagonal i
@@ -120,6 +113,11 @@ def _diagonal_index(m: int) -> np.ndarray:
     out = k[None, :] * m + (k[None, :] + k[:, None]) % m
     out.setflags(write=False)
     return out
+
+
+def wrap_diagonal(p: np.ndarray, i: int) -> np.ndarray:
+    """Wrap-around diagonal p_i (1-based): entry k is P[k, mod(i + k - 2, M) + 1]."""
+    return p.take(_diagonal_index(p.shape[0])[i - 1])
 
 
 def detect_paths(p: np.ndarray, g: float):
@@ -215,8 +213,9 @@ def coarse_estimate(p: np.ndarray, detections: Sequence[Detection], lut: Lut,
     for det in detections:
         k0 = det.row_index - 1
         d = det.diag_index - 1
-        p_next = p[(k0 + 1) % m, ((k0 + 1) % m + d) % m]
-        p_prev = p[(k0 - 1) % m, ((k0 - 1) % m + d) % m]
+        diag = wrap_diagonal(p, det.diag_index)
+        p_next = diag[(k0 + 1) % m]
+        p_prev = diag[(k0 - 1) % m]
         if abs(p_next - p_prev) <= noise_var / v:
             mu_hat = float(phis[k0])
             fb = Feedback(delta_ratio=np.inf, beam_index_bits=k0)

@@ -32,7 +32,7 @@ import os
 import platform
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from numbers import Integral
 from typing import List, Optional, Sequence, Tuple
 
@@ -254,8 +254,8 @@ class TrialRecord:
     trial_id: int
     snr_db: float
     truth: List[tuple]           # per path: (theta_deg, combined gain, tau_symbols)
-    coarse: List[tuple]          # per coarse path: (tau_int, mu_hat, theta_deg, peak,
-    #                              beam_index_bits, delta_ratio), the last two its feedback
+    coarse: List[tuple]          # per coarse path: (tau_int, mu_hat, peak, beam_index_bits,
+    #                              delta_ratio), the last two its feedback
     refined: List[tuple]         # per refined path: (mu_hat, tau_hat, alpha_hat)
     assignment: List[Tuple[int, int]]   # (truth index, refined index) pairs
     matched: List[dict]          # per assignment pair: squared error per PARAMETERS name
@@ -278,7 +278,9 @@ def path_class(truth_index: int) -> str:
 @lru_cache(maxsize=8)
 def _shared_lut(arr: ArrayConfig, k_points: int):
     # built once per geometry and shared read-only across trials/workers
-    return build_lut(arr, k_points)
+    lut = build_lut(arr, k_points)
+    lut.ratios.setflags(write=False)
+    return lut
 
 
 @dataclass
@@ -286,7 +288,6 @@ class _Synthesis:
     """The synthesized observations of a chunk of T trials at P SNR points."""
 
     reals: List[ChannelRealization]   # per trial, at unit transmit power
-    points: List[ChannelRealization]  # per observation, trial-major, at its power
     rows: np.ndarray                  # (T, 2R, L) pilot rows [v | v'] per trial
     pts: np.ndarray                   # (P,) transmit power per SNR point
     noise_eff: float                  # noise variance after averaging repetitions
@@ -299,21 +300,22 @@ def synthesize_trial(cfg: RunConfig, snr_idx, trial):
     effective noise variance.
 
     Sequences of SNR indices and trials synthesize every trial at every one
-    of those points, as one :class:`_Synthesis`; one pair is the chunk of
-    one.  The realization substream depends only on (seed, trial), so
-    geometry is shared across SNR points, and so is the unit-power noiseless
-    signal S0: the observation is sqrt(P_T) * S0 plus noise from a substream
-    that also keys on the SNR index.  All of the chunk's delays go through
-    one tap pass (:func:`delayed_pilots`), and every trial's S0 is one
-    stacked :func:`unit_power_signal` call.  Pilot repetitions are averaged
-    before anything downstream sees them, leaving an effective noise
-    variance of noise_var / repetitions.
+    of those points, as one :class:`_Synthesis` of unit-power realizations
+    and per-point powers; one pair is the chunk of one.  The realization
+    substream depends only on (seed, trial), so geometry is shared across
+    SNR points, and so is the unit-power noiseless signal S0: the
+    observation is sqrt(P_T) * S0 plus noise from a substream that also keys
+    on the SNR index.  All of the chunk's delays go through one tap pass
+    (:func:`delayed_pilots`), and every trial's S0 is one stacked
+    :func:`unit_power_signal` call.  Pilot repetitions are averaged before
+    anything downstream sees them, leaving an effective noise variance of
+    noise_var / repetitions.
     """
     if not isinstance(trial, Integral):
         return _synthesize(cfg, snr_idx, trial)
     chunk = _synthesize(cfg, (snr_idx,), (trial,))
-    y = ReceiveMatrix(y=chunk.y[0, 0], arr=cfg.array, caz=cfg.cazac)
-    return chunk.points[0], y, chunk.noise_eff
+    real = chunk.reals[0].with_snr_db(float(cfg.snr_sweep_db[snr_idx]))
+    return real, ReceiveMatrix(y=chunk.y[0, 0], arr=cfg.array, caz=cfg.cazac), chunk.noise_eff
 
 
 def _synthesize(cfg: RunConfig, snr_indices: Sequence[int],
@@ -324,9 +326,8 @@ def _synthesize(cfg: RunConfig, snr_indices: Sequence[int],
         for trial in trials]
     rows = delayed_pilots(reals, caz)
     s0 = unit_power_signal(reals, arr, caz, rows)
-    points = [real.with_snr_db(float(cfg.snr_sweep_db[s])) for real in reals for s in snr_indices]
     # every realization carries the scenario's noise, so a point's power is shared
-    pts = np.array([real.pt for real in points[:len(snr_indices)]])
+    pts = np.array([reals[0].with_snr_db(float(cfg.snr_sweep_db[s])).pt for s in snr_indices])
     y = np.sqrt(pts)[:, None, None] * s0[:, None]
     reps = cfg.repetitions_per_beam
     if scen.noise_var > 0:
@@ -338,24 +339,12 @@ def _synthesize(cfg: RunConfig, snr_indices: Sequence[int],
                 for _ in range(reps - 1):
                     noise += awgn(noise_rng, y_point.shape, scen.noise_var)
                 y_point += noise / reps
-    return _Synthesis(reals, points, rows, pts, scen.noise_var / reps, y)
+    return _Synthesis(reals, rows, pts, scen.noise_var / reps, y)
 
 
 def run_trial(cfg: RunConfig, snr_idx: int, trial: int) -> TrialRecord:
     """Draw, synthesize, estimate and score one trial at one SNR point."""
     return _chunk_records(cfg, (trial,), (snr_idx,))[0][0]
-
-
-@dataclass
-class _Observation:
-    """One synthesized (SNR point, trial) pair after the coarse stage."""
-
-    snr_idx: int
-    trial: int
-    real: ChannelRealization
-    crlb_vars: List[dict]                     # per truth path, empty without a bound
-    y: Optional[ReceiveMatrix] = None         # with a detection, for the refinement
-    coarse: Optional[CoarseEstimate] = None   # None without a detection
 
 
 def _chunk_records(cfg: RunConfig, trials: Sequence[int],
@@ -368,10 +357,11 @@ def _chunk_records(cfg: RunConfig, trials: Sequence[int],
     transmit power and effective noise, and the (T x P, 4R, 4R) stack is
     gated and inverted in one ``crlb_bounds`` call.  The (T x P, M, L)
     observation stack is correlated in one call and its diagonals scanned in
-    one pass; only the observations with a detection get a coarse estimate,
-    and all of them are refined in lockstep by one ``run_sage_batch`` call,
-    or by ``run_sage`` when there is one.  ``run_trial`` is the chunk of one
-    trial at one point.
+    one pass; each detection gets a coarse estimate, and all of them are
+    refined in lockstep by one ``run_sage_batch`` call, or by ``run_sage``
+    when there is one.  The records follow in one trial-major pass, from the
+    unit-power realizations and per-point powers.  ``run_trial`` is the
+    chunk of one trial at one point.
     """
     arr, caz = cfg.array, cfg.cazac
     chunk = synthesize_trial(cfg, snr_indices, trials)
@@ -384,36 +374,28 @@ def _chunk_records(cfg: RunConfig, trials: Sequence[int],
     # a lone observation is scanned in its 2-D form, so that stage returns its
     # own list of detections
     found = detect_paths(power, g) if len(ys) > 1 else [detect_paths(power[0], g)]
-    # the squared angle slope depends on the trial's geometry only
-    slopes_sq = [[theta_slope_deg_per_rad(p.theta_deg) ** 2 for p in real.paths]
-                 for real in chunk.reals]
 
-    records: List[Optional[TrialRecord]] = []
-    detected: List[Tuple[int, _Observation]] = []   # (record slot, observation)
-    for b, detections in enumerate(found):
-        t, s = divmod(b, len(snr_indices))
-        real = chunk.points[b]
-        obs = _Observation(snr_indices[s], trials[t], real,
-                           _bound_vars(real, variances[b], slopes_sq[t]))
-        if not detections:
-            records.append(_score(cfg, obs, None))
-            continue
-        obs.y = ReceiveMatrix(y=ys[b], arr=arr, caz=caz)
-        obs.coarse = coarse_estimate(power[b], detections, _shared_lut(arr, cfg.coarse.k_points),
-                                     arr, caz, guard_noise, v=cfg.coarse.v, p_fa=cfg.coarse.p_fa)
-        detected.append((len(records), obs))
-        records.append(None)
-    refined = []
-    if len(detected) == 1:
-        obs = detected[0][1]
-        refined = [run_sage(obs.y, obs.coarse, cfg.sage, guard_noise)]
-    elif detected:
-        refined = run_sage_batch([obs.y for _, obs in detected],
-                                 [obs.coarse for _, obs in detected], cfg.sage)
-    for (slot, obs), result in zip(detected, refined):
-        records[slot] = _score(cfg, obs, result)
+    # observations with a detection, by their trial-major index into the stack
+    hits = [b for b, detections in enumerate(found) if detections]
+    coarse = [coarse_estimate(power[b], found[b], _shared_lut(arr, cfg.coarse.k_points), arr,
+                              caz, guard_noise, v=cfg.coarse.v, p_fa=cfg.coarse.p_fa) for b in hits]
+    hit_ys = [ReceiveMatrix(y=ys[b], arr=arr, caz=caz) for b in hits]
+    if len(hits) == 1:
+        refined = [run_sage(hit_ys[0], coarse[0], cfg.sage, guard_noise)]
+    else:
+        refined = run_sage_batch(hit_ys, coarse, cfg.sage) if hits else []
+    estimates = dict(zip(hits, zip(coarse, refined)))
+
+    records = []
     n = len(snr_indices)
-    return [records[i:i + n] for i in range(0, len(records), n)]
+    for t, (trial, real) in enumerate(zip(trials, chunk.reals)):
+        # the squared angle slope depends on the trial's geometry only
+        slopes_sq = [theta_slope_deg_per_rad(p.theta_deg) ** 2 for p in real.paths]
+        records.append([
+            _score(trial, float(cfg.snr_sweep_db[snr_idx]), real, pt,
+                   _bound_vars(real, pt, variances[b], slopes_sq), *estimates.get(b, (None, None)))
+            for b, snr_idx, pt in zip(range(t * n, (t + 1) * n), snr_indices, chunk.pts.tolist())])
+    return records
 
 
 def _chunk_variances(cfg: RunConfig, chunk: _Synthesis) -> list:
@@ -430,17 +412,17 @@ def _chunk_variances(cfg: RunConfig, chunk: _Synthesis) -> list:
     return [var if ok else None for var, ok in zip(report.bounds ** 2, report.invertible)]
 
 
-def _bound_vars(real: ChannelRealization, variances: Optional[np.ndarray],
+def _bound_vars(real: ChannelRealization, pt: float, variances: Optional[np.ndarray],
                 slopes_sq: List[float]) -> List[dict]:
-    """Per truth path, the bound variance of each scored parameter; empty without a bound.
-    ``slopes_sq`` holds each path's squared angle slope d theta / d mu."""
+    """Per truth path, the bound variance of each scored parameter at power ``pt``; empty
+    without a bound.  ``slopes_sq`` holds each path's squared angle slope d theta / d mu."""
     if variances is None:
         return []
     # rows follow the information matrix's block order [Re g | Im g | mu | tau]
     var_re, var_im, var_mu, var_tau = variances.reshape(4, real.r).tolist()
     out = []
     for r, p in enumerate(real.paths):
-        gain = math.sqrt(real.pt) * abs(p.alpha)
+        gain = math.sqrt(pt) * abs(p.alpha)
         aod = var_mu[r] * slopes_sq[r]
         # the coarse and the refined angle share one bound
         out.append({"aod_coarse_deg": aod, "aod_ml_deg": aod,
@@ -449,10 +431,11 @@ def _bound_vars(real: ChannelRealization, variances: Optional[np.ndarray],
     return out
 
 
-def _score(cfg: RunConfig, obs: _Observation,
+def _score(trial: int, snr_db: float, real: ChannelRealization, pt: float,
+           crlb_vars: List[dict], coarse: Optional[CoarseEstimate],
            refined: Optional[RefinedEstimate]) -> TrialRecord:
-    """Match the refined paths of one observation to its truth and record the errors."""
-    real, coarse = obs.real, obs.coarse
+    """Match one observation's refined paths to the truth of ``real`` at power ``pt``."""
+    amp = math.sqrt(pt)
     matched: List[dict] = []
     coarse_rows: List[tuple] = []
     refined_rows: List[tuple] = []
@@ -463,7 +446,7 @@ def _score(cfg: RunConfig, obs: _Observation,
         iterations = refined.iterations
         status = "ok" if refined.converged else "not_converged"
 
-        coarse_rows = [(cp.tau_int, cp.mu_hat, cp.theta_hat_deg, cp.peak_power,
+        coarse_rows = [(cp.tau_int, cp.mu_hat, cp.peak_power,
                         cp.feedback.beam_index_bits, cp.feedback.delta_ratio)
                        for cp in coarse.paths]
         refined_rows = [(p.mu_hat, p.tau_hat, p.alpha_hat) for p in refined.paths]
@@ -472,7 +455,7 @@ def _score(cfg: RunConfig, obs: _Observation,
         for ti, ei in assignment:
             p = real.paths[ti]
             ml = refined.paths[ei]
-            truth_gain = math.sqrt(real.pt) * p.alpha
+            truth_gain = amp * p.alpha
             matched.append({
                 "aod_coarse_deg": (p.theta_deg - coarse.paths[ei].theta_hat_deg) ** 2,
                 "aod_ml_deg": (p.theta_deg - mu_to_theta_deg(ml.mu_hat)) ** 2,
@@ -480,12 +463,11 @@ def _score(cfg: RunConfig, obs: _Observation,
                 "delay_ml_sym": (p.tau_symbols - ml.tau_hat) ** 2,
             })
 
-    amp = math.sqrt(real.pt)
     return TrialRecord(
-        trial_id=obs.trial, snr_db=float(cfg.snr_sweep_db[obs.snr_idx]),
+        trial_id=trial, snr_db=snr_db,
         truth=[(p.theta_deg, complex(amp * p.alpha), p.tau_symbols) for p in real.paths],
         coarse=coarse_rows, refined=refined_rows, assignment=assignment,
-        matched=matched, crlb_vars=obs.crlb_vars, sage_iterations=iterations,
+        matched=matched, crlb_vars=crlb_vars, sage_iterations=iterations,
         detection_status=status)
 
 
@@ -493,21 +475,10 @@ def _score(cfg: RunConfig, obs: _Observation,
 # sweep + aggregation
 # ---------------------------------------------------------------------------
 
-_WORKER_CFG: Optional[RunConfig] = None
-
 # most observations (trials x SNR points) in one sweep task: a chunk's
 # lockstep search temporaries grow with its detected observations, about
 # 0.1 MB each, while its speed levels off by ~100 observations
 _CHUNK_OBSERVATIONS = 160
-
-
-def _worker_init(cfg: RunConfig) -> None:
-    global _WORKER_CFG
-    _WORKER_CFG = cfg
-
-
-def _worker_run(trials: range) -> List[List[TrialRecord]]:
-    return _chunk_records(_WORKER_CFG, trials, range(len(_WORKER_CFG.snr_sweep_db)))
 
 
 def _chunk_trials(trials: int, n_snr: int, threads: int) -> int:
@@ -530,12 +501,12 @@ def run_sweep(cfg: RunConfig, threads: int = 1) -> Tuple[List[dict], List[TrialR
     n_snr = len(cfg.snr_sweep_db)
     size = _chunk_trials(cfg.trials, n_snr, threads)
     chunks = [range(t, min(t + size, cfg.trials)) for t in range(0, cfg.trials, size)]
+    run_chunk = partial(_chunk_records, cfg, snr_indices=range(n_snr))
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads, initializer=_worker_init,
-                                 initargs=(cfg,)) as pool:
-            by_chunk = list(pool.map(_worker_run, chunks))
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            by_chunk = list(pool.map(run_chunk, chunks))
     else:
-        by_chunk = [_chunk_records(cfg, chunk, range(n_snr)) for chunk in chunks]
+        by_chunk = list(map(run_chunk, chunks))
     by_trial = [recs for chunk in by_chunk for recs in chunk]
     records = [recs[s] for s in range(n_snr) for recs in by_trial]
 

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from beamest.arrays import theta_slope_deg_per_rad
 from beamest.channel import spatial_frequency
 from beamest import ConfigurationError
 from beamest.cli import EXIT_CONFIG, EXIT_OK, main
@@ -196,6 +197,31 @@ def test_crlb_truths_are_the_trial_truth(tmp_path, capsys, seed):
                              ("mu_rad", spatial_frequency(theta)), ("tau_symbols", tau)):
             expected.append([str(r), label, format(value, ".10g")])
     assert printed == expected
+
+
+def test_crlb_bounds_at_the_noise_after_averaging_repetitions(tmp_path, capsys):
+    # averaging 4 pilot repetitions leaves a quarter of the noise, so every
+    # printed bound halves, and each must equal the one the trial records
+    def bounds(repetitions):
+        cfg = write_cfg(tmp_path, repetitions_per_beam=repetitions, snr_sweep_db=[0.0])
+        assert main(["crlb", "--config", cfg, "--seed", "3"]) == EXIT_OK
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()
+                if line and line[0].isdigit()]
+        with open(cfg) as fh:
+            rec = run_trial(config_from_dict(dict(json.load(fh), seed=3)), 0, 0)
+        return {(int(r), label): float(b) for r, label, _, b in rows}, rec
+
+    single, _ = bounds(1)
+    printed, rec = bounds(4)
+    assert printed.keys() == single.keys()
+    for key, bound in printed.items():
+        assert bound == pytest.approx(single[key] / 2.0, rel=1e-9)
+    for r, ((theta, gain, _), var) in enumerate(zip(rec.truth, rec.crlb_vars)):
+        slope = theta_slope_deg_per_rad(theta)
+        assert printed[r, "tau_symbols"] ** 2 == pytest.approx(var["delay_ml_sym"], rel=1e-9)
+        assert (printed[r, "mu_rad"] * slope) ** 2 == pytest.approx(var["aod_ml_deg"], rel=1e-9)
+        gain_var = printed[r, "gain_re"] ** 2 + printed[r, "gain_im"] ** 2
+        assert gain_var / abs(gain) ** 2 == pytest.approx(var["gain_ml_rel"], rel=1e-9)
 
 
 def test_bad_snr_list_is_config_error(tmp_path, capsys):

@@ -448,7 +448,7 @@ def test_aggregation_matches_hand_computed_rmse():
             for k in (1, 5)]
         return TrialRecord(
             trial_id=trial_id, snr_db=10.0, truth=[(0.0, 1 + 0j, 0.0), (0.0, 0.5 + 0j, 5.0)],
-            coarse=[(0, 0.0, 0.0, 1.0, 0, math.inf)] * 2, refined=[], assignment=assignment,
+            coarse=[(0, 0.0, 1.0, 0, math.inf)] * 2, refined=[], assignment=assignment,
             matched=matched, crlb_vars=crlb_vars, sage_iterations=3, detection_status="ok")
 
     # trial 1's information matrix is singular: no bound, but its errors count
@@ -478,6 +478,14 @@ def test_trial_record_carries_audit_fields():
     assert len(rec.coarse) == rec.r_hat
     assert len(rec.refined) == rec.r_hat
     assert all(0 <= ti < 2 and 0 <= ei < rec.r_hat for ti, ei in rec.assignment)
+
+
+def test_shared_lut_is_read_only():
+    # one LUT serves every trial in a process, so no caller may change it
+    lut = harness._shared_lut(ArrayConfig(m=16), 101)
+    assert not lut.ratios.flags.writeable
+    with pytest.raises(ValueError):
+        lut.ratios[1] = 0.0
 
 
 def test_coarse_params_validation():
