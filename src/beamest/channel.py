@@ -70,9 +70,12 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"delta_nlos_range_m must not be negative, got {self.delta_nlos_range_m}: "
                 "a reflected path cannot arrive before the line-of-sight path")
-        if self.theta_range_deg[0] < -90.0 or self.theta_range_deg[1] > 90.0:
+        if self.theta_range_deg[0] <= -90.0 or self.theta_range_deg[1] >= 90.0:
             raise ConfigurationError(
-                f"theta_range_deg must lie within [-90, 90], got {self.theta_range_deg}")
+                f"theta_range_deg must lie strictly between -90 and 90, got "
+                f"{self.theta_range_deg}: angles past endfire alias, and the endfire angles "
+                "themselves share mu = pi (-90 reads back as +90) and make the angle bound's "
+                "slope d theta / d mu infinite; any angle short of them is admitted")
 
     @property
     def symbol_period_s(self) -> float:

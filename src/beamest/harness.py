@@ -2,11 +2,14 @@
 
 A sweep task is a chunk of consecutive trials at every SNR point, and its
 front half runs once per chunk, not once per trial or per observation.
-Each trial draws its realization from its own substream; one tap pass
-evaluates the pilot rows and their delay derivatives at every delay of the
-chunk, and from those rows one stacked call builds every trial's noiseless
-signal at unit transmit power.  Per (trial, SNR point): scale the signal to
-the point's transmit power and add noise from the pair's own substream.
+Each trial has one random stream, keyed on (seed, trial): it draws the
+trial's realization, then one block of noise per SNR point in sweep order.
+One tap pass evaluates the pilot rows and their delay derivatives at every
+delay of the chunk, and from those rows one stacked call builds every
+trial's noiseless signal at unit transmit power.  The chunk's noise is one
+buffer, each trial's slab filled by one draw from its stream, and one array
+expression scales every signal to its point's transmit power and adds its
+point's noise.
 Per trial, the information matrix at unit power and unit noise comes from
 the same rows; scaled to every point's power and noise, the chunk's stack
 is gated and inverted in one call.  The chunk's observation stack is
@@ -18,8 +21,9 @@ squared errors and bound variances recorded.  ``run_trial`` is the chunk
 of one trial at one point, and calls the stages (``synthesize_trial`` ...
 ``run_sage``, ``match_paths``) by their names in this module.  Each SNR
 point's records then aggregate to one CSV row per (parameter, path class).
-Trials use counter-derived substreams, so results are bit-identical
-regardless of worker count, chunking or execution order.
+A trial's stream depends only on (seed, trial), and a point's noise block
+only on its place in the sweep, so results are bit-identical regardless of
+worker count, chunking or execution order.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ import numpy as np
 from . import __version__
 from ._kernels import active_backend
 from .arrays import ArrayConfig, mu_to_theta_deg, theta_slope_deg_per_rad, wrapped_distance
-from .channel import (ChannelRealization, ReceiveMatrix, ScenarioConfig, awgn,
-                      delayed_pilots, draw_realization, unit_power_signal)
+from .channel import (ChannelRealization, ReceiveMatrix, ScenarioConfig, delayed_pilots,
+                      draw_realization, unit_power_signal)
 from .coarse import (CoarseEstimate, build_lut, coarse_estimate, correlate, detect_paths,
                      detection_threshold)
 from .crlb import crlb_bounds, fisher_at_power, fisher_matrix
@@ -301,15 +305,18 @@ def synthesize_trial(cfg: RunConfig, snr_idx, trial):
 
     Sequences of SNR indices and trials synthesize every trial at every one
     of those points, as one :class:`_Synthesis` of unit-power realizations
-    and per-point powers; one pair is the chunk of one.  The realization
-    substream depends only on (seed, trial), so geometry is shared across
-    SNR points, and so is the unit-power noiseless signal S0: the
-    observation is sqrt(P_T) * S0 plus noise from a substream that also keys
-    on the SNR index.  All of the chunk's delays go through one tap pass
-    (:func:`delayed_pilots`), and every trial's S0 is one stacked
-    :func:`unit_power_signal` call.  Pilot repetitions are averaged before
-    anything downstream sees them, leaving an effective noise variance of
-    noise_var / repetitions.
+    and per-point powers; one pair is the chunk of one.  Each trial has one
+    random stream, seeded by (seed, trial) alone, so geometry is shared
+    across SNR points, and so is the unit-power noiseless signal S0: the
+    observation is sqrt(P_T) * S0 plus noise.  After the realization, the
+    stream draws one block of noise per SNR point, every repetition of
+    every entry, in sweep order up to the highest requested point; a point's
+    noise is therefore the same whichever points are synthesized with it,
+    and a lone pair at point s draws the s + 1 blocks that precede it.  All
+    of the chunk's delays go through one tap pass (:func:`delayed_pilots`),
+    and every trial's S0 is one stacked :func:`unit_power_signal` call.
+    Pilot repetitions are averaged before anything downstream sees them,
+    leaving an effective noise variance of noise_var / repetitions.
     """
     if not isinstance(trial, Integral):
         return _synthesize(cfg, snr_idx, trial)
@@ -321,9 +328,9 @@ def synthesize_trial(cfg: RunConfig, snr_idx, trial):
 def _synthesize(cfg: RunConfig, snr_indices: Sequence[int],
                 trials: Sequence[int]) -> _Synthesis:
     scen, arr, caz = cfg.scenario, cfg.array, cfg.cazac
-    reals = [draw_realization(
-        scen, np.random.default_rng(np.random.SeedSequence(entropy=(scen.seed, trial, 0))))
-        for trial in trials]
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(scen.seed, trial, 0)))
+            for trial in trials]
+    reals = [draw_realization(scen, rng) for rng in rngs]
     rows = delayed_pilots(reals, caz)
     s0 = unit_power_signal(reals, arr, caz, rows)
     # every realization carries the scenario's noise, so a point's power is shared
@@ -331,14 +338,12 @@ def _synthesize(cfg: RunConfig, snr_indices: Sequence[int],
     y = np.sqrt(pts)[:, None, None] * s0[:, None]
     reps = cfg.repetitions_per_beam
     if scen.noise_var > 0:
-        for trial, y_trial in zip(trials, y):
-            for snr_idx, y_point in zip(snr_indices, y_trial):
-                noise_rng = np.random.default_rng(
-                    np.random.SeedSequence(entropy=(scen.seed, trial, 1 + snr_idx)))
-                noise = awgn(noise_rng, y_point.shape, scen.noise_var)
-                for _ in range(reps - 1):
-                    noise += awgn(noise_rng, y_point.shape, scen.noise_var)
-                y_point += noise / reps
+        # per trial, (SNR point, repetition, beam, symbol) blocks of standard
+        # complex normals, real and imaginary parts interleaved as drawn
+        noise = np.empty((len(rngs), max(snr_indices) + 1, reps, arr.m, caz.length), complex)
+        for rng, slab in zip(rngs, noise):
+            rng.standard_normal(out=slab.view(float))
+        y += math.sqrt(scen.noise_var / 2.0) / reps * noise[:, snr_indices].sum(axis=2)
     return _Synthesis(reals, rows, pts, scen.noise_var / reps, y)
 
 

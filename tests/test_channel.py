@@ -36,9 +36,14 @@ def test_config_validation():
         ScenarioConfig(d_los_range_m=(60.0, 30.0))
     with pytest.raises(ConfigurationError):
         ScenarioConfig(bandwidth_hz=0.0)
-    # the representable ranges are closed: a reflected path level with the
-    # line-of-sight path, and endfire departure angles
-    ScenarioConfig(delta_nlos_range_m=(0.0, 24.0), theta_range_deg=(-90.0, 90.0))
+    # a reflected path level with the line-of-sight path is representable
+    ScenarioConfig(delta_nlos_range_m=(0.0, 24.0))
+    # the endfire angles are not: -90 and +90 share mu = pi and the angle
+    # bound's slope is infinite there, so only the endpoints themselves go
+    for theta_range in ((-90.0, 90.0), (-90.0, -90.0), (0.0, 90.0), (-90.0, 0.0)):
+        with pytest.raises(ConfigurationError, match="endfire"):
+            ScenarioConfig(theta_range_deg=theta_range)
+    ScenarioConfig(theta_range_deg=(-89.9, 89.9))
 
 
 def test_los_only_realization():

@@ -88,6 +88,9 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     ({"scenario": {"theta_range_deg": [100.0, 150.0]}}, "scenario.theta_range_deg"),
     ({"scenario": {"theta_range_deg": [-95.0, 60.0]}}, "scenario.theta_range_deg"),
     ({"scenario": {"theta_range_deg": [0.0, 90.5]}}, "scenario.theta_range_deg"),
+    # the endfire angles themselves: -90 and +90 share one spatial frequency
+    ({"scenario": {"theta_range_deg": [-90.0, 60.0]}}, "scenario.theta_range_deg"),
+    ({"scenario": {"theta_range_deg": [0.0, 90.0]}}, "scenario.theta_range_deg"),
 ])
 def test_wrongly_typed_value_is_config_error(tmp_path, capsys, data, key):
     with pytest.raises(ConfigurationError, match=re.escape(key)):

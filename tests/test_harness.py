@@ -11,7 +11,7 @@ import pytest
 from beamest import (ArrayConfig, ConfigurationError, PathEstimate,
                      RunConfig, ScenarioConfig, active_backend, match_paths, run_sweep,
                      run_trial)
-from beamest.channel import ChannelRealization, PathParams
+from beamest.channel import ChannelRealization, PathParams, unit_power_signal
 from beamest.coarse import (build_lut, coarse_estimate, correlate, detect_paths,
                             detection_threshold, mu_to_theta_deg)
 from beamest import _kernels, harness
@@ -221,10 +221,12 @@ def test_sweep_refuses_a_bad_worker_count(threads):
 
 
 def test_sweep_draws_each_trial_once(monkeypatch):
-    # one draw and one information matrix per trial; one tap pass, one stacked
-    # signal, one bound stack, one correlation and one diagonal scan per chunk
+    # one random generator, one draw and one information matrix per trial; one
+    # tap pass, one stacked signal, one bound stack, one correlation and one
+    # diagonal scan per chunk
     cfg = small_cfg(trials=12, snr_sweep_db=(0.0, 5.0, 10.0, 20.0))
-    per_trial = {"draw_realization": harness, "fisher_matrix": harness}
+    per_trial = {"default_rng": np.random, "draw_realization": harness,
+                 "fisher_matrix": harness}
     per_chunk = {"unit_power_signal": harness, "crlb_bounds": harness, "correlate": harness,
                  "detect_paths": harness, "pilot_rows_and_derivs": _kernels}
     calls = dict.fromkeys({**per_trial, **per_chunk}, 0)
@@ -248,6 +250,37 @@ def test_sweep_draws_each_trial_once(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     run_trial(cfg, 2, 1)
     assert calls == dict.fromkeys(calls, 1)
+
+
+@pytest.mark.parametrize("reps", [1, 2])
+def test_chunk_noise_is_circular_at_the_effective_variance(reps):
+    # y - sqrt(P_T) S0 is the noise a chunk added: every entry circularly
+    # symmetric with variance noise_var / reps, split evenly over its halves;
+    # over 40,960 entries each tolerance is at least five standard errors
+    cfg = small_cfg(scenario=ScenarioConfig(n_nlos=2, seed=21, noise_var=2.5), trials=40,
+                    snr_sweep_db=(-10.0, 0.0, 10.0, 20.0), repetitions_per_beam=reps)
+    chunk = harness.synthesize_trial(cfg, range(4), range(40))
+    s0 = unit_power_signal(chunk.reals, cfg.array, cfg.cazac)
+    noise = (chunk.y - np.sqrt(chunk.pts)[:, None, None] * s0[:, None]).ravel()
+    var = cfg.scenario.noise_var / reps
+    assert chunk.noise_eff == var
+    assert np.mean(np.abs(noise) ** 2) == pytest.approx(var, rel=0.03)
+    assert np.mean(noise.real ** 2) == pytest.approx(var / 2, rel=0.04)
+    assert np.mean(noise.imag ** 2) == pytest.approx(var / 2, rel=0.04)
+    assert abs(np.mean(noise ** 2)) < 0.03 * var      # pseudo-variance E[n^2]
+
+
+@pytest.mark.parametrize("reps", [1, 2])
+def test_point_noise_does_not_depend_on_the_other_points(reps):
+    # a trial's stream draws every point's noise in sweep order, so a point
+    # synthesized alone or among others gets the same bits
+    cfg = small_cfg(trials=6, snr_sweep_db=(-10.0, 0.0, 10.0, 20.0), repetitions_per_beam=reps)
+    trials = range(1, 6)
+    whole = harness._synthesize(cfg, range(4), trials)
+    for s in range(4):
+        alone = harness._synthesize(cfg, (s,), trials)
+        assert alone.y[:, 0].tobytes() == whole.y[:, s].tobytes()
+    assert harness._synthesize(cfg, (3, 1), trials).y.tobytes() == whole.y[:, [3, 1]].tobytes()
 
 
 @pytest.mark.parametrize("kw", [
