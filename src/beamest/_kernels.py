@@ -180,24 +180,44 @@ def mu_objective(qt, mu, rows=None):
     return abs(s) ** 2 / m
 
 
-def _vertex_stencil(x, y, tol):
-    """Zoom points around the vertex of the parabola through three points.
+def _vertex(x, y):
+    """The vertex of the parabola through three points, ``y[1]`` the highest.
 
-    ``y[1]`` is the highest of the three values, so the vertex ``v`` lies
-    within half a gap of ``x[1]`` (three equal values have none, and ``x[1]``
-    stands in).  Returns the bracket ends ``x[0], x[2]`` and ``v - e, v, v + e``
-    with ``e = max((x[2] - x[0]) / _VERTEX_SHRINK, tol / 4)``, or None when
-    these five points are not strictly increasing: the stencil would need
-    clipping at a bracket end, or ``e`` is below the float spacing at ``v``.
+    The vertex lies within half a gap of ``x[1]``; three equal values have
+    none, and ``x[1]`` stands in.
     """
     d0, d2 = x[1] - x[0], x[2] - x[1]
     g0, g2 = y[1] - y[0], y[1] - y[2]
     den = d0 * g2 + d2 * g0
-    v = x[1] if den == 0.0 else x[1] + 0.5 * (d2 * d2 * g0 - d0 * d0 * g2) / den
-    e = max((x[2] - x[0]) / _VERTEX_SHRINK, 0.25 * tol)
-    if x[0] < v - e < v < v + e < x[2]:
-        return np.array([x[0], v - e, v, v + e, x[2]])
+    return x[1] if den == 0.0 else x[1] + 0.5 * (d2 * d2 * g0 - d0 * d0 * g2) / den
+
+
+def _vertex_stencil(a, b, v, tol):
+    """The bracket ends ``a, b`` and ``v - e, v, v + e`` around a vertex ``v``.
+
+    ``e = max((b - a) / _VERTEX_SHRINK, tol / 4)``.  Returns None when these
+    five points are not strictly increasing: the stencil would need clipping
+    at a bracket end, or ``e`` is below the float spacing at ``v``.
+    """
+    e = max((b - a) / _VERTEX_SHRINK, 0.25 * tol)
+    if a < v - e < v < v + e < b:
+        return np.array([a, v - e, v, v + e, b])
     return None
+
+
+def _toward_end(end, other, tol):
+    """Points from ``other`` toward a window ``end``, increasing.
+
+    Their distances from ``end`` are ``|other - end| * 4**-k``, k = 0, 1, ...,
+    down to the first no larger than ``tol / 2`` (or than the float spacing
+    at ``end``, if that is larger), and ``end`` itself, so a maximum on the
+    end leaves a bracket no wider than ``tol / 2``.
+    """
+    w = other - end
+    floor = max(0.5 * tol, math.ulp(end))
+    k = max(1, math.ceil(0.5 * (math.log2(abs(w)) - math.log2(floor))))
+    x = [other, *(end + w * 0.25 ** j for j in range(1, k + 1)), end]
+    return np.array(x if w < 0.0 else x[::-1])
 
 
 def _even(lo, hi, n):
@@ -214,25 +234,38 @@ def _zoom_max(f, lo, hi, n_grid, tol):
     and marked by ``rows`` as in :func:`tau_objective`; when one problem is
     left, ``rows`` is its index b and ``x`` its points alone.  Each round is
     one call for every problem still searching; per problem the search runs
-    as if alone.  It starts on a grid
-    and then zooms into the bracket, the pair of neighbours of the best point
-    of the last round (the point itself standing in for a missing neighbour
-    at a window edge).  Each zoom round fits a parabola through the best
-    point and its two neighbours and evaluates the bracket ends and three
-    points packed around the parabola's vertex (:func:`_vertex_stencil`); on a
-    smooth peak the next bracket is ``_VERTEX_SHRINK / 2`` times narrower,
-    from function values alone (successive parabolic interpolation).  A round
-    evaluates ``_ZOOM_POINTS`` even points across the bracket instead when the
-    best point is a bracket end, when the stencil does not fit, or when the
-    last round did not halve the bracket, which bounds the cost of a peak far
-    from parabolic to about twice that of even rounds alone.  A problem stops
-    when its bracket is no wider than ``tol``, or when a round no longer
-    narrows it, which happens once ``tol`` is below the float spacing at the
-    maximizer.  Returns each problem's bracket midpoint.
+    as if alone.  It starts on a grid and then zooms into the bracket, the
+    pair of neighbours of the best point of the last round (the point itself
+    standing in for a missing neighbour at an end).  A round picks its
+    points by where that best point lies:
+
+    * on the window end ``lo[b]`` or ``hi[b]`` (a peak on or past a clipped
+      window): points spaced geometrically toward that end
+      (:func:`_toward_end`), so a maximum on the end closes in this one
+      round and one just inside it leaves a narrow bracket;
+    * inside the bracket: the bracket ends and three points packed around
+      the vertex of the parabola through the best point and its neighbours
+      (:func:`_vertex_stencil`); on a smooth peak the next bracket is
+      ``_VERTEX_SHRINK / 2`` times narrower, from function values alone
+      (successive parabolic interpolation);
+    * otherwise, ``_ZOOM_POINTS`` even points across the bracket: when the
+      best point is a bracket end inside the window, when the stencil does
+      not fit, or when the last round neither halved the bracket nor was a
+      window-end round, which bounds the cost of a peak far from parabolic
+      to about twice that of even rounds alone.
+
+    A problem stops when its bracket is no wider than ``tol``, returning the
+    bracket midpoint; when a new parabola vertex lies within ``tol`` of the
+    vertex the last round was packed around (Brent's step test), returning
+    the new vertex; or when a round no longer narrows the bracket, which
+    happens once ``tol`` is below the float spacing at the maximizer.
     """
     xs = [_even(a, b, n_grid) for a, b in zip(lo, hi)]
     fs = [None] * len(xs)
     width = [math.inf] * len(xs)
+    # the vertex the last round was packed around, or None after another round
+    vertex = [None] * len(xs)
+    at_end = [False] * len(xs)
     best = [0.0] * len(xs)
     active = list(range(len(xs)))
     while active:
@@ -249,18 +282,27 @@ def _zoom_max(f, lo, hi, n_grid, tol):
         for p in active:
             x, fx = xs[p], fs[p]
             i = int(fx.argmax())
+            last = x.size - 1
             a = x[max(i - 1, 0)]
-            b = x[min(i + 1, x.size - 1)]
+            b = x[min(i + 1, last)]
             if b - a <= tol or b - a >= width[p]:
                 best[p] = 0.5 * (a + b)
                 continue
             # a vertex that did not halve the bracket sits on a poor parabola
-            trusted = 2.0 * (b - a) <= width[p]
+            trusted = 2.0 * (b - a) <= width[p] or at_end[p]
             width[p] = b - a
-            stencil = None
-            if trusted and 0 < i < x.size - 1:
-                stencil = _vertex_stencil(x[i - 1:i + 2], fx[i - 1:i + 2], tol)
-            xs[p] = _even(a, b, _ZOOM_POINTS) if stencil is None else stencil
+            at_end[p] = (i == 0 and x[0] == lo[p]) or (i == last and x[last] == hi[p])
+            points = None
+            if at_end[p]:
+                points = _toward_end(x[i], b if i == 0 else a, tol)
+            elif trusted and 0 < i < last:
+                v = _vertex(x[i - 1:i + 2], fx[i - 1:i + 2])
+                if vertex[p] is not None and abs(v - vertex[p]) <= tol:
+                    best[p] = v
+                    continue
+                points = _vertex_stencil(a, b, v, tol)
+            vertex[p] = None if points is None or at_end[p] else points[2]
+            xs[p] = _even(a, b, _ZOOM_POINTS) if points is None else points
             searching.append(p)
         active = searching
     return best

@@ -6,7 +6,11 @@ reconstruction, and the maximization step updates that path's delay, spatial
 frequency and complex gain one coordinate at a time.  The two 1-D searches
 evaluate a coarse grid and then zoom into the bracket around its best point,
 each round evaluating, in one array call, a few points around the vertex of
-the parabola through the best point and its neighbours.
+the parabola through the best point and its neighbours, or, when the best
+point is the search window's end, points spaced geometrically toward that
+end.  A search stops when its bracket is no wider than ``refine_tol`` or
+when two successive parabola vertices lie within ``refine_tol`` of each
+other (``_kernels._zoom_max``).
 
 The trace objectives reduce to small vector forms.  Writing X_g[k, s] =
 X[k, (s + k) mod L] (undoing the per-beam pilot shift) and v for the delayed
@@ -61,7 +65,10 @@ class SageConfig:
     delay window around the integer initialisation.  Refinement stops once no
     path's delay or spatial frequency moved by more than ``gamma_stop`` times
     its search half-width in an iteration, nor its gain by more than
-    ``gamma_stop`` times |alpha_hat|.
+    ``gamma_stop`` times |alpha_hat|.  Each 1-D search starts on a
+    ``grid_points`` grid and stops once its bracket is no wider than
+    ``refine_tol``, or once a parabola vertex lies within ``refine_tol`` of
+    the vertex before it, and returns that vertex.
     """
 
     beta: float = 1.0
@@ -212,7 +219,8 @@ def _mu_half_window(cfg: SageConfig, m: int) -> float:
 
 
 def _tau_bounds(center: float, cfg: SageConfig, ell: int) -> Tuple[float, float]:
-    # delays live on a cycle of length L; the window is clipped to [0, L)
+    # delays live on a cycle of length L; the window is clipped to [0, L], so
+    # a delay past L - 1 is still found (the pilot model is periodic in it)
     lo = max(0.0, center - cfg.tau_window_symbols)
     hi = min(float(ell), center + cfg.tau_window_symbols)
     return lo, hi
@@ -250,9 +258,12 @@ def maximize_tau(x_hat: np.ndarray, mu_fixed: float, cfg: SageConfig, search_cen
     """Delay maximizing |tr{C(tau)^H A(mu)^H X}| ** 2 / (beta tr{C^H A^H A C}).
 
     The search covers ``search_center`` +/- the configured window, clipped to
-    [0, L); the bracket around the best point of a ``grid_points`` grid is
-    zoomed until it is no wider than ``refine_tol``.  An all-zero hidden
-    observation returns the center unchanged.
+    [0, L]; the bracket around the best point of a ``grid_points`` grid is
+    zoomed until it is no wider than ``refine_tol`` or two successive
+    parabola vertices lie within ``refine_tol``.  A maximum on a clipped end
+    (the line-of-sight delay 0, or a peak past the window) closes in one
+    round after the grid.  An all-zero hidden observation returns the center
+    unchanged.
     """
     ws = _workspace(arr, caz)
     w, moving = ws.delay_statistics(ws.gathered(x_hat[None]), [mu_fixed])
@@ -263,8 +274,9 @@ def maximize_mu(x_hat: np.ndarray, tau_fixed: float, cfg: SageConfig, search_cen
                 *, arr: ArrayConfig, caz: CazacConfig) -> float:
     """Spatial frequency maximizing the same objective at a fixed delay.
 
-    Searches ``search_center`` +/- the window (default one beam spacing); the
-    result is wrapped into [0, 2*pi).
+    Searches ``search_center`` +/- the window (default one beam spacing) with
+    the stop rules of :func:`maximize_tau`; the result is wrapped into
+    [0, 2*pi).
     """
     ws = _workspace(arr, caz)
     _, q = ws.beam_statistics(ws.gathered(x_hat[None]), [tau_fixed])

@@ -401,6 +401,13 @@ def test_searches_stop_at_tolerance_below_float_spacing():
     mu = returns_within(lambda: maximize_mu(y.y, 6.3, fine, 1.48, arr=ARR, caz=CAZ))
     assert abs(tau - maximize_tau(y.y, 1.48, ref, 6.0, arr=ARR, caz=CAZ)) <= 1e-8
     assert abs(mu - maximize_mu(y.y, 6.3, ref, 1.48, arr=ARR, caz=CAZ)) <= 1e-8
+    # a peak past a clipped window end, down to the smallest positive tolerance
+    for tol in (1e-16, 5e-324):
+        for tau_true, center, edge in ((15.6, 0.5, 0.0), (0.3, 15.5, 16.0)):
+            y = observe([(1.0 + 0j, 2.2, tau_true)])
+            tau = returns_within(lambda: maximize_tau(
+                y.y, 2.2, SageConfig(refine_tol=tol), center, arr=ARR, caz=CAZ))
+            assert abs(tau - edge) <= 1e-8
 
 
 @pytest.mark.parametrize("tau_true, center, edge", [(15.6, 0.5, 0.0),    # window [0, 1.5]
@@ -415,13 +422,16 @@ def test_delay_search_returns_clipped_window_edge(tau_true, center, edge):
 
 
 @pytest.mark.parametrize("side", [-1, 1])
-def test_angle_search_returns_window_edge(side):
-    # the peak sits 0.6 rad from the center, beyond the 2*pi/16 half-window
+def test_angle_search_returns_window_edge(monkeypatch, side):
+    # the peak sits 0.6 rad from the center, beyond the 2*pi/16 half-window;
+    # the grid call and one round toward the edge find it
     cfg = SageConfig()
     y = observe([(1.0 + 0j, 2.0, 4.0)])
     center = 2.0 - side * 0.6
+    calls = counted(monkeypatch, "mu_objective")
     mu = maximize_mu(y.y, 4.0, cfg, center, arr=ARR, caz=CAZ)
     assert abs(mu - (center + side * 2 * np.pi / 16)) <= cfg.refine_tol
+    assert len(calls) == 2
 
 
 def stop_statistic(previous, current, cfg=SageConfig()):
@@ -486,11 +496,12 @@ def counted(monkeypatch, name):
 
 
 def dense_argmax(f, lo, hi, n_points=100000):
-    # 1e5-point scan of the window, then another across the best cell
+    # 1e5-point scan of the window, then another across the best cell, both
+    # within the window
     xs = np.linspace(lo, hi, n_points)
     best = xs[int(np.argmax(f(xs)))]
     step = xs[1] - xs[0]
-    xs = np.linspace(best - step, best + step, n_points)
+    xs = np.linspace(max(best - step, lo), min(best + step, hi), n_points)
     return float(xs[int(np.argmax(f(xs)))])
 
 
@@ -549,6 +560,23 @@ def test_zoom_finds_peak_far_from_parabolic(c, left):
     assert len(calls) <= 20
 
 
+@pytest.mark.parametrize("c", [0.3141, 0.5, 0.87])
+def test_zoom_stops_once_the_parabola_vertex_settles(c):
+    # on an exact parabola the grid's vertex is the peak, and the next
+    # round's vertex repeats it within tol: the search returns that vertex
+    # after one round, long before its bracket shrinks to tol
+    calls = []
+
+    def f(x, rows):
+        calls.append(1)
+        return -(x - c) ** 2
+
+    tol = 1e-7
+    x = _kernels._zoom_max(f, [0.0], [1.0], 64, tol)[0]
+    assert abs(x - c) <= 1e-12
+    assert len(calls) == 2
+
+
 def test_lockstep_zoom_makes_one_call_per_round():
     # problems at different stages (vertex rounds, even rounds, done) share
     # each round's call, and each ends where it ends alone
@@ -577,6 +605,61 @@ def test_lockstep_zoom_makes_one_call_per_round():
     assert batch == lone
     assert len(set(lone_calls)) > 1
     assert len(calls) == max(lone_calls) < sum(lone_calls)
+
+
+# (true delay, search center, where): the center puts the window at [0, 1]
+# or at [L - 1, L], and the path's delay, on the cycle of length L, lies past
+# the clipped end, on it, or just inside it, before and past the first grid
+# point
+WINDOW_END_CASES = [(15.7, 0.0, "past"), (0.0, 0.0, "on"), (0.004, 0.0, "inside"),
+                    (0.03, 0.0, "inside"), (0.3, 16.0, "past"), (0.0, 16.0, "on"),
+                    (15.996, 16.0, "inside"), (15.97, 16.0, "inside")]
+
+
+def test_delay_search_at_a_clipped_window_end_matches_dense_scan(monkeypatch):
+    from beamest.sage import _workspace
+    cfg = SageConfig()
+    ws = _workspace(ARR, CAZ)
+    stats, refs = [], []
+    for tau_true, center, _ in WINDOW_END_CASES:
+        y = observe([(1.0 + 0j, 2.2, tau_true)])
+        w = ws.delay_statistics(ws.gathered(y.y[None]), [2.2])[0]
+        lo, hi = _tau_bounds(center, cfg, 16)
+        assert {lo, hi} & {0.0, 16.0}
+        stats.append(w)
+        refs.append(dense_argmax(lambda t: _kernels.tau_objective(
+            w[0], t, CAZ.rolloff, CAZ.pulse_halfwidth, 16), lo, hi))
+    calls = counted(monkeypatch, "tau_objective")
+    lone, lone_calls = [], []
+    for w, (_, center, _) in zip(stats, WINDOW_END_CASES):
+        start = len(calls)
+        lone.extend(ws.search_delays(w, [center], cfg))
+        lone_calls.append(len(calls) - start)
+    start = len(calls)
+    centers = [center for _, center, _ in WINDOW_END_CASES]
+    batch = ws.search_delays(np.concatenate(stats), centers, cfg)
+    assert batch == lone
+    assert len(calls) - start == max(lone_calls)
+    for tau, ref in zip(lone, refs):
+        assert abs(tau - ref) <= cfg.refine_tol
+    # a peak past the end closes in the grid call and one round toward the end
+    assert [n for n, case in zip(lone_calls, WINDOW_END_CASES) if case[2] == "past"] == [2, 2]
+
+
+def test_acceptance_block_search_calls(monkeypatch):
+    # the 100 lone trials of the acceptance workload's first block at seed 5
+    # (the benchmark's accept_sweep inputs), with an exact count of the
+    # searches' objective calls and of the SAGE iterations they take
+    from beamest import RunConfig, run_trial
+    block_seed = int(np.random.SeedSequence((5, 0)).generate_state(1)[0])
+    cfg = RunConfig(scenario=ScenarioConfig(n_nlos=1, delta_nlos_range_m=(4.5, 22.5),
+                                            seed=block_seed),
+                    snr_sweep_db=(-10.0, 0.0, 10.0, 20.0), trials=25)
+    tau_calls = counted(monkeypatch, "tau_objective")
+    mu_calls = counted(monkeypatch, "mu_objective")
+    iterations = sum(run_trial(cfg, s, t).sage_iterations for s in range(4) for t in range(25))
+    assert iterations == 242
+    assert (len(tau_calls), len(mu_calls)) == (1385, 1308)
 
 
 def _ragged_problems(rng):
