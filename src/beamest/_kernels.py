@@ -154,8 +154,10 @@ def tau_objective(w, tau, rolloff, halfwidth, ell, rows=None):
     num = abs((taps * wu).sum(axis=-1)) ** 2
     # ||v||^2 = L * sum of tap products over pairs congruent mod L
     energy = (taps ** 2).sum(axis=-1)
-    for i in range(taps.shape[-1] - ell):
-        energy = energy + 2.0 * taps[..., i] * taps[..., i + ell]
+    n = taps.shape[-1]
+    for d in range(ell, n, ell):
+        for i in range(n - d):
+            energy = energy + 2.0 * taps[..., i] * taps[..., i + d]
     return num / (ell * energy)
 
 

@@ -2,7 +2,8 @@
 
 The receiver correlates each beam's row with its own pilot, forming Z = Y C(0)^H
 and the power matrix P = |Z|^2.  A path at integer delay i and beam k
-concentrates power on wrap-around diagonal i+1 at row k+1; scanning diagonal
+concentrates power on wrap-around diagonal i+1 at row k+1 (the diagonals are
+read with the unshift gather that ``pilots`` owns); scanning diagonal
 maxima against a threshold yields the model order and integer delays, and the
 ratio of the two dominant beam powers along a diagonal is inverted through a
 precomputed look-up table to place the spatial frequency inside the beam cell.
@@ -12,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .arrays import ArrayConfig, beam_gains, mu_to_theta_deg, wrapped_distance
 from .channel import ReceiveMatrix
 from .errors import ConfigurationError
-from .pilots import CazacConfig, _conj_shifts, sidelobe_power_ratios
+from .pilots import CazacConfig, _conj_shifts, _unshift_index, sidelobe_power_ratios
 
 
 class Detection(NamedTuple):
@@ -106,26 +106,18 @@ def detection_threshold(noise_var: float, m: int, p_fa: float = 1e-3) -> float:
     return noise_var * m * math.log(m / p_fa)
 
 
-@lru_cache(maxsize=8)
-def _diagonal_index(m: int) -> np.ndarray:
-    # flat index into an M x M matrix: row i - 1 holds wrap-around diagonal i
-    k = np.arange(m)
-    out = k[None, :] * m + (k[None, :] + k[:, None]) % m
-    out.setflags(write=False)
-    return out
-
-
 def wrap_diagonal(p: np.ndarray, i: int) -> np.ndarray:
     """Wrap-around diagonal p_i (1-based): entry k is P[k, mod(i + k - 2, M) + 1]."""
-    return p.take(_diagonal_index(p.shape[0])[i - 1])
+    return p.take(_unshift_index(p.shape[0], p.shape[0])[:, i - 1])
 
 
 def detect_paths(p: np.ndarray, g: float):
     """Scan all M wrap-around diagonals and report maxima above the threshold.
 
     Diagonal 1 is the main diagonal (zero delay); diagonal i maps to the
-    integer delay i - 1.  All diagonals are gathered into one M x M matrix
-    (row i - 1 is :func:`wrap_diagonal` i) and scanned along rows at once;
+    integer delay i - 1.  All diagonals are gathered into one M x M matrix,
+    the transposed unshift gather of ``pilots._unshift_index`` (row i - 1 is
+    :func:`wrap_diagonal` i), and scanned along rows at once;
     ``argmax`` keeps the first maximum on ties.  A (B, M, M) stack of power
     matrices is scanned in the same pass and gives one list per matrix, each
     equal to its lone call.
@@ -133,7 +125,7 @@ def detect_paths(p: np.ndarray, g: float):
     if g <= 0:
         raise ConfigurationError(f"detection threshold must be positive, got {g}")
     m = p.shape[-1]
-    diags = p.reshape(-1, m * m).take(_diagonal_index(m), axis=-1)
+    diags = p.reshape(-1, m * m).take(_unshift_index(m, m).T, axis=-1)
     peaks = diags.max(axis=-1)
     hit = peaks >= g
     found: List[List[Detection]] = [[] for _ in range(len(diags))]

@@ -121,10 +121,11 @@ class RunConfig:
         if self.repetitions_per_beam < 1:
             raise ConfigurationError(
                 f"repetitions per beam must be >= 1, got {self.repetitions_per_beam}")
-        if self.array.m > self.cazac.length:
+        if self.array.m != self.cazac.length:
             raise ConfigurationError(
-                f"array size {self.array.m} exceeds the pilot length {self.cazac.length}: "
-                "each beam needs its own cyclic pilot shift")
+                f"array size {self.array.m} differs from the pilot length {self.cazac.length}: "
+                "each beam needs its own cyclic pilot shift, and the coarse stage "
+                "keeps only M of the L correlation lags")
 
 
 # ---------------------------------------------------------------------------

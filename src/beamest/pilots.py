@@ -4,8 +4,10 @@ The base sequence is a length-L polyphase construction (L a perfect square)
 whose cyclic shifts are mutually orthogonal; each probing beam k transmits the
 base sequence cyclically shifted by k.  Non-integer path delays are modelled
 by raised-cosine interpolation of the wrapped sequence, truncated to
-``pulse_halfwidth`` symbols either side.  Only this module lays rows out as
-C(tau), row k shifted by k: ``_stack_shifted`` and ``_conj_shifts``.
+``pulse_halfwidth`` symbols either side.  Only this module builds the
+per-beam shift layout (row k shifted by k): ``_shift_index``,
+``_stack_shifted`` and ``_conj_shifts`` lay rows out as C(tau), and
+``_unshift_index`` undoes the shift.
 """
 
 from __future__ import annotations
@@ -106,6 +108,17 @@ def _stack_shifted(row0: np.ndarray, m: int) -> np.ndarray:
     """m x L matrix whose row k is ``row0`` cyclically shifted by k; a (..., L)
     stack of rows gives one matrix per row, (..., m, L)."""
     return row0.take(_shift_index(m, row0.shape[-1]), axis=-1)
+
+
+@lru_cache(maxsize=16)
+def _unshift_index(m: int, n: int) -> np.ndarray:
+    """Read-only flat index k*n + (s + k) mod n, row k, column s of an m x n matrix:
+    the gather undoing the per-beam shift (SAGE's X_g at (M, L); transposed at
+    (M, M), row i - 1 is the coarse stage's wrap-around diagonal i)."""
+    rows = np.arange(m)[:, None]
+    idx = rows * n + (np.arange(n)[None, :] + rows) % n
+    idx.setflags(write=False)
+    return idx
 
 
 @lru_cache(maxsize=8)

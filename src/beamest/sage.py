@@ -13,8 +13,8 @@ when two successive parabola vertices lie within ``refine_tol`` of each
 other (``_kernels._zoom_max``).
 
 The trace objectives reduce to small vector forms.  Writing X_g[k, s] =
-X[k, (s + k) mod L] (undoing the per-beam pilot shift) and v for the delayed
-base pilot row:
+X[k, (s + k) mod L] (undoing the per-beam pilot shift with the gather
+``pilots._unshift_index``) and v for the delayed base pilot row:
 
 * tr{C(tau)^H A(mu)^H X} = sum_s conj(v_tau(s)) * z(s),
   z(s) = sum_k conj(A_kk) X_g[k, s];
@@ -41,7 +41,6 @@ batches of one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,7 +51,7 @@ from .channel import ReceiveMatrix, path_signal
 from .coarse import CoarseEstimate
 from .errors import (ConfigurationError, NumericalDegeneracyError, is_real, require_integers,
                      require_reals)
-from .pilots import CazacConfig, _cached_base, _conj_shifts
+from .pilots import CazacConfig, _cached_base, _conj_shifts, _unshift_index
 
 
 @dataclass(frozen=True)
@@ -118,99 +117,87 @@ class RefinedEstimate:
     converged: bool
 
 
-class _Workspace:
-    """Per-configuration quantities and the batched steps of a path update.
+def _gathered(x: np.ndarray) -> np.ndarray:
+    """X_g of one (M, L) observation or of each slab of an (S, M, L) stack,
+    gathered with ``pilots._unshift_index``.
 
-    Each step takes a stack of S problems, one row (or (M, L) slab) per
-    problem, and computes every row as a lone problem would; arrays are
-    read-only.
+    The result is C-ordered, as later steps rely on: a matrix-vector
+    product over a strided vector, or a sum whose reduced axis is the
+    innermost in memory, rounds differently.
     """
-
-    def __init__(self, arr: ArrayConfig, caz: CazacConfig):
-        self.arr = arr
-        self.caz = caz
-        self.cbase = _cached_base(caz)
-        self.ell = ell = caz.length
-        rows = np.arange(arr.m)[:, None]
-        # flat positions, in one observation, of the gather undoing the
-        # per-beam shift: Xg[k, s] = X[k, (s + k) % L]
-        self.flat = rows * ell + (np.arange(ell)[None, :] + rows) % ell
-        self.flat.setflags(write=False)
-        # conj pilot shifts for integer-lag correlation: corr[d, s] = conj(c((s - d) % L))
-        self.corr = _conj_shifts(caz)
-
-    def gathered(self, x: np.ndarray) -> np.ndarray:
-        """X_g of one (M, L) observation or of each slab of an (S, M, L) stack.
-
-        The result is C-ordered, as later steps rely on: a matrix-vector
-        product over a strided vector, or a sum whose reduced axis is the
-        innermost in memory, rounds differently.
-        """
-        return x.reshape(x.shape[:-2] + (-1,)).take(self.flat, axis=-1)
-
-    def pilots(self, taus: Sequence[float]) -> np.ndarray:
-        return _kernels.pilot_rows(self.cbase, taus, self.caz.rolloff, self.caz.pulse_halfwidth)
-
-    def reconstructions(self, estimates: Sequence[PathEstimate]) -> np.ndarray:
-        """The (n, M, L) path terms of ``estimates``; a zero gain gives exact zeros."""
-        out = np.zeros((len(estimates), self.arr.m, self.ell), dtype=complex)
-        live = [e.alpha_hat != 0 for e in estimates]
-        if any(live):
-            alpha, mu, tau = zip(*((e.alpha_hat, e.mu_hat, e.tau_hat)
-                                   for e, keep in zip(estimates, live) if keep))
-            out[live] = path_signal(alpha, beam_gains(self.arr, mu), self.pilots(tau))
-        return out
-
-    def delay_statistics(self, xg: np.ndarray,
-                         mus: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-        """w[b, d] = sum_s corr[d, s] z_b(s), z_b(s) = sum_k conj(A_kk(mu_b)) X_g[b, k, s],
-        and whether z_b is nonzero (a zero z_b has no delay to search)."""
-        z = (beam_gains(self.arr, mus).conj()[:, :, None] * xg).sum(axis=1)
-        return np.matmul(self.corr, z[:, :, None])[..., 0], z.any(axis=1)
-
-    def search_delays(self, w: np.ndarray, centers: Sequence[float],
-                      cfg: SageConfig) -> List[float]:
-        lo, hi = zip(*(_tau_bounds(c, cfg, self.ell) for c in centers))
-        return [float(t) for t in _kernels.search_tau(
-            w, self.caz.rolloff, self.caz.pulse_halfwidth, self.ell, lo, hi,
-            cfg.grid_points, cfg.refine_tol)]
-
-    def beam_statistics(self, xg: np.ndarray,
-                        taus: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-        """The pilot rows v_b(tau_b) and q[b, k] = sum_s X_g[b, k, s] conj(v_b(s))."""
-        v = self.pilots(taus)
-        return v, (xg * v.conj()[:, None, :]).sum(axis=2)
-
-    def angle_spectra(self, q: np.ndarray) -> np.ndarray:
-        return self.arr.m * np.fft.ifft(q)
-
-    def search_angles(self, q: np.ndarray, centers: Sequence[float],
-                      cfg: SageConfig) -> List[float]:
-        """Angle searches around ``centers``, wrapped to [0, 2*pi); a vanishing
-        q_b keeps its center."""
-        half = _mu_half_window(cfg, self.arr.m)
-        mus = list(centers)
-        moving = [b for b, m in enumerate(q.any(axis=1).tolist()) if m]
-        if moving:
-            found = _kernels.search_mu(
-                self.angle_spectra(q if len(moving) == len(mus) else q[moving]),
-                [mus[b] - half for b in moving], [mus[b] + half for b in moving],
-                cfg.grid_points, cfg.refine_tol)
-            for b, mu in zip(moving, found):
-                mus[b] = mu
-        return np.mod(mus, 2.0 * np.pi).tolist()
-
-    def gain_quotients(self, q: np.ndarray, v: np.ndarray, gains: np.ndarray) -> List[complex]:
-        """tr{C^H A^H X} / tr{C^H A^H A C} per problem, the numerator being A(mu)^H q."""
-        den = (self.arr.m * (np.abs(v) ** 2).sum(axis=1)).tolist()
-        if min(den) < 1e-30:
-            raise NumericalDegeneracyError("vanishing pilot energy in the gain update")
-        num = np.matmul(gains.conj()[:, None, :], q[:, :, None])[:, 0, 0]
-        return [n / d for n, d in zip(num.tolist(), den)]
+    return x.reshape(x.shape[:-2] + (-1,)).take(_unshift_index(*x.shape[-2:]), axis=-1)
 
 
-# one workspace per (array, pilot) configuration, shared by every run and step helper
-_workspace = lru_cache(maxsize=8)(_Workspace)
+def _pilots(caz: CazacConfig, taus: Sequence[float]) -> np.ndarray:
+    return _kernels.pilot_rows(_cached_base(caz), taus, caz.rolloff, caz.pulse_halfwidth)
+
+
+def _reconstructions(arr: ArrayConfig, caz: CazacConfig,
+                     estimates: Sequence[PathEstimate]) -> np.ndarray:
+    """The (n, M, L) path terms of ``estimates``; a zero gain gives exact zeros."""
+    out = np.zeros((len(estimates), arr.m, caz.length), dtype=complex)
+    live = [e.alpha_hat != 0 for e in estimates]
+    if any(live):
+        alpha, mu, tau = zip(*((e.alpha_hat, e.mu_hat, e.tau_hat)
+                               for e, keep in zip(estimates, live) if keep))
+        out[live] = path_signal(alpha, beam_gains(arr, mu), _pilots(caz, tau))
+    return out
+
+
+def _delay_statistics(arr: ArrayConfig, caz: CazacConfig, xg: np.ndarray,
+                      mus: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """w[b, d] = sum_s corr[d, s] z_b(s), z_b(s) = sum_k conj(A_kk(mu_b)) X_g[b, k, s],
+    with corr[d, s] = conj(c((s - d) mod L)) (``pilots._conj_shifts``), and
+    whether z_b is nonzero (a zero z_b has no delay to search)."""
+    z = (beam_gains(arr, mus).conj()[:, :, None] * xg).sum(axis=1)
+    return np.matmul(_conj_shifts(caz), z[:, :, None])[..., 0], z.any(axis=1)
+
+
+def _search_delays(caz: CazacConfig, w: np.ndarray, centers: Sequence[float],
+                   cfg: SageConfig) -> List[float]:
+    lo, hi = zip(*(_tau_bounds(c, cfg, caz.length) for c in centers))
+    return [float(t) for t in _kernels.search_tau(
+        w, caz.rolloff, caz.pulse_halfwidth, caz.length, lo, hi,
+        cfg.grid_points, cfg.refine_tol)]
+
+
+def _beam_statistics(caz: CazacConfig, xg: np.ndarray,
+                     taus: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """The pilot rows v_b(tau_b) and q[b, k] = sum_s X_g[b, k, s] conj(v_b(s))."""
+    v = _pilots(caz, taus)
+    return v, (xg * v.conj()[:, None, :]).sum(axis=2)
+
+
+def _angle_spectra(q: np.ndarray) -> np.ndarray:
+    """M * ifft(q) of each (B, M) row of beam statistics."""
+    return q.shape[-1] * np.fft.ifft(q)
+
+
+def _search_angles(arr: ArrayConfig, q: np.ndarray, centers: Sequence[float],
+                   cfg: SageConfig) -> List[float]:
+    """Angle searches around ``centers``, wrapped to [0, 2*pi); a vanishing
+    q_b keeps its center."""
+    half = _mu_half_window(cfg, arr.m)
+    mus = list(centers)
+    moving = [b for b, m in enumerate(q.any(axis=1).tolist()) if m]
+    if moving:
+        found = _kernels.search_mu(
+            _angle_spectra(q if len(moving) == len(mus) else q[moving]),
+            [mus[b] - half for b in moving], [mus[b] + half for b in moving],
+            cfg.grid_points, cfg.refine_tol)
+        for b, mu in zip(moving, found):
+            mus[b] = mu
+    return np.mod(mus, 2.0 * np.pi).tolist()
+
+
+def _gain_quotients(arr: ArrayConfig, q: np.ndarray, v: np.ndarray,
+                    gains: np.ndarray) -> List[complex]:
+    """tr{C^H A^H X} / tr{C^H A^H A C} per problem, the numerator being A(mu)^H q."""
+    den = (arr.m * (np.abs(v) ** 2).sum(axis=1)).tolist()
+    if min(den) < 1e-30:
+        raise NumericalDegeneracyError("vanishing pilot energy in the gain update")
+    num = np.matmul(gains.conj()[:, None, :], q[:, :, None])[:, 0, 0]
+    return [n / d for n, d in zip(num.tolist(), den)]
 
 
 def _mu_half_window(cfg: SageConfig, m: int) -> float:
@@ -249,8 +236,7 @@ def expectation_step(y: ReceiveMatrix, estimates: Sequence[PathEstimate], r: int
     reconstruction; general beta blends in (1 - beta) of path r's own
     reconstruction.
     """
-    ws = _workspace(y.arr, y.caz)
-    return _hidden_observation(y.y, ws.reconstructions(estimates), r, cfg.beta)
+    return _hidden_observation(y.y, _reconstructions(y.arr, y.caz, estimates), r, cfg.beta)
 
 
 def maximize_tau(x_hat: np.ndarray, mu_fixed: float, cfg: SageConfig, search_center: float,
@@ -265,9 +251,8 @@ def maximize_tau(x_hat: np.ndarray, mu_fixed: float, cfg: SageConfig, search_cen
     round after the grid.  An all-zero hidden observation returns the center
     unchanged.
     """
-    ws = _workspace(arr, caz)
-    w, moving = ws.delay_statistics(ws.gathered(x_hat[None]), [mu_fixed])
-    return ws.search_delays(w, [search_center], cfg)[0] if moving[0] else float(search_center)
+    w, moving = _delay_statistics(arr, caz, _gathered(x_hat[None]), [mu_fixed])
+    return _search_delays(caz, w, [search_center], cfg)[0] if moving[0] else float(search_center)
 
 
 def maximize_mu(x_hat: np.ndarray, tau_fixed: float, cfg: SageConfig, search_center: float,
@@ -278,42 +263,38 @@ def maximize_mu(x_hat: np.ndarray, tau_fixed: float, cfg: SageConfig, search_cen
     the stop rules of :func:`maximize_tau`; the result is wrapped into
     [0, 2*pi).
     """
-    ws = _workspace(arr, caz)
-    _, q = ws.beam_statistics(ws.gathered(x_hat[None]), [tau_fixed])
-    return ws.search_angles(q, [search_center], cfg)[0]
+    _, q = _beam_statistics(caz, _gathered(x_hat[None]), [tau_fixed])
+    return _search_angles(arr, q, [search_center], cfg)[0]
 
 
 def tau_objective_value(x_hat: np.ndarray, mu_fixed: float, tau: float, cfg: SageConfig,
                         *, arr: ArrayConfig, caz: CazacConfig) -> float:
     """The delay-search objective evaluated at one point (for ascent checks)."""
-    ws = _workspace(arr, caz)
-    w, moving = ws.delay_statistics(ws.gathered(x_hat[None]), [mu_fixed])
+    w, moving = _delay_statistics(arr, caz, _gathered(x_hat[None]), [mu_fixed])
     if not moving[0]:
         return 0.0
-    raw = _kernels.tau_objective(w[0], tau, caz.rolloff, caz.pulse_halfwidth, ws.ell)
+    raw = _kernels.tau_objective(w[0], tau, caz.rolloff, caz.pulse_halfwidth, caz.length)
     return raw * _objective_scale(cfg, arr.m)
 
 
 def mu_objective_value(x_hat: np.ndarray, tau_fixed: float, mu: float, cfg: SageConfig,
                        *, arr: ArrayConfig, caz: CazacConfig) -> float:
     """The spatial-frequency objective evaluated at one point (for ascent checks)."""
-    ws = _workspace(arr, caz)
-    v, q = ws.beam_statistics(ws.gathered(x_hat[None]), [tau_fixed])
-    raw = _kernels.mu_objective(ws.angle_spectra(q)[0], mu)
+    v, q = _beam_statistics(caz, _gathered(x_hat[None]), [tau_fixed])
+    raw = _kernels.mu_objective(_angle_spectra(q)[0], mu)
     return raw * _objective_scale(cfg, arr.m) / _pilot_energy(v[0])
 
 
 def update_alpha(x_hat: np.ndarray, mu_fixed: float, tau_fixed: float,
                  *, arr: ArrayConfig, caz: CazacConfig) -> complex:
     """Closed-form combined gain tr{C^H A^H X} / tr{C^H A^H A C}."""
-    ws = _workspace(arr, caz)
-    v, q = ws.beam_statistics(ws.gathered(x_hat[None]), [tau_fixed])
-    return ws.gain_quotients(q, v, beam_gains(arr, [mu_fixed]))[0]
+    v, q = _beam_statistics(caz, _gathered(x_hat[None]), [tau_fixed])
+    return _gain_quotients(arr, q, v, beam_gains(arr, [mu_fixed]))[0]
 
 
-def _update_paths(ws: _Workspace, ys: Sequence[np.ndarray], recon: List[np.ndarray],
-                  est: List[List[PathEstimate]], idx: List[int], slots: List[int],
-                  cfg: SageConfig) -> None:
+def _update_paths(arr: ArrayConfig, caz: CazacConfig, ys: Sequence[np.ndarray],
+                  recon: List[np.ndarray], est: List[List[PathEstimate]], idx: List[int],
+                  slots: List[int], cfg: SageConfig) -> None:
     """Update path ``slots[i]`` of problem ``idx[i]`` for every i, in place.
 
     One call per step for all of them: the delay statistics and searches, the
@@ -321,21 +302,21 @@ def _update_paths(ws: _Workspace, ys: Sequence[np.ndarray], recon: List[np.ndarr
     from the (S, M, L) stack of hidden observations.  A problem whose delay
     statistic vanishes keeps that path unchanged.
     """
-    xg = ws.gathered(np.array([_hidden_observation(ys[p], recon[p], r, cfg.beta)
-                               for p, r in zip(idx, slots)]))
+    xg = _gathered(np.array([_hidden_observation(ys[p], recon[p], r, cfg.beta)
+                             for p, r in zip(idx, slots)]))
     old = [est[p][r] for p, r in zip(idx, slots)]
-    w, moving = ws.delay_statistics(xg, [e.mu_hat for e in old])
+    w, moving = _delay_statistics(arr, caz, xg, [e.mu_hat for e in old])
     if not moving.all():
         keep = moving.tolist()
         idx, slots, old = ([a for a, k in zip(seq, keep) if k] for seq in (idx, slots, old))
         if not idx:
             return
         xg, w = xg[moving], w[moving]
-    taus = ws.search_delays(w, [e.tau_hat for e in old], cfg)
-    v, q = ws.beam_statistics(xg, taus)
-    mus = ws.search_angles(q, [e.mu_hat for e in old], cfg)
-    gains = beam_gains(ws.arr, mus)
-    alphas = ws.gain_quotients(q, v, gains)
+    taus = _search_delays(caz, w, [e.tau_hat for e in old], cfg)
+    v, q = _beam_statistics(caz, xg, taus)
+    mus = _search_angles(arr, q, [e.mu_hat for e in old], cfg)
+    gains = beam_gains(arr, mus)
+    alphas = _gain_quotients(arr, q, v, gains)
     signals = path_signal(alphas, gains, v)
     for p, r, mu, tau, alpha, signal in zip(idx, slots, mus, taus, alphas, signals):
         est[p][r] = PathEstimate(mu_hat=mu, tau_hat=tau, alpha_hat=alpha)
@@ -360,9 +341,8 @@ def _lockstep(ys: Sequence[ReceiveMatrix], initials: Sequence[Sequence[PathEstim
     arr, caz = ys[0].arr, ys[0].caz
     if any(obs.arr != arr or obs.caz != caz for obs in ys[1:]):
         raise ConfigurationError("a refinement batch needs one array and pilot configuration")
-    ws = _workspace(arr, caz)
     est = [list(init) for init in initials]
-    recon = np.split(ws.reconstructions([e for init in est for e in init]),
+    recon = np.split(_reconstructions(arr, caz, [e for init in est for e in init]),
                      np.cumsum([len(init) for init in est[:-1]]))
     obs_y = [obs.y for obs in ys]
     results: List[Optional[RefinedEstimate]] = [None] * len(ys)
@@ -371,7 +351,7 @@ def _lockstep(ys: Sequence[ReceiveMatrix], initials: Sequence[Sequence[PathEstim
         previous = [list(est[p]) for p in active]
         for j in range(max(len(orders[p]) for p in active)):
             idx = [p for p in active if j < len(orders[p])]
-            _update_paths(ws, obs_y, recon, est, idx, [orders[p][j] for p in idx], cfg)
+            _update_paths(arr, caz, obs_y, recon, est, idx, [orders[p][j] for p in idx], cfg)
         still = []
         for p, prev in zip(active, previous):
             converged = _max_change(prev, est[p], cfg, arr.m) <= cfg.gamma_stop

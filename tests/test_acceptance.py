@@ -32,7 +32,8 @@ from beamest import _kernels
 from beamest.arrays import beam_gains
 from beamest.channel import ChannelRealization, PathParams
 from beamest.harness import rows_to_csv_bytes
-from beamest.sage import _Workspace, _tau_bounds, expectation_step, PathEstimate
+from beamest.pilots import _conj_shifts
+from beamest.sage import _gathered, _pilots, _tau_bounds, expectation_step, PathEstimate
 
 ARR = ArrayConfig(m=16)
 CAZ = CazacConfig()
@@ -288,7 +289,6 @@ def test_criterion_9_maximizers_match_brute_force():
     rng = np.random.default_rng(17)
     cfg = SageConfig(refine_tol=1e-9)
     scen = ScenarioConfig(n_nlos=1)
-    ws = _Workspace(ARR, CAZ)
     worst = 0.0
     for trial in range(20):
         real = draw_realization(scen, np.random.default_rng((99, trial))).with_snr_db(10.0)
@@ -298,10 +298,10 @@ def test_criterion_9_maximizers_match_brute_force():
         x = expectation_step(y, ests, 1, cfg)
         p = real.paths[1]
         center = float(round(p.tau_symbols))
-        xg = ws.gathered(x)
+        xg = _gathered(x)
 
         z = (beam_gains(ARR, p.mu).conj()[:, None] * xg).sum(axis=0)
-        w = ws.corr @ z
+        w = _conj_shifts(CAZ) @ z
         lo, hi = _tau_bounds(center, cfg, 16)
         taus = np.linspace(lo, hi, 100000)
         vals = _kernels.tau_objective(w, taus, CAZ.rolloff, CAZ.pulse_halfwidth, 16)
@@ -309,7 +309,7 @@ def test_criterion_9_maximizers_match_brute_force():
         tau_hat = maximize_tau(x, p.mu, cfg, center, arr=ARR, caz=CAZ)
         worst = max(worst, abs(tau_hat - brute_tau))
 
-        v = ws.pilots([p.tau_symbols])[0]
+        v = _pilots(CAZ, [p.tau_symbols])[0]
         q = (xg * v.conj()[None, :]).sum(axis=1)
         qt = 16 * np.fft.ifft(q)
         c0 = p.mu + 0.02

@@ -291,6 +291,15 @@ def test_non_positive_threads_is_config_error(tmp_path, capsys, monkeypatch, fla
     assert not (tmp_path / "a.csv").exists()
 
 
+def test_array_size_other_than_pilot_length_is_config_error(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    cfg = write_cfg(tmp_path, array={"m": 8}, output_path=str(out))
+    assert main(["run", "--config", cfg]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "array size 8" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("spacing", [0.5, 0.25, 1.0])
 def test_non_half_wavelength_spacing_is_config_error(tmp_path, capsys, spacing):
     # angles are read back through theta = arcsin(mu / pi), which holds at

@@ -393,13 +393,23 @@ def test_config_validation_cross_checks():
 
 
 def test_config_refuses_more_beams_than_pilot_shifts():
-    # each beam transmits its own cyclic shift of the length-L pilot
+    # each beam transmits its own cyclic shift of the length-L pilot, and the
+    # coarse stage keeps M of the L correlation lags, wrapping its diagonals
+    # mod M: with M < L a path at delay tau on beam k has no correlation
+    # power once k + tau >= M, so M must equal L
     with pytest.raises(ConfigurationError, match="array size 32.*pilot length 16"):
         RunConfig(array=ArrayConfig(m=32))
     with pytest.raises(ConfigurationError, match="array size 32.*pilot length 16"):
         config_from_dict({"array": {"m": 32}})
     assert RunConfig(array=ArrayConfig(m=16)).array.m == 16
-    assert RunConfig(array=ArrayConfig(m=4)).array.m == 4
+    with pytest.raises(ConfigurationError, match="array size 4.*pilot length 16"):
+        RunConfig(array=ArrayConfig(m=4))
+    with pytest.raises(ConfigurationError, match="array size 8.*pilot length 16"):
+        config_from_dict({"array": {"m": 8}})
+    with pytest.raises(ConfigurationError, match="array size 16.*pilot length 25"):
+        config_from_dict({"cazac": {"length": 25}})
+    cfg = config_from_dict({"array": {"m": 4}, "cazac": {"length": 4}})
+    assert (cfg.array.m, cfg.cazac.length) == (4, 4)
 
 
 def test_config_from_dict_unknown_keys():

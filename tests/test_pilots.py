@@ -204,3 +204,39 @@ def test_conj_shifts_rows_are_the_conjugated_pilot_matrix():
     assert full[:5].tobytes() == pilot_matrix(CFG, 5, 0.0).conj().tobytes()
     with pytest.raises(ValueError):
         full[0, 0] = 0.0
+
+
+def test_unshift_index_is_the_gather_of_both_stages():
+    # one read-only index undoes the per-beam shift: SAGE's X_g at (M, L),
+    # and transposed at (M, M) the coarse stage's wrap-around diagonals
+    from beamest.coarse import wrap_diagonal
+    from beamest.pilots import _cached_base, _conj_shifts, _unshift_index
+    from beamest.sage import _gathered
+    m, ell = 16, CFG.length
+    idx = _unshift_index(m, ell)
+    assert _unshift_index(16, CazacConfig().length) is idx
+    rows = np.arange(m)[:, None]
+    np.testing.assert_array_equal(idx, rows * ell + (np.arange(ell)[None, :] + rows) % ell)
+    np.testing.assert_array_equal(_unshift_index(4, 9), [[9 * k + (s + k) % 9 for s in range(9)]
+                                                         for k in range(4)])
+    cbase = cazac_base(CFG)
+    np.testing.assert_array_equal(_cached_base(CFG), cbase)
+    np.testing.assert_array_equal(
+        _conj_shifts(CFG), cbase[(np.arange(ell)[None, :] - np.arange(ell)[:, None]) % ell].conj())
+    for table in (idx, _cached_base(CFG), _conj_shifts(CFG)):
+        with pytest.raises(ValueError):
+            table[0, ...] = 0
+    x = np.arange(m * ell, dtype=complex).reshape(m, ell)
+    expected = np.array([[x[k, (s + k) % ell] for s in range(ell)] for k in range(m)])
+    np.testing.assert_array_equal(_gathered(x), expected)
+    stack = _gathered(np.stack([x, 2 * x]))
+    assert stack.flags.c_contiguous
+    np.testing.assert_array_equal(stack, np.stack([expected, 2 * expected]))
+    for mm in (4, 16):
+        k = np.arange(mm)
+        diag_index = k[None, :] * mm + (k[None, :] + k[:, None]) % mm
+        np.testing.assert_array_equal(_unshift_index(mm, mm).T, diag_index)
+        p = np.random.default_rng(mm).random((mm, mm))
+        for i in range(1, mm + 1):
+            np.testing.assert_array_equal(wrap_diagonal(p, i),
+                                          [p[j, (i - 1 + j) % mm] for j in range(mm)])

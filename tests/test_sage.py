@@ -243,14 +243,13 @@ def test_single_path_refinement_not_worse_than_coarse():
 def test_monotone_likelihood_over_iterations():
     # with beta = 1 and exact coordinate maximizers the data log-likelihood
     # (up to constants, the negated residual power) never decreases
-    from beamest.sage import _Workspace
-    ws = _Workspace(ARR, CAZ)
+    from beamest.sage import _reconstructions
 
     def residual_power(y, current):
         total = np.zeros_like(y.y)
         for e in current:
             if e.alpha_hat != 0:
-                total += ws.reconstructions([e])[0]
+                total += _reconstructions(ARR, CAZ, [e])[0]
         return float(np.linalg.norm(y.y - total) ** 2)
 
     rng = np.random.default_rng(7)
@@ -299,17 +298,17 @@ def test_late_delay_window_reaches_wrap_region():
 def brute_force_maximizers(x, mu_t, tau_t, center, n_points=100000):
     """Independent oracle: dense scans of the raw search objectives."""
     from beamest.arrays import beam_gains
-    from beamest.sage import _Workspace, _tau_bounds
-    ws = _Workspace(ARR, CAZ)
-    xg = ws.gathered(x)
+    from beamest.pilots import _conj_shifts
+    from beamest.sage import _gathered, _pilots, _tau_bounds
+    xg = _gathered(x)
     z = (beam_gains(ARR, mu_t).conj()[:, None] * xg).sum(axis=0)
-    w = ws.corr @ z
+    w = _conj_shifts(CAZ) @ z
     lo, hi = _tau_bounds(center, SageConfig(), 16)
     taus = np.linspace(lo, hi, n_points)
     vals = _kernels.tau_objective(w, taus, CAZ.rolloff, CAZ.pulse_halfwidth, 16)
     tau_best = float(taus[int(np.argmax(vals))])
 
-    v = ws.pilots([tau_t])[0]
+    v = _pilots(CAZ, [tau_t])[0]
     q = (xg * v.conj()[None, :]).sum(axis=1)
     qt = 16 * np.fft.ifft(q)
     half = 2 * np.pi / 16
@@ -317,6 +316,21 @@ def brute_force_maximizers(x, mu_t, tau_t, center, n_points=100000):
     vals = _kernels.mu_objective(qt, mus)
     mu_best = float(np.mod(mus[int(np.argmax(vals))], 2 * np.pi))
     return tau_best, mu_best
+
+
+@pytest.mark.parametrize("length, halfwidth", [(4, 8), (16, 8), (9, 8), (4, 2), (4, 3), (4, 4)])
+def test_tau_objective_is_the_pilot_row_quotient(length, halfwidth):
+    # the objective is |v^H z|^2 / ||v||^2 for w the pilot-shift correlation of
+    # z; at (4, 8) taps 2L and 3L apart land on one shift too
+    from beamest.pilots import _conj_shifts
+    caz = CazacConfig(length=length, pulse_halfwidth=halfwidth)
+    rng = np.random.default_rng(length + halfwidth)
+    z = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    taus = np.linspace(0.0, length, 41)
+    v = _kernels.pilot_rows(cazac_base(caz), taus, caz.rolloff, halfwidth)
+    ref = np.abs(v.conj() @ z) ** 2 / np.sum(np.abs(v) ** 2, axis=1)
+    got = _kernels.tau_objective(_conj_shifts(caz) @ z, taus, caz.rolloff, halfwidth, length)
+    np.testing.assert_allclose(got, ref, rtol=1e-12)
 
 
 @pytest.mark.parametrize("halfwidth", [8, 11])    # 11 > L/2: taps wrap onto each other
@@ -527,14 +541,14 @@ def test_searches_need_few_objective_calls(monkeypatch, seed):
     monkeypatch.undo()
 
     from beamest.arrays import beam_gains
-    from beamest.sage import _Workspace
-    ws = _Workspace(ARR, CAZ)
-    xg = ws.gathered(x)
-    w = ws.corr @ (beam_gains(ARR, mu_t).conj()[:, None] * xg).sum(axis=0)
+    from beamest.pilots import _conj_shifts
+    from beamest.sage import _gathered, _pilots
+    xg = _gathered(x)
+    w = _conj_shifts(CAZ) @ (beam_gains(ARR, mu_t).conj()[:, None] * xg).sum(axis=0)
     lo, hi = _tau_bounds(center, cfg, 16)
     tau_ref = dense_argmax(
         lambda t: _kernels.tau_objective(w, t, CAZ.rolloff, CAZ.pulse_halfwidth, 16), lo, hi)
-    qt = 16 * np.fft.ifft((xg * ws.pilots([tau_hat])[0].conj()[None, :]).sum(axis=1))
+    qt = 16 * np.fft.ifft((xg * _pilots(CAZ, [tau_hat])[0].conj()[None, :]).sum(axis=1))
     half = 2 * np.pi / 16
     mu_ref = dense_argmax(lambda m: _kernels.mu_objective(qt, m),
                           mu_t + 0.03 - half, mu_t + 0.03 + half)
@@ -617,13 +631,12 @@ WINDOW_END_CASES = [(15.7, 0.0, "past"), (0.0, 0.0, "on"), (0.004, 0.0, "inside"
 
 
 def test_delay_search_at_a_clipped_window_end_matches_dense_scan(monkeypatch):
-    from beamest.sage import _workspace
+    from beamest.sage import _delay_statistics, _gathered, _search_delays
     cfg = SageConfig()
-    ws = _workspace(ARR, CAZ)
     stats, refs = [], []
     for tau_true, center, _ in WINDOW_END_CASES:
         y = observe([(1.0 + 0j, 2.2, tau_true)])
-        w = ws.delay_statistics(ws.gathered(y.y[None]), [2.2])[0]
+        w = _delay_statistics(ARR, CAZ, _gathered(y.y[None]), [2.2])[0]
         lo, hi = _tau_bounds(center, cfg, 16)
         assert {lo, hi} & {0.0, 16.0}
         stats.append(w)
@@ -633,11 +646,11 @@ def test_delay_search_at_a_clipped_window_end_matches_dense_scan(monkeypatch):
     lone, lone_calls = [], []
     for w, (_, center, _) in zip(stats, WINDOW_END_CASES):
         start = len(calls)
-        lone.extend(ws.search_delays(w, [center], cfg))
+        lone.extend(_search_delays(CAZ, w, [center], cfg))
         lone_calls.append(len(calls) - start)
     start = len(calls)
     centers = [center for _, center, _ in WINDOW_END_CASES]
-    batch = ws.search_delays(np.concatenate(stats), centers, cfg)
+    batch = _search_delays(CAZ, np.concatenate(stats), centers, cfg)
     assert batch == lone
     assert len(calls) - start == max(lone_calls)
     for tau, ref in zip(lone, refs):
@@ -714,25 +727,3 @@ def test_batch_of_copies_calls_each_objective_as_one_problem(monkeypatch):
     assert repr(batch) == repr([lone] * 4)
     assert lone.iterations >= 2 and n_tau > lone.iterations * len(lone.paths)
     assert (len(tau_calls) - n_tau, len(mu_calls) - n_mu) == (n_tau, n_mu)
-
-
-def test_cached_workspace_is_read_only_and_equals_fresh():
-    from beamest.sage import _Workspace, _workspace
-    ws = _workspace(ARR, CAZ)
-    assert _workspace(ArrayConfig(m=16), CazacConfig()) is ws
-    ell = CAZ.length
-    cbase = cazac_base(CAZ)
-    np.testing.assert_array_equal(ws.cbase, cbase)
-    rows = np.arange(ARR.m)[:, None]
-    np.testing.assert_array_equal(
-        ws.flat, rows * ell + (np.arange(ell)[None, :] + rows) % ell)
-    np.testing.assert_array_equal(
-        ws.corr, cbase[(np.arange(ell)[None, :] - np.arange(ell)[:, None]) % ell].conj())
-    fresh = _Workspace(ARR, CAZ)
-    for name in ("cbase", "flat", "corr"):
-        np.testing.assert_array_equal(getattr(ws, name), getattr(fresh, name))
-        with pytest.raises(ValueError):
-            getattr(ws, name)[0, ...] = 0
-    x = np.arange(ARR.m * ell, dtype=complex).reshape(ARR.m, ell)
-    expected = [[x[k, (s + k) % ell] for s in range(ell)] for k in range(ARR.m)]
-    np.testing.assert_array_equal(ws.gathered(x), np.array(expected))
