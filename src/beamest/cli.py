@@ -154,7 +154,7 @@ def _cmd_demo(cfg: RunConfig, args) -> int:
     for i, (theta, gain, tau) in enumerate(rec.truth):
         print(f"  [{i}] theta {theta:+8.3f} deg  tau {tau:7.3f} sym  |gain| {abs(gain):.4f}")
     if rec.detection_status == "no_detection":
-        print("no diagonal cleared the detection threshold")
+        print("no delay cleared the detection threshold")
         return EXIT_OK
     print(f"coarse estimate (model order {rec.r_hat}):")
     for i, (tau_int, mu, peak, beam, _) in enumerate(rec.coarse):

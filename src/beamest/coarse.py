@@ -1,19 +1,20 @@
 """Coarse grid estimation from the post-correlation power matrix.
 
-The receiver correlates each beam's row with its own pilot, forming Z = Y C(0)^H
-and the power matrix P = |Z|^2.  A path at integer delay i and beam k
-concentrates power on wrap-around diagonal i+1 at row k+1 (the diagonals are
-read with the unshift gather that ``pilots`` owns); scanning diagonal
-maxima against a threshold yields the model order and integer delays, and the
-ratio of the two dominant beam powers along a diagonal is inverted through a
-precomputed look-up table to place the spatial frequency inside the beam cell.
+The receiver correlates each beam's row with every cyclic shift of the
+pilot, Z = Y C^H over all L lags, and undoes each beam's own pilot shift
+(the gather that ``pilots`` owns), so the M x L power matrix P = |Z|^2 puts
+a path at integer delay d and beam k on row k, column d.  Scanning the
+column maxima against a threshold yields the model order and integer
+delays, and the ratio of the two dominant beam powers in a column is
+inverted through a precomputed look-up table to place the spatial frequency
+inside the beam cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,9 +25,9 @@ from .pilots import CazacConfig, _conj_shifts, _unshift_index, sidelobe_power_ra
 
 
 class Detection(NamedTuple):
-    """One diagonal whose maximum cleared the threshold (1-based indices)."""
+    """One delay column whose maximum cleared the threshold (1-based indices)."""
 
-    diag_index: int   # i = 1..M; integer delay estimate is i - 1
+    delay_index: int  # i = 1..L; integer delay estimate is i - 1
     row_index: int    # k = 1..M; beam index is k - 1
     peak_power: float
 
@@ -86,55 +87,49 @@ class CoarseEstimate:
 
 
 def correlate(y: ReceiveMatrix) -> np.ndarray:
-    """The M x M power matrix |Z|^2 of the correlation matrix Z = Y C(0)^H
-    (a single-snapshot estimate).  A (B, M, L) stack of observations in ``y``
-    gives the (B, M, M) stack from one ``matmul``, each matrix equal to its
-    lone call bit for bit."""
-    z = y.y @ _conj_shifts(y.caz)[:y.arr.m].T
-    return np.abs(z) ** 2
+    """The M x L power matrix |Z|^2 of the correlation Z = Y C^H over all L
+    lags (a single-snapshot estimate), each beam's pilot shift undone:
+    entry (k, d) is beam k's power at delay d.  A (B, M, L) stack of
+    observations in ``y`` gives the (B, M, L) stack from one ``matmul``, each
+    matrix equal to its lone call bit for bit."""
+    p = np.abs(y.y @ _conj_shifts(y.caz).T) ** 2
+    return p.reshape(p.shape[:-2] + (-1,)).take(_unshift_index(*p.shape[-2:]), axis=-1)
 
 
-def detection_threshold(noise_var: float, m: int, p_fa: float = 1e-3) -> float:
-    """Per-diagonal threshold noise_var * M * ln(M / p_fa).
+def detection_threshold(noise_var: float, m: int, p_fa: float = 1e-3, *,
+                        ell: Optional[int] = None) -> float:
+    """Per-delay threshold noise_var * L * ln(M / p_fa), L = ``ell`` (M if not given).
 
-    Noise-only power entries are i.i.d. exponential with mean noise_var * M;
-    the exponential tail bound on the max of M of them pins the per-diagonal
-    false-alarm probability at roughly ``p_fa``.
+    Noise-only power entries are i.i.d. exponential with mean noise_var * L,
+    since each sums L unit-modulus pilot symbols; the exponential tail bound
+    on the max of a column's M of them pins the per-delay false-alarm
+    probability at roughly ``p_fa``.
     """
     if not 0.0 < p_fa < 1.0:
         raise ConfigurationError(f"false-alarm target must lie in (0, 1), got {p_fa}")
-    return noise_var * m * math.log(m / p_fa)
-
-
-def wrap_diagonal(p: np.ndarray, i: int) -> np.ndarray:
-    """Wrap-around diagonal p_i (1-based): entry k is P[k, mod(i + k - 2, M) + 1]."""
-    return p.take(_unshift_index(p.shape[0], p.shape[0])[:, i - 1])
+    return noise_var * (m if ell is None else ell) * math.log(m / p_fa)
 
 
 def detect_paths(p: np.ndarray, g: float):
-    """Scan all M wrap-around diagonals and report maxima above the threshold.
+    """Scan all L delay columns and report maxima above the threshold.
 
-    Diagonal 1 is the main diagonal (zero delay); diagonal i maps to the
-    integer delay i - 1.  All diagonals are gathered into one M x M matrix,
-    the transposed unshift gather of ``pilots._unshift_index`` (row i - 1 is
-    :func:`wrap_diagonal` i), and scanned along rows at once;
-    ``argmax`` keeps the first maximum on ties.  A (B, M, M) stack of power
-    matrices is scanned in the same pass and gives one list per matrix, each
-    equal to its lone call.
+    Column d holds every beam's power at integer delay d; all columns are
+    scanned at once, and ``argmax`` keeps the first (lowest) beam on ties.  A
+    (B, M, L) stack of power matrices is scanned in the same pass and gives
+    one list per matrix, each equal to its lone call.
     """
     if g <= 0:
         raise ConfigurationError(f"detection threshold must be positive, got {g}")
-    m = p.shape[-1]
-    diags = p.reshape(-1, m * m).take(_unshift_index(m, m).T, axis=-1)
-    peaks = diags.max(axis=-1)
+    cols = p.reshape((-1,) + p.shape[-2:])
+    peaks = cols.max(axis=-2)
     hit = peaks >= g
-    found: List[List[Detection]] = [[] for _ in range(len(diags))]
+    found: List[List[Detection]] = [[] for _ in range(len(cols))]
     if hit.any():
-        hit_b, hit_i = hit.nonzero()
-        ks = diags[hit_b, hit_i].argmax(axis=-1)
-        for b, i, k, peak in zip(hit_b.tolist(), hit_i.tolist(), ks.tolist(),
-                                 peaks[hit_b, hit_i].tolist()):
-            found[b].append(Detection(diag_index=i + 1, row_index=k + 1, peak_power=peak))
+        hit_b, hit_d = hit.nonzero()
+        ks = cols[hit_b, :, hit_d].argmax(axis=-1)
+        for b, d, k, peak in zip(hit_b.tolist(), hit_d.tolist(), ks.tolist(),
+                                 peaks[hit_b, hit_d].tolist()):
+            found[b].append(Detection(delay_index=d + 1, row_index=k + 1, peak_power=peak))
     return found[0] if p.ndim == 2 else found
 
 
@@ -181,11 +176,11 @@ def coarse_estimate(p: np.ndarray, detections: Sequence[Detection], lut: Lut,
                     v: float = 3.0, p_fa: float = 1e-3) -> CoarseEstimate:
     """Interpolate spatial frequencies per detection and refine the model order.
 
-    Per detection, the two neighbour powers are read along the same delay
-    diagonal (wrap-around rows); if they differ by no more than noise_var / v
-    the path is taken to sit on the beam grid point, otherwise the larger
-    neighbour fixes the interpolation direction and the LUT inverts the
-    measured power ratio into a sub-cell offset.
+    Per detection, the two neighbour beams' powers are read in the same delay
+    column (rows wrap around mod M); if they differ by no more than
+    noise_var / v the path is taken to sit on the beam grid point, otherwise
+    the larger neighbour fixes the interpolation direction and the LUT
+    inverts the measured power ratio into a sub-cell offset.
 
     Model-order refinement drops detections explainable as pulse sidelobes of
     a stronger kept detection: within the pulse span in cyclic delay, inside
@@ -196,18 +191,17 @@ def coarse_estimate(p: np.ndarray, detections: Sequence[Detection], lut: Lut,
     """
     if not detections:
         raise ConfigurationError("coarse estimation needs at least one detection")
-    if p.shape != (arr.m, arr.m):
-        raise ConfigurationError(
-            f"power matrix shape {p.shape} does not match array size {arr.m}")
     m = arr.m
+    if p.shape != (m, caz.length):
+        raise ConfigurationError(f"power matrix shape {p.shape} is not (M, L) = "
+                                 f"({m}, {caz.length}), the array size by the pilot length")
     phis = arr.beam_phases
     raw = []
     for det in detections:
         k0 = det.row_index - 1
-        d = det.diag_index - 1
-        diag = wrap_diagonal(p, det.diag_index)
-        p_next = diag[(k0 + 1) % m]
-        p_prev = diag[(k0 - 1) % m]
+        d = det.delay_index - 1
+        p_next = p[(k0 + 1) % m, d]
+        p_prev = p[(k0 - 1) % m, d]
         if abs(p_next - p_prev) <= noise_var / v:
             mu_hat = float(phis[k0])
             fb = Feedback(delta_ratio=np.inf, beam_index_bits=k0)
@@ -226,11 +220,11 @@ def coarse_estimate(p: np.ndarray, detections: Sequence[Detection], lut: Lut,
 
 def _refine_model_order(paths: List[CoarsePath], lut: Lut, arr: ArrayConfig,
                         caz: CazacConfig, noise_var: float, p_fa: float) -> List[CoarsePath]:
-    m = arr.m
+    m, ell = arr.m, caz.length
     beam = 2.0 * np.pi / m
     sidelobe = sidelobe_power_ratios(caz)
-    slack = detection_threshold(noise_var, m, p_fa) if noise_var > 0 else 0.0
-    floor = noise_var * m
+    slack = detection_threshold(noise_var, m, p_fa, ell=ell) if noise_var > 0 else 0.0
+    floor = noise_var * ell
     kept: List[CoarsePath] = []
     for cand in sorted(paths, key=lambda q: -q.peak_power):
         tol_mu = 2.0 * lut.delta_mu
@@ -238,7 +232,8 @@ def _refine_model_order(paths: List[CoarsePath], lut: Lut, arr: ArrayConfig,
             tol_mu = min(beam, max(tol_mu, 5.0 * beam * math.sqrt(floor / cand.peak_power)))
         explained = False
         for strong in kept:
-            dcyc = min((cand.tau_int - strong.tau_int) % m, (strong.tau_int - cand.tau_int) % m)
+            gap = cand.tau_int - strong.tau_int
+            dcyc = min(gap % ell, -gap % ell)
             if not 1 <= dcyc <= len(sidelobe):
                 continue
             if wrapped_distance(cand.mu_hat, strong.mu_hat) > tol_mu:

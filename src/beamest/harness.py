@@ -13,7 +13,7 @@ point's noise.
 Per trial, the information matrix at unit power and unit noise comes from
 the same rows; scaled to every point's power and noise, the chunk's stack
 is gated and inverted in one call.  The chunk's observation stack is
-correlated in one call and its diagonals scanned in one pass; only the
+correlated in one call and its delay columns scanned in one pass; only the
 observations with a detection get a coarse estimate, and all of them are
 refined in lockstep (``sage.run_sage_batch``), each exactly as it would be
 alone.  Each point's estimates are then matched to its true paths and its
@@ -121,11 +121,10 @@ class RunConfig:
         if self.repetitions_per_beam < 1:
             raise ConfigurationError(
                 f"repetitions per beam must be >= 1, got {self.repetitions_per_beam}")
-        if self.array.m != self.cazac.length:
+        if self.array.m > self.cazac.length:
             raise ConfigurationError(
-                f"array size {self.array.m} differs from the pilot length {self.cazac.length}: "
-                "each beam needs its own cyclic pilot shift, and the coarse stage "
-                "keeps only M of the L correlation lags")
+                f"array size {self.array.m} exceeds the pilot length {self.cazac.length}: "
+                "each beam needs its own cyclic pilot shift")
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +361,8 @@ def _chunk_records(cfg: RunConfig, trials: Sequence[int],
     from the pilot rows of that pass; every F0 is scaled to every point's
     transmit power and effective noise, and the (T x P, 4R, 4R) stack is
     gated and inverted in one ``crlb_bounds`` call.  The (T x P, M, L)
-    observation stack is correlated in one call and its diagonals scanned in
-    one pass; each detection gets a coarse estimate, and all of them are
+    observation stack is correlated in one call and its delay columns scanned
+    in one pass; each detection gets a coarse estimate, and all of them are
     refined in lockstep by one ``run_sage_batch`` call, or by ``run_sage``
     when there is one.  The records follow in one trial-major pass, from the
     unit-power realizations and per-point powers.  ``run_trial`` is the
@@ -376,7 +375,7 @@ def _chunk_records(cfg: RunConfig, trials: Sequence[int],
     power = correlate(ReceiveMatrix(y=ys, arr=arr, caz=caz))
     # a noiseless synthesis is detected and refined as if at unit noise
     guard_noise = chunk.noise_eff if chunk.noise_eff > 0 else 1.0
-    g = detection_threshold(guard_noise, arr.m, cfg.coarse.p_fa)
+    g = detection_threshold(guard_noise, arr.m, cfg.coarse.p_fa, ell=caz.length)
     # a lone observation is scanned in its 2-D form, so that stage returns its
     # own list of detections
     found = detect_paths(power, g) if len(ys) > 1 else [detect_paths(power[0], g)]

@@ -113,8 +113,8 @@ def _stack_shifted(row0: np.ndarray, m: int) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _unshift_index(m: int, n: int) -> np.ndarray:
     """Read-only flat index k*n + (s + k) mod n, row k, column s of an m x n matrix:
-    the gather undoing the per-beam shift (SAGE's X_g at (M, L); transposed at
-    (M, M), row i - 1 is the coarse stage's wrap-around diagonal i)."""
+    the gather undoing the per-beam shift, at (M, L) for both stages (SAGE's
+    X_g, and the coarse stage's power matrix with column d at delay d)."""
     rows = np.arange(m)[:, None]
     idx = rows * n + (np.arange(n)[None, :] + rows) % n
     idx.setflags(write=False)
@@ -123,8 +123,8 @@ def _unshift_index(m: int, n: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _conj_shifts(cfg: CazacConfig) -> np.ndarray:
-    """Read-only L x L conjugated base-pilot shifts, row d = conj(c((s - d) mod L));
-    its first M rows are C(0)^H transposed."""
+    """Read-only L x L conjugated base-pilot shifts, row d = conj(c((s - d) mod L)),
+    one per correlation lag; its first M rows are C(0)^H transposed."""
     out = _stack_shifted(_cached_base(cfg), cfg.length).conj()
     out.setflags(write=False)
     return out

@@ -9,7 +9,7 @@ probing design rather than the estimators:
 * with several reflected paths, draws whose delays overlap within the pulse
   span make the model order ill-posed at the coarse stage;
 * a delay inside the last symbol of the pilot period aliases its strongest
-  tap onto the direct path's diagonal, so no estimator using this pilot can
+  tap onto the direct path's delay, so no estimator using this pilot can
   separate such a draw from the direct path.
 
 Bound-tracking is therefore asserted on the collision-free, alias-free
@@ -172,7 +172,7 @@ def _structurally_detectable(real, threshold):
     """Coarse detectability of the reflected path on the integer-delay grid.
 
     Delays in the last symbol of the span alias their strongest tap onto the
-    direct path's diagonal (the pilot length caps the measurable delay span),
+    direct path's delay (the pilot length caps the measurable delay span),
     so only the within-span tap counts.  A factor-2 margin keeps the check
     conservative.
     """

@@ -291,12 +291,17 @@ def test_non_positive_threads_is_config_error(tmp_path, capsys, monkeypatch, fla
     assert not (tmp_path / "a.csv").exists()
 
 
-def test_array_size_other_than_pilot_length_is_config_error(tmp_path, capsys):
+def test_array_size_above_pilot_length_is_config_error(tmp_path, capsys):
+    # fewer beams than pilot symbols run; more beams than pilot shifts do not
     out = tmp_path / "r.csv"
     cfg = write_cfg(tmp_path, array={"m": 8}, output_path=str(out))
+    assert main(["run", "--config", cfg]) == EXIT_OK
+    assert out.exists()
+    out.unlink()
+    cfg = write_cfg(tmp_path, array={"m": 32}, output_path=str(out))
     assert main(["run", "--config", cfg]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error: ") and "array size 8" in err
+    assert err.startswith("config error: ") and "array size 32" in err
     assert not out.exists()
 
 

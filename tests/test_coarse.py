@@ -6,12 +6,14 @@ from beamest import (ArrayConfig, CazacConfig, ConfigurationError, ScenarioConfi
                      detection_threshold, draw_realization, mu_to_theta_deg, pilot_matrix,
                      synthesize)
 from beamest.channel import ChannelRealization, PathParams, ReceiveMatrix
-from beamest.coarse import Detection, lut_interpolate, wrap_diagonal
+from beamest.coarse import Detection, lut_interpolate
 
 ARR = ArrayConfig(m=16)
 CAZ = CazacConfig()
 LUT = build_lut(ARR, 101)
 G_DEFAULT = detection_threshold(1.0, 16)
+# (M, L): the default, fewer beams than pilot symbols, a pilot longer than the delay span
+SIZES = ((16, 16), (8, 16), (16, 25))
 
 
 def single_path(mu, tau, alpha=1.0 + 0.0j, pt=1.0, noise_var=0.0):
@@ -26,12 +28,13 @@ def noiseless_observation(mu, tau, alpha=1.0 + 0.0j, pt=1.0):
 
 
 def test_correlate_on_grid_single_entry():
+    # beam k0 at delay i0 lands on row k0, column i0
     k0, i0 = 5, 3
     pm = correlate(noiseless_observation(float(ARR.beam_phases[k0]), float(i0)))
-    peak = pm[k0, (k0 + i0) % 16]
+    peak = pm[k0, i0]
     assert peak == pytest.approx(4096.0, rel=1e-12)
     rest = pm.copy()
-    rest[k0, (k0 + i0) % 16] = 0.0
+    rest[k0, i0] = 0.0
     assert np.max(rest) < 1e-18 * 4096.0
 
 
@@ -43,47 +46,45 @@ def test_correlate_zero_input():
 
 @pytest.mark.parametrize("m", [4, 16])
 def test_correlate_equals_the_pilot_matrix_product_bit_for_bit(m):
-    # Z = Y C(0)^H, C(0) read off the cached L x L conjugate-shift matrix
+    # Z = Y C^H over all L lags, C the L x L pilot matrix of every shift; beam
+    # k's power at delay d is its entry at lag (d + k) mod L
     arr = ArrayConfig(m=m)
     rng = np.random.default_rng(m)
     for _ in range(5):
         y = rng.standard_normal((m, 16)) + 1j * rng.standard_normal((m, 16))
-        z = y @ pilot_matrix(CAZ, m, 0.0).conj().T
+        lags = np.abs(y @ pilot_matrix(CAZ, 16, 0.0).conj().T) ** 2
+        brute = np.array([[lags[k, (d + k) % 16] for d in range(16)] for k in range(m)])
         pm = correlate(ReceiveMatrix(y=y, arr=arr, caz=CAZ))
-        assert pm.tobytes() == (np.abs(z) ** 2).tobytes()
+        assert pm.tobytes() == brute.tobytes()
+
+
+NOISE_ONLY = ChannelRealization(
+    paths=(PathParams(alpha=0j, theta_deg=0.0, mu=0.0, tau_symbols=0.0),),
+    pt=0.0, noise_var=1.0)
 
 
 def test_correlate_noise_floor():
-    real = ChannelRealization(
-        paths=(PathParams(alpha=0j, theta_deg=0.0, mu=0.0, tau_symbols=0.0),),
-        pt=0.0, noise_var=1.0)
+    # a noise-only entry sums L unit-modulus pilot symbols: mean noise_var * L
     rng = np.random.default_rng(0)
-    means = [np.mean(correlate(synthesize(real, ARR, CAZ, rng))) for _ in range(100)]
-    assert np.mean(means) == pytest.approx(16.0, rel=0.1)
-
-
-def test_wrap_diagonal_against_brute_force():
-    rng = np.random.default_rng(1)
-    for m in (4, 8, 16):
-        p = rng.random((m, m))
-        for i in range(1, m + 1):
-            brute = np.array([p[k - 1, (i + k - 2) % m] for k in range(1, m + 1)])
-            assert np.array_equal(wrap_diagonal(p, i), brute)
+    for m, ell in SIZES:
+        arr, caz = ArrayConfig(m=m), CazacConfig(length=ell)
+        means = [np.mean(correlate(synthesize(NOISE_ONLY, arr, caz, rng))) for _ in range(100)]
+        assert np.mean(means) == pytest.approx(float(ell), rel=0.1)
 
 
 def test_detect_single_on_grid_path():
-    # a peak on row 6, wrap-diagonal 4 (1-based) means delay 3, beam 5
+    # a peak on row 6, column 4 (1-based) means delay 3, beam 5
     p = np.zeros((16, 16))
-    p[5, (5 + 3) % 16] = 4096.0
+    p[5, 3] = 4096.0
     dets = detect_paths(p, G_DEFAULT)
-    assert dets == [Detection(diag_index=4, row_index=6, peak_power=4096.0)]
-    assert dets[0].diag_index - 1 == 3
+    assert dets == [Detection(delay_index=4, row_index=6, peak_power=4096.0)]
+    assert dets[0].delay_index - 1 == 3
 
 
-def test_detect_two_paths_same_diagonal_single_entry():
+def test_detect_two_paths_same_delay_single_entry():
     p = np.zeros((16, 16))
-    p[5, (5 + 3) % 16] = 4096.0
-    p[9, (9 + 3) % 16] = 2048.0
+    p[5, 3] = 4096.0
+    p[9, 3] = 2048.0
     dets = detect_paths(p, G_DEFAULT)
     assert len(dets) == 1
     assert dets[0].row_index == 6
@@ -91,20 +92,22 @@ def test_detect_two_paths_same_diagonal_single_entry():
 
 def test_detect_false_alarm_rate():
     # pure noise, default threshold: most trials produce no detection at all
-    real = ChannelRealization(
-        paths=(PathParams(alpha=0j, theta_deg=0.0, mu=0.0, tau_symbols=0.0),),
-        pt=0.0, noise_var=1.0)
     rng = np.random.default_rng(2)
-    empty = 0
-    for _ in range(1000):
-        pm = correlate(synthesize(real, ARR, CAZ, rng))
-        if not detect_paths(pm, G_DEFAULT):
-            empty += 1
-    assert empty >= 900
+    for m, ell in SIZES:
+        arr, caz = ArrayConfig(m=m), CazacConfig(length=ell)
+        g = detection_threshold(1.0, m, ell=ell)
+        empty = 0
+        for _ in range(1000):
+            pm = correlate(synthesize(NOISE_ONLY, arr, caz, rng))
+            if not detect_paths(pm, g):
+                empty += 1
+        assert empty >= 900, (m, ell)
 
 
 def test_detection_threshold_value():
     assert detection_threshold(1.0, 16, 1e-3) == pytest.approx(16 * np.log(16000.0))
+    assert detection_threshold(1.0, 16, 1e-3, ell=16) == detection_threshold(1.0, 16, 1e-3)
+    assert detection_threshold(2.0, 8, 1e-3, ell=16) == pytest.approx(32 * np.log(8000.0))
     with pytest.raises(ConfigurationError):
         detection_threshold(1.0, 16, 0.0)
 
@@ -191,7 +194,7 @@ def test_theta_conversion_branches():
 
 
 def test_fractional_delay_duplicate_merged():
-    # a half-symbol delay splits across two adjacent diagonals; the weaker
+    # a half-symbol delay splits across two adjacent delays; the weaker
     # copy carries the same angle and must be dropped
     mu = float(ARR.beam_phases[4]) + 0.011
     pm = correlate(noiseless_observation(mu, 5.42, pt=100.0))
@@ -226,6 +229,45 @@ def test_coarse_estimate_requires_detections():
         coarse_estimate(pm, [], LUT, ARR, CAZ, 1.0)
 
 
+def test_coarse_estimate_refuses_a_matrix_not_m_by_l():
+    # an M x M matrix at M < L is the shape of the shifted layout, whose
+    # columns are not delays: it must be refused, not read
+    arr = ArrayConfig(m=8)
+    dets = [Detection(delay_index=1, row_index=1, peak_power=100.0)]
+    with pytest.raises(ConfigurationError, match=r"\(8, 8\).*\(M, L\) = \(8, 16\)"):
+        coarse_estimate(np.ones((8, 8)), dets, build_lut(arr, 101), arr, CAZ, 1.0)
+
+
+def test_fewer_beams_than_pilot_symbols_keep_every_delay():
+    # with M < L every one of the L lags is correlated: a path on beam 3 at
+    # delay 10 of an 8-beam array and a 16-symbol pilot is found where it is
+    arr = ArrayConfig(m=8)
+    mu = float(arr.beam_phases[3])
+    y = synthesize(single_path(mu, 10.0, pt=1e3, noise_var=1.0), arr, CAZ,
+                   np.random.default_rng(0))
+    pm = correlate(y)
+    dets = detect_paths(pm, detection_threshold(1.0, 8, ell=16))
+    assert [(d.delay_index - 1, d.row_index - 1) for d in dets] == [(10, 3)]
+    est = coarse_estimate(pm, dets, build_lut(arr, 101), arr, CAZ, 1.0)
+    assert [(q.tau_int, q.feedback.beam_index_bits) for q in est.paths] == [(10, 3)]
+
+
+def test_one_strong_off_grid_path_at_four_beams_is_one_path():
+    # at (M, L) = (4, 16) a strong path between beams and delays spreads
+    # power over several delays; against the noise floor noise_var * L none
+    # of them is taken for a second path
+    arr = ArrayConfig(m=4)
+    lut = build_lut(arr, 101)
+    rng = np.random.default_rng(31)
+    mu = float(arr.beam_phases[1]) + 0.3 * 2 * np.pi / 4
+    for _ in range(20):
+        y = synthesize(single_path(mu, 6.4, pt=1e3, noise_var=1.0), arr, CAZ, rng)
+        pm = correlate(y)
+        dets = detect_paths(pm, detection_threshold(1.0, 4, ell=16))
+        est = coarse_estimate(pm, dets, lut, arr, CAZ, 1.0)
+        assert est.r_hat == 1 and est.paths[0].tau_int == 6
+
+
 def test_coarse_aod_error_below_beamwidth_at_0db():
     # direct-path-only scenario at 0 dB: coarse spatial frequency stays inside
     # the beam cell on average
@@ -247,34 +289,34 @@ def test_coarse_aod_error_below_beamwidth_at_0db():
     assert np.sqrt(np.mean(sq)) < 2 * np.pi / 16
 
 
-def per_diagonal_detections(p, g):
-    """Reference scan: one ``wrap_diagonal`` and one ``argmax`` per diagonal."""
+def per_column_detections(p, g):
+    """Reference scan: one ``argmax`` per delay column."""
     out = []
-    for i in range(1, p.shape[0] + 1):
-        diag = wrap_diagonal(p, i)
-        k = int(np.argmax(diag))
-        if diag[k] >= g:
-            out.append(Detection(diag_index=i, row_index=k + 1, peak_power=float(diag[k])))
+    for d in range(p.shape[1]):
+        k = int(np.argmax(p[:, d]))
+        if p[k, d] >= g:
+            out.append(Detection(delay_index=d + 1, row_index=k + 1, peak_power=float(p[k, d])))
     return out
 
 
-def test_detect_paths_matches_per_diagonal_scan():
+def test_detect_paths_matches_per_column_scan():
     rng = np.random.default_rng(23)
-    for m in (1, 2, 5, 16):
+    for m, ell in ((1, 1), (2, 4), (5, 9), (16, 16), (8, 25)):
         for _ in range(40):
-            # continuous powers, and small integers that tie within and across diagonals
-            for p in (rng.exponential(16.0, (m, m)), rng.integers(0, 4, (m, m)).astype(float)):
-                # a threshold equal to one diagonal's peak keeps that diagonal (>= g)
-                peak = float(wrap_diagonal(p, int(rng.integers(1, m + 1))).max())
+            # continuous powers, and small integers that tie within and across columns
+            for p in (rng.exponential(16.0, (m, ell)),
+                      rng.integers(0, 4, (m, ell)).astype(float)):
+                # a threshold equal to one column's peak keeps that column (>= g)
+                peak = float(p[:, rng.integers(ell)].max())
                 for g in (peak, 0.5, 2.5, 40.0):
                     if g > 0:
-                        assert detect_paths(p, g) == per_diagonal_detections(p, g)
+                        assert detect_paths(p, g) == per_column_detections(p, g)
 
 
 @pytest.mark.parametrize("m", [4, 16])
 def test_stacked_correlation_and_scan_equal_lone_calls_bit_for_bit(m):
     # a sweep chunk correlates its (B, M, L) observation stack in one matmul
-    # and scans every observation's diagonals in one pass
+    # and scans every observation's delay columns in one pass
     arr, rng = ArrayConfig(m=m), np.random.default_rng(29)
     scen = ScenarioConfig(n_nlos=2)
     ys = []
@@ -284,9 +326,9 @@ def test_stacked_correlation_and_scan_equal_lone_calls_bit_for_bit(m):
     ys.append(np.zeros_like(ys[0]))
     stacked = correlate(ReceiveMatrix(y=np.stack(ys), arr=arr, caz=CAZ))
     lone = [correlate(ReceiveMatrix(y=y, arr=arr, caz=CAZ)) for y in ys]
-    assert stacked.shape == (len(ys), m, m)
+    assert stacked.shape == (len(ys), m, 16)
     assert stacked.tobytes() == np.stack(lone).tobytes()
-    g = detection_threshold(1.0, m)
+    g = detection_threshold(1.0, m, ell=16)
     found = detect_paths(stacked, g)
     assert found == [detect_paths(p, g) for p in lone]
     assert any(found) and not all(found)

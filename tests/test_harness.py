@@ -223,7 +223,7 @@ def test_sweep_refuses_a_bad_worker_count(threads):
 def test_sweep_draws_each_trial_once(monkeypatch):
     # one random generator, one draw and one information matrix per trial; one
     # tap pass, one stacked signal, one bound stack, one correlation and one
-    # diagonal scan per chunk
+    # delay scan per chunk
     cfg = small_cfg(trials=12, snr_sweep_db=(0.0, 5.0, 10.0, 20.0))
     per_trial = {"default_rng": np.random, "draw_realization": harness,
                  "fisher_matrix": harness}
@@ -393,21 +393,19 @@ def test_config_validation_cross_checks():
 
 
 def test_config_refuses_more_beams_than_pilot_shifts():
-    # each beam transmits its own cyclic shift of the length-L pilot, and the
-    # coarse stage keeps M of the L correlation lags, wrapping its diagonals
-    # mod M: with M < L a path at delay tau on beam k has no correlation
-    # power once k + tau >= M, so M must equal L
+    # each beam transmits its own cyclic shift of the length-L pilot, so M
+    # must not exceed L; with M < L the coarse stage still correlates all L
+    # lags, so fewer beams than pilot symbols are accepted
     with pytest.raises(ConfigurationError, match="array size 32.*pilot length 16"):
         RunConfig(array=ArrayConfig(m=32))
     with pytest.raises(ConfigurationError, match="array size 32.*pilot length 16"):
         config_from_dict({"array": {"m": 32}})
+    with pytest.raises(ConfigurationError, match="array size 32.*pilot length 25"):
+        config_from_dict({"array": {"m": 32}, "cazac": {"length": 25}})
     assert RunConfig(array=ArrayConfig(m=16)).array.m == 16
-    with pytest.raises(ConfigurationError, match="array size 4.*pilot length 16"):
-        RunConfig(array=ArrayConfig(m=4))
-    with pytest.raises(ConfigurationError, match="array size 8.*pilot length 16"):
-        config_from_dict({"array": {"m": 8}})
-    with pytest.raises(ConfigurationError, match="array size 16.*pilot length 25"):
-        config_from_dict({"cazac": {"length": 25}})
+    assert RunConfig(array=ArrayConfig(m=4)).array.m == 4
+    assert config_from_dict({"array": {"m": 8}}).array.m == 8
+    assert config_from_dict({"cazac": {"length": 25}}).cazac.length == 25
     cfg = config_from_dict({"array": {"m": 4}, "cazac": {"length": 4}})
     assert (cfg.array.m, cfg.cazac.length) == (4, 4)
 

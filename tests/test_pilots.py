@@ -207,9 +207,10 @@ def test_conj_shifts_rows_are_the_conjugated_pilot_matrix():
 
 
 def test_unshift_index_is_the_gather_of_both_stages():
-    # one read-only index undoes the per-beam shift: SAGE's X_g at (M, L),
-    # and transposed at (M, M) the coarse stage's wrap-around diagonals
-    from beamest.coarse import wrap_diagonal
+    # one read-only index undoes the per-beam shift at (M, L): SAGE's X_g, and
+    # the coarse stage's power matrix over all L correlation lags
+    from beamest import ArrayConfig, correlate
+    from beamest.channel import ReceiveMatrix
     from beamest.pilots import _cached_base, _conj_shifts, _unshift_index
     from beamest.sage import _gathered
     m, ell = 16, CFG.length
@@ -233,10 +234,8 @@ def test_unshift_index_is_the_gather_of_both_stages():
     assert stack.flags.c_contiguous
     np.testing.assert_array_equal(stack, np.stack([expected, 2 * expected]))
     for mm in (4, 16):
-        k = np.arange(mm)
-        diag_index = k[None, :] * mm + (k[None, :] + k[:, None]) % mm
-        np.testing.assert_array_equal(_unshift_index(mm, mm).T, diag_index)
-        p = np.random.default_rng(mm).random((mm, mm))
-        for i in range(1, mm + 1):
-            np.testing.assert_array_equal(wrap_diagonal(p, i),
-                                          [p[j, (i - 1 + j) % mm] for j in range(mm)])
+        rng = np.random.default_rng(mm)
+        y = rng.standard_normal((mm, ell)) + 1j * rng.standard_normal((mm, ell))
+        lags = np.abs(y @ _conj_shifts(CFG).T) ** 2
+        power = correlate(ReceiveMatrix(y=y, arr=ArrayConfig(m=mm), caz=CFG))
+        assert power.tobytes() == _gathered(lags).tobytes()
