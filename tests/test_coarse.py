@@ -58,6 +58,21 @@ def test_correlate_equals_the_pilot_matrix_product_bit_for_bit(m):
         assert pm.tobytes() == brute.tobytes()
 
 
+def test_wrap_diagonal_against_brute_force():
+    # column i (1-based) of the power matrix is wrap-diagonal i of the all-lag
+    # power matrix: beam k (1-based) at lag (i + k - 2) mod L
+    rng = np.random.default_rng(1)
+    for m, ell in ((4, 16), (8, 16), (16, 16), (16, 25), (4, 9)):
+        arr, caz = ArrayConfig(m=m), CazacConfig(length=ell)
+        y = rng.standard_normal((m, ell)) + 1j * rng.standard_normal((m, ell))
+        lags = np.abs(y @ pilot_matrix(caz, ell, 0.0).conj().T) ** 2
+        pm = correlate(ReceiveMatrix(y=y, arr=arr, caz=caz))
+        assert pm.shape == (m, ell)
+        for i in range(1, ell + 1):
+            brute = np.array([lags[k - 1, (i + k - 2) % ell] for k in range(1, m + 1)])
+            assert pm[:, i - 1].tobytes() == brute.tobytes(), (m, ell, i)
+
+
 NOISE_ONLY = ChannelRealization(
     paths=(PathParams(alpha=0j, theta_deg=0.0, mu=0.0, tau_symbols=0.0),),
     pt=0.0, noise_var=1.0)
