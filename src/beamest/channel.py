@@ -169,52 +169,41 @@ def path_signal(alpha, gains: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.asarray(alpha)[..., None, None] * gains[..., None] * c
 
 
-def _as_stack(real) -> tuple:
-    """A lone realization as a stack of one, and whether it was lone."""
-    lone = isinstance(real, ChannelRealization)
-    return ([real] if lone else list(real)), lone
-
-
-def delayed_pilots(real, caz: CazacConfig) -> np.ndarray:
-    """The (2R, L) pilot rows [v | v'] at the realization's delays: every path's
-    v(tau_r), then every path's dv/dtau_r, from one tap evaluation.  A sequence
-    of T realizations of R paths each gives the (T, 2R, L) stack from one
-    evaluation over all T*R delays, each block equal to its lone call bit for bit."""
-    reals, lone = _as_stack(real)
+def delayed_pilots(reals, caz: CazacConfig) -> np.ndarray:
+    """The (T, 2R, L) pilot rows [v | v'] of a sequence of T realizations of R
+    paths each: per realization every path's v(tau_r), then every dv/dtau_r,
+    from one tap evaluation over all T*R delays."""
     v, dv = _kernels.pilot_rows_and_derivs(
         _cached_base(caz), [p.tau_symbols for r in reals for p in r.paths], caz.rolloff,
         caz.pulse_halfwidth)
     shape = (len(reals), -1, caz.length)
-    rows = np.concatenate([v.reshape(shape), dv.reshape(shape)], axis=1)
-    return rows[0] if lone else rows
+    return np.concatenate([v.reshape(shape), dv.reshape(shape)], axis=1)
 
 
-def unit_power_signal(real, arr: ArrayConfig, caz: CazacConfig,
+def unit_power_signal(reals, arr: ArrayConfig, caz: CazacConfig,
                       rows: np.ndarray | None = None) -> np.ndarray:
-    """Noiseless M x L observation at unit transmit power, sum_r alpha_r A(mu_r) C(tau_r).
+    """The (T, M, L) noiseless observations at unit transmit power,
+    sum_r alpha_r A(mu_r) C(tau_r), of a sequence of T realizations of R
+    paths each, from one stacked :func:`path_signal` call.
 
-    The observation at transmit power P_T is sqrt(P_T) times this matrix, so
-    an SNR sweep over one realization builds it once.  A sequence of T
-    realizations of R paths each gives the (T, M, L) stack from one stacked
-    :func:`path_signal` call, each matrix equal to its lone call bit for bit.
-    ``rows`` are the pilot rows [v | v'] from :func:`delayed_pilots`, of which
-    the path terms use the first R per realization; without them only the
-    rows v are built, from one ``pilot_rows`` call.
+    The observation at transmit power P_T is sqrt(P_T) times its matrix, so
+    an SNR sweep over one realization builds it once.  ``rows`` are the
+    (T, 2R, L) pilot rows [v | v'] from :func:`delayed_pilots`, of which the
+    path terms use the first R per realization; without them only the rows v
+    are built, from one ``pilot_rows`` call.
     """
     if arr.m > caz.length:
         raise ConfigurationError(
             f"more beams ({arr.m}) than pilot shifts ({caz.length}) is not supported")
-    reals, lone = _as_stack(real)
     paths = [p for r in reals for p in r.paths]
     n = reals[0].r
     if rows is None:
         v = _kernels.pilot_rows(_cached_base(caz), [p.tau_symbols for p in paths],
                                 caz.rolloff, caz.pulse_halfwidth)
     else:
-        v = rows[..., :n, :].reshape(-1, caz.length)
+        v = rows[:, :n].reshape(-1, caz.length)
     terms = path_signal([p.alpha for p in paths], beam_gains(arr, [p.mu for p in paths]), v)
-    s0 = terms.reshape(len(reals), n, arr.m, caz.length).sum(axis=1)
-    return s0[0] if lone else s0
+    return terms.reshape(len(reals), n, arr.m, caz.length).sum(axis=1)
 
 
 def awgn(rng: np.random.Generator, shape: tuple, noise_var: float) -> np.ndarray:
@@ -231,7 +220,7 @@ def synthesize(real: ChannelRealization, arr: ArrayConfig, caz: CazacConfig,
     variance ``real.noise_var`` (real and imaginary parts each half of it).
     A zero noise variance synthesizes the noiseless forward model.
     """
-    y = np.sqrt(real.pt) * unit_power_signal(real, arr, caz)
+    y = np.sqrt(real.pt) * unit_power_signal([real], arr, caz)[0]
     if real.noise_var > 0:
         if rng is None:
             raise ConfigurationError("a random generator is required when noise_var > 0")

@@ -46,8 +46,8 @@ class CrlbReport:
     """
 
     bounds: np.ndarray
-    condition_number: float
-    invertible: bool
+    condition_number: float | np.ndarray
+    invertible: bool | np.ndarray
 
 
 def parameter_index(kind: str, r: int, n_paths: int) -> int:
@@ -92,7 +92,7 @@ def fisher_matrix(real: ChannelRealization, arr: ArrayConfig, caz: CazacConfig,
     phases = np.exp(1j * mus[:, None] * m)
     # rows a_r then a'_r, and v_r then v'_r
     a = np.concatenate([phases, 1j * m * phases]) @ _cached_codebook(arr)
-    v = delayed_pilots(real, caz) if rows is None else rows
+    v = delayed_pilots([real], caz)[0] if rows is None else rows
     # each column of the Jacobian is w_c (a_ia[c] (x) v_iv[c]), in the block
     # order [Re g | Im g | mu | tau]
     ia, iv = _gram_index(n)

@@ -362,11 +362,11 @@ def _chunk_records(cfg: RunConfig, trials: Sequence[int],
     transmit power and effective noise, and the (T x P, 4R, 4R) stack is
     gated and inverted in one ``crlb_bounds`` call.  The (T x P, M, L)
     observation stack is correlated in one call and its delay columns scanned
-    in one pass; each detection gets a coarse estimate, and all of them are
-    refined in lockstep by one ``run_sage_batch`` call, or by ``run_sage``
-    when there is one.  The records follow in one trial-major pass, from the
-    unit-power realizations and per-point powers.  ``run_trial`` is the
-    chunk of one trial at one point.
+    in one pass; each detection gets a coarse estimate, and the observations
+    with one are refined in lockstep as one stack by ``run_sage_batch``, or
+    alone by ``run_sage`` when there is one.  The records follow in one
+    trial-major pass, from the unit-power realizations and per-point powers.
+    ``run_trial`` is the chunk of one trial at one point.
     """
     arr, caz = cfg.array, cfg.cazac
     chunk = synthesize_trial(cfg, snr_indices, trials)
@@ -384,11 +384,11 @@ def _chunk_records(cfg: RunConfig, trials: Sequence[int],
     hits = [b for b, detections in enumerate(found) if detections]
     coarse = [coarse_estimate(power[b], found[b], _shared_lut(arr, cfg.coarse.k_points), arr,
                               caz, guard_noise, v=cfg.coarse.v, p_fa=cfg.coarse.p_fa) for b in hits]
-    hit_ys = [ReceiveMatrix(y=ys[b], arr=arr, caz=caz) for b in hits]
     if len(hits) == 1:
-        refined = [run_sage(hit_ys[0], coarse[0], cfg.sage, guard_noise)]
+        refined = [run_sage(ReceiveMatrix(y=ys[hits[0]], arr=arr, caz=caz), coarse[0], cfg.sage,
+                            guard_noise)]
     else:
-        refined = run_sage_batch(hit_ys, coarse, cfg.sage) if hits else []
+        refined = run_sage_batch(ReceiveMatrix(y=ys[hits], arr=arr, caz=caz), coarse, cfg.sage)
     estimates = dict(zip(hits, zip(coarse, refined)))
 
     records = []

@@ -21,21 +21,22 @@ X[k, (s + k) mod L] (undoing the per-beam pilot shift with the gather
 * tr{C^H A^H A C} = M * ||v_tau||^2, since the beam gains of any spatial
   frequency have total power M (the codebook is unitary).
 
-One engine, ``_lockstep``, refines B independent problems (observations
-with their own initial paths and update orders) in lockstep: iteration i,
-update slot j advances every problem still iterating that has a j-th path,
-and a problem leaves the batch when it converges or reaches
-``max_iterations``.  The hidden observations go through the update as one
-(B, M, L) stack; the delay statistic z -> w, the beam statistic q and
-M * ifft(q), the pilot rows, the gains and the reconstructions are one array
-expression each for the batch (the initial reconstructions one call over
-every (problem, path) pair), and each search round is one objective call
-over the points of every problem still searching (``_kernels._zoom_max``).
-Every value is computed per problem with the operations a lone problem uses
-(a matrix-vector product stays one BLAS call per problem), so a problem's
-result does not depend on its batch.  ``run_sage_batch`` refines many coarse
-estimates; ``run_sage``, ``run_sage_from`` and the public step helpers are
-batches of one.
+SAGE updates one path at a time, so it batches only across independent
+observations.  One engine, ``_lockstep``, refines the B problems of one
+(B, M, L) observation stack, each with its own initial paths and update
+order, in lockstep: iteration i, update slot j advances every problem still
+iterating that has a j-th path, and a problem leaves the batch when it
+converges or reaches ``max_iterations``.  The hidden observations go
+through the update as one stack; the delay statistic z -> w, the beam
+statistic q and M * ifft(q), the pilot rows, the gains and the
+reconstructions are one array expression each for the batch (the initial
+reconstructions one call over every (problem, path) pair), and each search
+round is one objective call over the points of every problem still
+searching (``_kernels._zoom_max``).  Every value is computed per problem
+with the operations a lone problem uses (a matrix-vector product stays one
+BLAS call per problem), so a problem's result does not depend on its
+batch.  ``run_sage_batch`` refines one coarse estimate per slab;
+``run_sage``, ``run_sage_from`` and the public step helpers work on stacks of one.
 """
 
 from __future__ import annotations
@@ -292,7 +293,7 @@ def update_alpha(x_hat: np.ndarray, mu_fixed: float, tau_fixed: float,
     return _gain_quotients(arr, q, v, beam_gains(arr, [mu_fixed]))[0]
 
 
-def _update_paths(arr: ArrayConfig, caz: CazacConfig, ys: Sequence[np.ndarray],
+def _update_paths(arr: ArrayConfig, caz: CazacConfig, ys: np.ndarray,
                   recon: List[np.ndarray], est: List[List[PathEstimate]], idx: List[int],
                   slots: List[int], cfg: SageConfig) -> None:
     """Update path ``slots[i]`` of problem ``idx[i]`` for every i, in place.
@@ -323,9 +324,9 @@ def _update_paths(arr: ArrayConfig, caz: CazacConfig, ys: Sequence[np.ndarray],
         recon[p][r] = signal
 
 
-def _lockstep(ys: Sequence[ReceiveMatrix], initials: Sequence[Sequence[PathEstimate]],
+def _lockstep(y: ReceiveMatrix, initials: Sequence[Sequence[PathEstimate]],
               orders: Sequence[Sequence[int]], cfg: SageConfig) -> List[RefinedEstimate]:
-    """Refine B independent problems in lockstep, each as if alone.
+    """Refine the B problems of the (B, M, L) stack ``y`` in lockstep, each as if alone.
 
     Iteration i updates slot j of every problem still iterating that has a
     j-th path in its ``order``, all in one :func:`_update_paths` call.  A
@@ -333,25 +334,22 @@ def _lockstep(ys: Sequence[ReceiveMatrix], initials: Sequence[Sequence[PathEstim
     the search windows and to the gain (:func:`_max_change`), falls to the
     stopping threshold, or after ``max_iterations``.
     """
-    if not ys:
+    if not initials:
         return []
     for init in initials:
         if not init:
             raise ConfigurationError("refinement needs at least one initial path")
-    arr, caz = ys[0].arr, ys[0].caz
-    if any(obs.arr != arr or obs.caz != caz for obs in ys[1:]):
-        raise ConfigurationError("a refinement batch needs one array and pilot configuration")
+    arr, caz = y.arr, y.caz
     est = [list(init) for init in initials]
     recon = np.split(_reconstructions(arr, caz, [e for init in est for e in init]),
                      np.cumsum([len(init) for init in est[:-1]]))
-    obs_y = [obs.y for obs in ys]
-    results: List[Optional[RefinedEstimate]] = [None] * len(ys)
-    active = list(range(len(ys)))
+    results: List[Optional[RefinedEstimate]] = [None] * len(est)
+    active = list(range(len(est)))
     for iterations in range(1, cfg.max_iterations + 1):
         previous = [list(est[p]) for p in active]
         for j in range(max(len(orders[p]) for p in active)):
             idx = [p for p in active if j < len(orders[p])]
-            _update_paths(arr, caz, obs_y, recon, est, idx, [orders[p][j] for p in idx], cfg)
+            _update_paths(arr, caz, y.y, recon, est, idx, [orders[p][j] for p in idx], cfg)
         still = []
         for p, prev in zip(active, previous):
             converged = _max_change(prev, est[p], cfg, arr.m) <= cfg.gamma_stop
@@ -374,9 +372,10 @@ def run_sage_from(y: ReceiveMatrix, initial: Sequence[PathEstimate], cfg: SageCo
     One iteration is a full update of every path; the loop stops when the
     largest parameter change across paths, relative to the search windows
     and to the gain, falls to the stopping threshold.  This is the lockstep
-    engine's batch of one.
+    engine's stack of one.
     """
-    return _lockstep([y], [initial], [range(len(initial)) if order is None else order], cfg)[0]
+    return _lockstep(ReceiveMatrix(y=y.y[None], arr=y.arr, caz=y.caz), [initial],
+                     [range(len(initial)) if order is None else order], cfg)[0]
 
 
 def _max_change(previous: Sequence[PathEstimate], current: Sequence[PathEstimate],
@@ -406,15 +405,19 @@ def run_sage(y: ReceiveMatrix, init: CoarseEstimate, cfg: SageConfig,
 
     Paths are updated strongest-first (by coarse peak power) within each pass;
     the returned path order matches ``init.paths``.  ``noise_var`` is not read.
-    This is :func:`run_sage_batch`'s batch of one.
+    This is :func:`run_sage_batch`'s stack of one.
     """
-    return run_sage_batch([y], [init], cfg)[0]
+    return run_sage_batch(ReceiveMatrix(y=y.y[None], arr=y.arr, caz=y.caz), [init], cfg)[0]
 
 
-def run_sage_batch(ys: Sequence[ReceiveMatrix], inits: Sequence[CoarseEstimate],
+def run_sage_batch(y: ReceiveMatrix, inits: Sequence[CoarseEstimate],
                    cfg: SageConfig) -> List[RefinedEstimate]:
-    """:func:`run_sage` on each (observation, coarse estimate) pair, refined in
-    lockstep; result b equals ``run_sage(ys[b], inits[b], cfg, ...)`` bit for bit."""
+    """:func:`run_sage` on each slab of the (B, M, L) observation stack ``y``
+    with its coarse estimate ``inits[b]``, refined in lockstep; result b equals
+    ``run_sage`` on slab b alone, bit for bit."""
+    if y.y.ndim != 3 or len(y.y) != len(inits):
+        raise ConfigurationError(f"refinement needs a (B, M, L) observation stack and B coarse "
+                                 f"estimates, got shape {y.y.shape} and {len(inits)} estimates")
     initials, orders = [], []
     for init in inits:
         if not init.paths:
@@ -424,4 +427,4 @@ def run_sage_batch(ys: Sequence[ReceiveMatrix], inits: Sequence[CoarseEstimate],
                                       alpha_hat=0.0 + 0.0j) for p in init.paths])
         order = np.argsort([-p.peak_power for p in init.paths], kind="stable")
         orders.append([int(i) for i in order])
-    return _lockstep(ys, initials, orders, cfg)
+    return _lockstep(y, initials, orders, cfg)

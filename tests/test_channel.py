@@ -147,20 +147,22 @@ def test_unit_power_signal_is_the_per_path_sum(arr, caz):
             v = _kernels.pilot_rows(cbase, [p.tau_symbols], caz.rolloff, caz.pulse_halfwidth)[0]
             c = np.stack([np.roll(v, k) for k in range(arr.m)])
             ref += p.alpha * beam_gains(arr, p.mu)[:, None] * c
-        assert np.array_equal(unit_power_signal(real, arr, caz), ref)
+        assert np.array_equal(unit_power_signal([real], arr, caz)[0], ref)
 
 
 def test_realization_stacks_equal_lone_calls_bit_for_bit():
     # a sweep chunk evaluates the taps of every trial's delays in one pass and
-    # builds every trial's S0 from one stacked path_signal call
+    # builds every trial's S0 from one stacked path_signal call; each block
+    # equals the realization's stack of one
     reals = [draw_realization(ScenarioConfig(), rng_for(12, t)) for t in range(7)]
     rows = delayed_pilots(reals, CAZ)
     assert rows.shape == (7, 6, CAZ.length)
-    assert rows.tobytes() == np.stack([delayed_pilots(r, CAZ) for r in reals]).tobytes()
-    lone = np.stack([unit_power_signal(r, ARR, CAZ) for r in reals])
+    assert rows.tobytes() == np.concatenate([delayed_pilots([r], CAZ) for r in reals]).tobytes()
+    lone = np.concatenate([unit_power_signal([r], ARR, CAZ) for r in reals])
+    assert lone.shape == (7, ARR.m, CAZ.length)
     assert unit_power_signal(reals, ARR, CAZ).tobytes() == lone.tobytes()
     assert unit_power_signal(reals, ARR, CAZ, rows).tobytes() == lone.tobytes()
-    assert unit_power_signal(reals[2], ARR, CAZ, rows[2]).tobytes() == lone[2].tobytes()
+    assert unit_power_signal(reals[2:3], ARR, CAZ, rows[2:3]).tobytes() == lone[2].tobytes()
 
 
 def test_unit_power_signal_without_rows_builds_no_derivatives(monkeypatch):

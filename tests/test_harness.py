@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from beamest import (ArrayConfig, ConfigurationError, PathEstimate,
+from beamest import (ArrayConfig, CazacConfig, ConfigurationError, PathEstimate,
                      RunConfig, ScenarioConfig, active_backend, match_paths, run_sweep,
                      run_trial)
 from beamest.channel import ChannelRealization, PathParams, unit_power_signal
@@ -156,10 +156,13 @@ def test_sweep_worker_count_invariance(tmp_path):
     {},
     {"repetitions_per_beam": 2},
     {"scenario": ScenarioConfig(n_nlos=1, seed=11, noise_var=0.0)},
-], ids=["plain", "repetitions", "noiseless"])
+    {"array": ArrayConfig(m=8)},
+    {"cazac": CazacConfig(length=25)},
+], ids=["plain", "repetitions", "noiseless", "m8", "l25"])
 def test_sweep_records_equal_per_point_trials(kw):
     # the trial-major sweep shares one draw, signal and information matrix
-    # per trial; it must reproduce run_trial at every point bit for bit
+    # per trial; it must reproduce run_trial at every point bit for bit,
+    # with fewer beams than pilot symbols (M < L) too
     cfg = small_cfg(trials=4, snr_sweep_db=(0.0, 10.0, 20.0), **kw)
     rows1, recs1 = run_sweep(cfg, threads=1)
     rows2, recs2 = run_sweep(cfg, threads=2)
@@ -438,6 +441,16 @@ def test_readme_config_block_is_the_schema():
     assert config_from_dict(data) == dataclasses.replace(
         defaults, run_id=data["run_id"],
         scenario=dataclasses.replace(defaults.scenario, seed=data["seed"]))
+
+
+def test_readme_quick_start_runs():
+    # the documented library walk-through runs as printed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    env = {}
+    exec(block, env)
+    assert len(env["refined"].paths) == env["coarse"].r_hat
+    assert env["bounds"].bounds.shape == (4 * env["real"].r,)
 
 
 def test_config_file_round_trip(tmp_path):

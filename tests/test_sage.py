@@ -698,7 +698,8 @@ def test_lockstep_batch_equals_lone_runs(beta):
     cfg = SageConfig(beta=beta, max_iterations=12)
     ys, initials, orders = _ragged_problems(np.random.default_rng(17))
     lone = [run_sage_from(y, init, cfg, order) for y, init, order in zip(ys, initials, orders)]
-    batch = _lockstep(ys, initials, orders, cfg)
+    stack = ReceiveMatrix(y=np.stack([y.y for y in ys]), arr=ARR, caz=CAZ)
+    batch = _lockstep(stack, initials, orders, cfg)
     assert repr(batch) == repr(lone)
     # the batch is ragged in path count and in when each problem leaves it
     assert {len(r.paths) for r in lone} == {1, 2, 3}
@@ -723,7 +724,24 @@ def test_batch_of_copies_calls_each_objective_as_one_problem(monkeypatch):
     mu_calls = counted(monkeypatch, "mu_objective")
     lone = run_sage(y, coarse, cfg, 1.0)
     n_tau, n_mu = len(tau_calls), len(mu_calls)
-    batch = run_sage_batch([y] * 4, [coarse] * 4, cfg)
+    batch = run_sage_batch(replace(y, y=np.stack([y.y] * 4)), [coarse] * 4, cfg)
     assert repr(batch) == repr([lone] * 4)
     assert lone.iterations >= 2 and n_tau > lone.iterations * len(lone.paths)
     assert (len(tau_calls) - n_tau, len(mu_calls) - n_mu) == (n_tau, n_mu)
+
+
+def test_run_sage_batch_checks_its_stack():
+    from beamest.sage import run_sage_batch
+    rng = np.random.default_rng(8)
+    real = draw_realization(ScenarioConfig(n_nlos=1), rng).with_snr_db(15.0)
+    y = synthesize(real, ARR, CAZ, rng)
+    coarse = run_pipeline(y)[0]
+    # a lone (M, L) observation is no stack
+    with pytest.raises(ConfigurationError, match=r"\(16, 16\)"):
+        run_sage_batch(y, [coarse], SageConfig())
+    # the stack's leading length must match the estimates, and the error names both
+    with pytest.raises(ConfigurationError, match=r"\(3, 16, 16\) and 2 estimates"):
+        run_sage_batch(replace(y, y=np.stack([y.y] * 3)), [coarse] * 2, SageConfig())
+    # an empty stack with no estimates refines nothing
+    empty = replace(y, y=np.zeros((0, ARR.m, CAZ.length), complex))
+    assert run_sage_batch(empty, [], SageConfig()) == []
