@@ -7,7 +7,12 @@ the delay derivatives and the delay objective share its tap support.  The
 search objectives take a whole array of points per call, each point against
 its own row of a stack of statistics, and the searches advance a batch of
 problems in lockstep, so a search round costs a handful of numpy calls for
-the whole batch rather than one call per point or per problem.
+the whole batch rather than one call per point or per problem.  A search's
+first round covers its window on a fixed lattice (delays at multiples of
+1/Q symbol, spatial frequencies at multiples of 2*pi/(M*Q)), whose pulse
+taps and phase rows are tabulated once per configuration
+(:func:`delay_lattice`, :func:`angle_lattice`), so that round evaluates no
+pulse or exponential and equals the objective at its points bit for bit.
 
 All delay arguments are in symbol units (t / T_s).
 """
@@ -15,6 +20,8 @@ All delay arguments are in symbol units (t / T_s).
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -152,13 +159,21 @@ def tau_objective(w, tau, rolloff, halfwidth, ell, rows=None):
     taps = rc_samples(u - t, rolloff)
     wu = w[u % ell] if rows is None else w[rows, u % ell]
     num = abs((taps * wu).sum(axis=-1)) ** 2
-    # ||v||^2 = L * sum of tap products over pairs congruent mod L
+    return num / _tap_energy(taps, ell)
+
+
+def _tap_energy(taps, ell):
+    """||v||^2 of the pilot rows with taps ``taps`` (..., n) at consecutive positions.
+
+    ||v||^2 = L * sum of tap products over pairs congruent mod L: each tap's
+    square, and twice the product of every pair a multiple of L apart.
+    """
     energy = (taps ** 2).sum(axis=-1)
     n = taps.shape[-1]
     for d in range(ell, n, ell):
         for i in range(n - d):
             energy = energy + 2.0 * taps[..., i] * taps[..., i + d]
-    return num / (ell * energy)
+    return ell * energy
 
 
 def mu_objective(qt, mu, rows=None):
@@ -172,7 +187,7 @@ def mu_objective(qt, mu, rows=None):
     take: a product over several rows' points would round differently.
     """
     m = qt.shape[-1]
-    ph = np.exp(-1j * np.arange(m) * np.asarray(mu, dtype=float)[..., None])
+    ph = _phase_rows(m, mu)
     if rows is None:
         s = np.dot(ph, qt)
     else:
@@ -180,6 +195,89 @@ def mu_objective(qt, mu, rows=None):
         cuts = [0, *(np.flatnonzero(r[1:] != r[:-1]) + 1).tolist(), r.size]
         s = np.concatenate([np.dot(ph[a:b], qt[r[a]]) for a, b in zip(cuts, cuts[1:])])
     return abs(s) ** 2 / m
+
+
+def _phase_rows(m, mu):
+    """exp(-j m mu) for m = 0..M-1, one row per spatial frequency of ``mu``."""
+    return np.exp(-1j * np.arange(m) * np.asarray(mu, dtype=float)[..., None])
+
+
+class DelayLattice(NamedTuple):
+    """:func:`tau_objective`'s pulse pieces at the delays q / density, q = 0..density-1.
+
+    Row q holds the taps at tau = q / density, the position of its first
+    tap, ceil(q / density - halfwidth), and L * ||v||^2 (:func:`_tap_energy`).
+    A delay k / density, k = n * density + q, has row q's taps and energy,
+    shifted n symbols.
+    """
+
+    rolloff: float
+    halfwidth: int
+    ell: int
+    density: int
+    taps: np.ndarray
+    start: np.ndarray
+    energy: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def delay_lattice(rolloff, halfwidth, ell, density):
+    """Read-only :class:`DelayLattice`, built once per configuration by
+    :func:`tau_objective`'s own tap and energy code."""
+    t = (np.arange(density) / density)[:, None]
+    u = _support(t, halfwidth, 2 * halfwidth)
+    taps = rc_samples(u - t, rolloff)
+    out = DelayLattice(rolloff, halfwidth, ell, density, taps, u[:, 0], _tap_energy(taps, ell))
+    for a in out[4:]:
+        a.setflags(write=False)
+    return out
+
+
+def tau_lattice_objective(w, lattice, k, rows=None):
+    """:func:`tau_objective` at the delays ``k`` / density, read from ``lattice``.
+
+    ``k`` is a 1-D integer array, ``w`` and ``rows`` as in
+    :func:`tau_objective`, whose value at each point this equals bit for bit:
+    k / density is exact, so the taps and their support are the lattice
+    row's, and the arithmetic after them is the same.
+    """
+    n, q = np.divmod(k, lattice.density)
+    u = (n + lattice.start[q])[:, None] + np.arange(lattice.taps.shape[1])
+    wu = w[u % lattice.ell] if rows is None else w[rows, u % lattice.ell]
+    return abs((lattice.taps[q] * wu).sum(axis=-1)) ** 2 / lattice.energy[q]
+
+
+class AngleLattice(NamedTuple):
+    """Phase rows exp(-j m mu_k) at mu_k = k * step, k = first .. first + len(mu) - 1."""
+
+    step: float
+    first: int
+    mu: np.ndarray
+    phases: np.ndarray
+
+
+def lattice_window(lo, hi, step):
+    """The lattice indices of the smallest window [k_lo * step, k_hi * step]
+    holding [lo, hi]."""
+    a, b = math.floor(lo / step), math.ceil(hi / step)
+    return a - (a * step > lo), b + (b * step < hi)
+
+
+@lru_cache(maxsize=8)
+def angle_lattice(m, density, half):
+    """Read-only :class:`AngleLattice` at step 2*pi / (M * density), built once
+    per configuration with :func:`mu_objective`'s phase expression.
+
+    It covers every lattice window (:func:`lattice_window`) of half-width
+    ``half`` around a center in [0, 2*pi].
+    """
+    step = 2.0 * np.pi / (m * density)
+    first, last = lattice_window(-half, 2.0 * np.pi + half, step)
+    mu = np.arange(first, last + 1) * step
+    out = AngleLattice(step, first, mu, _phase_rows(m, mu))
+    for a in out[2:]:
+        a.setflags(write=False)
+    return out
 
 
 def _vertex(x, y):
@@ -229,15 +327,34 @@ def _even(lo, hi, n):
     return x
 
 
-def _zoom_max(f, lo, hi, n_grid, tol):
-    """Maximize B independent objectives in lockstep, each over its [lo[b], hi[b]].
+def _per_problem(f, xs, problems):
+    """``f`` at the points ``xs[p]`` of each of ``problems`` in one call, as a
+    list of arrays, one per problem.
 
-    ``f(x, rows)`` evaluates flat points ``x``, those of problem b consecutive
-    and marked by ``rows`` as in :func:`tau_objective`; when one problem is
-    left, ``rows`` is its index b and ``x`` its points alone.  Each round is
-    one call for every problem still searching; per problem the search runs
-    as if alone.  It starts on a grid and then zooms into the bracket, the
-    pair of neighbours of the best point of the last round (the point itself
+    ``f(x, rows)`` evaluates flat points ``x``, those of problem p consecutive
+    and marked by ``rows`` as in :func:`tau_objective`; for one problem,
+    ``rows`` is its index p and ``x`` its points alone.
+    """
+    if len(problems) == 1:
+        return [f(xs[problems[0]], problems[0])]
+    sizes = [xs[p].size for p in problems]
+    values = f(np.concatenate([xs[p] for p in problems]), np.repeat(problems, sizes)[:, None])
+    out, start = [], 0
+    for size in sizes:
+        out.append(values[start:start + size])
+        start += size
+    return out
+
+
+def _zoom_max(f, xs, fs, tol):
+    """Maximize B independent objectives in lockstep, each over its window
+    [xs[b][0], xs[b][-1]].
+
+    ``xs[b]`` are the increasing points of problem b's first round and
+    ``fs[b]`` their values.  ``f`` evaluates every later round, one call for
+    every problem still searching (:func:`_per_problem`); per problem the
+    search runs as if alone.  Each round zooms into the bracket, the pair of
+    neighbours of the best point of the last round (the point itself
     standing in for a missing neighbour at an end).  A round picks its
     points by where that best point lies:
 
@@ -262,8 +379,9 @@ def _zoom_max(f, lo, hi, n_grid, tol):
     the new vertex; or when a round no longer narrows the bracket, which
     happens once ``tol`` is below the float spacing at the maximizer.
     """
-    xs = [_even(a, b, n_grid) for a, b in zip(lo, hi)]
-    fs = [None] * len(xs)
+    xs, fs = list(xs), list(fs)
+    lo = [x[0] for x in xs]
+    hi = [x[-1] for x in xs]
     width = [math.inf] * len(xs)
     # the vertex the last round was packed around, or None after another round
     vertex = [None] * len(xs)
@@ -271,15 +389,6 @@ def _zoom_max(f, lo, hi, n_grid, tol):
     best = [0.0] * len(xs)
     active = list(range(len(xs)))
     while active:
-        if len(active) == 1:
-            fs[active[0]] = f(xs[active[0]], active[0])
-        else:
-            values = f(np.concatenate([xs[p] for p in active]),
-                       np.repeat(active, [xs[p].size for p in active])[:, None])
-            start = 0
-            for p in active:
-                fs[p] = values[start:start + xs[p].size]
-                start += xs[p].size
         searching = []
         for p in active:
             x, fx = xs[p], fs[p]
@@ -307,25 +416,51 @@ def _zoom_max(f, lo, hi, n_grid, tol):
             xs[p] = _even(a, b, _ZOOM_POINTS) if points is None else points
             searching.append(p)
         active = searching
+        if active:
+            for p, values in zip(active, _per_problem(f, xs, active)):
+                fs[p] = values
     return best
 
 
-def search_tau(w, rolloff, halfwidth, ell, lo, hi, n_grid, tol):
+def search_tau(w, lattice, lo, hi, tol):
     """Delays maximizing :func:`tau_objective`, row b of the (B, L) ``w`` over
-    [lo[b], hi[b]]."""
+    the window [lo[b], hi[b]] / density of the :class:`DelayLattice` ``lattice``.
+
+    The first round reads the objective at every lattice point of each window
+    (:func:`tau_lattice_objective`); the later rounds call :func:`tau_objective`.
+    """
+    rolloff, halfwidth, ell = lattice[:3]
+    ks = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
+
+    def first(k, rows):
+        if isinstance(rows, int):
+            return tau_lattice_objective(w[rows], lattice, k)
+        return tau_lattice_objective(w, lattice, k, rows)
+
     def f(t, rows):
         if isinstance(rows, int):
             return tau_objective(w[rows], t, rolloff, halfwidth, ell)
         return tau_objective(w, t, rolloff, halfwidth, ell, rows)
-    return _zoom_max(f, lo, hi, n_grid, tol)
+    return _zoom_max(f, [k / lattice.density for k in ks],
+                     _per_problem(first, ks, list(range(len(ks)))), tol)
 
 
-def search_mu(qt, lo, hi, n_grid, tol):
+def search_mu(qt, lattice, lo, hi, tol):
     """Spatial frequencies maximizing :func:`mu_objective`, row b of the (B, M)
-    ``qt`` over [lo[b], hi[b]]."""
+    ``qt`` over the window [lo[b], hi[b]] * step of the :class:`AngleLattice`
+    ``lattice``.
+
+    The first round is one matrix-vector product per problem, of the
+    lattice's phase rows over its window: the product :func:`mu_objective`
+    takes for that row.  The later rounds call :func:`mu_objective`.
+    """
+    m = qt.shape[-1]
+    windows = [slice(a - lattice.first, b - lattice.first + 1) for a, b in zip(lo, hi)]
+    fs = [abs(np.dot(lattice.phases[s], qt[p])) ** 2 / m for p, s in enumerate(windows)]
+
     def f(x, rows):
         return mu_objective(qt[rows], x) if isinstance(rows, int) else mu_objective(qt, x, rows)
-    return _zoom_max(f, lo, hi, n_grid, tol)
+    return _zoom_max(f, [lattice.mu[s] for s in windows], fs, tol)
 
 
 def active_backend() -> str:

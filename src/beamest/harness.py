@@ -34,7 +34,6 @@ import json
 import math
 import os
 import platform
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache, partial
 from numbers import Integral
@@ -508,6 +507,9 @@ def run_sweep(cfg: RunConfig, threads: int = 1) -> Tuple[List[dict], List[TrialR
     chunks = [range(t, min(t + size, cfg.trials)) for t in range(0, cfg.trials, size)]
     run_chunk = partial(_chunk_records, cfg, snr_indices=range(n_snr))
     if threads > 1:
+        # imported here: loading the pool machinery costs every process that
+        # imports beamest, also those that never start a pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=threads) as pool:
             by_chunk = list(pool.map(run_chunk, chunks))
     else:

@@ -4,13 +4,15 @@ Each path owns a hidden single-path observation; the expectation step
 attributes to path r the residual after subtracting every other path's
 reconstruction, and the maximization step updates that path's delay, spatial
 frequency and complex gain one coordinate at a time.  The two 1-D searches
-evaluate a coarse grid and then zoom into the bracket around its best point,
-each round evaluating, in one array call, a few points around the vertex of
-the parabola through the best point and its neighbours, or, when the best
-point is the search window's end, points spaced geometrically toward that
-end.  A search stops when its bracket is no wider than ``refine_tol`` or
-when two successive parabola vertices lie within ``refine_tol`` of each
-other (``_kernels._zoom_max``).
+read their first round from a per-configuration table on a fixed lattice
+(delays at multiples of 1/Q symbol, spatial frequencies at multiples of
+2*pi/(M*Q)), each window rounded outward to the lattice, and then zoom into
+the bracket around its best point, each round evaluating, in one array call,
+a few points around the vertex of the parabola through the best point and
+its neighbours, or, when the best point is the search window's end, points
+spaced geometrically toward that end.  A search stops when its bracket is no
+wider than ``refine_tol`` or when two successive parabola vertices lie within
+``refine_tol`` of each other (``_kernels._zoom_max``).
 
 The trace objectives reduce to small vector forms.  Writing X_g[k, s] =
 X[k, (s + k) mod L] (undoing the per-beam pilot shift with the gather
@@ -59,16 +61,26 @@ from .pilots import CazacConfig, _cached_base, _conj_shifts, _unshift_index
 class SageConfig:
     """Refinement controls.
 
-    ``mu_window`` is the half-width of the spatial-frequency search window;
-    ``None`` means one beam spacing (2*pi/M), matching the coarse stage's
-    localisation guarantee.  ``tau_window_symbols`` is the half-width of the
-    delay window around the integer initialisation.  Refinement stops once no
-    path's delay or spatial frequency moved by more than ``gamma_stop`` times
-    its search half-width in an iteration, nor its gain by more than
-    ``gamma_stop`` times |alpha_hat|.  Each 1-D search starts on a
-    ``grid_points`` grid and stops once its bracket is no wider than
-    ``refine_tol``, or once a parabola vertex lies within ``refine_tol`` of
-    the vertex before it, and returns that vertex.
+    ``mu_window`` is the half-width of the spatial-frequency search window,
+    at most pi; ``None`` means one beam spacing (2*pi/M), matching the coarse
+    stage's localisation guarantee.  ``tau_window_symbols`` is the half-width
+    of the delay window around the current delay, clipped to [0, L].
+    Refinement stops once no path's delay or spatial frequency moved by more
+    than ``gamma_stop`` times its search half-width in an iteration, nor its
+    gain by more than ``gamma_stop`` times |alpha_hat|.
+
+    Each 1-D search starts on a lattice: delays at multiples of 1/Q symbol
+    and spatial frequencies at multiples of 2*pi/(M*Q_mu), each Q the
+    smallest power of two that makes the lattice no coarser than a
+    ``grid_points`` grid across the narrowest window (for delays, a window
+    clipped at 0 or L).  Each window, [max(0, tau - w), min(L, tau + w)] or
+    mu +/- the half-width, is rounded outward to the lattice, so it covers
+    the unrounded window and keeps 0 and L as exact ends.  A search whose
+    lattice table would hold more than 2**22 entries (a window far narrower
+    than ``grid_points`` steps, or a very large array) raises
+    :class:`ConfigurationError`.  A search stops once its bracket is no wider
+    than ``refine_tol``, or once a parabola vertex lies within ``refine_tol``
+    of the vertex before it, and returns that vertex.
     """
 
     beta: float = 1.0
@@ -94,8 +106,9 @@ class SageConfig:
         if not self.tau_window_symbols > 0:
             raise ConfigurationError(
                 f"tau_window_symbols must be positive, got {self.tau_window_symbols}")
-        if self.mu_window is not None and not self.mu_window > 0:
-            raise ConfigurationError(f"mu_window must be positive, got {self.mu_window}")
+        if self.mu_window is not None and not 0 < self.mu_window <= np.pi:
+            # a wider window would wrap onto itself around the circle
+            raise ConfigurationError(f"mu_window must lie in (0, pi], got {self.mu_window}")
         if self.grid_points < 8:
             raise ConfigurationError(f"grid needs at least 8 points, got {self.grid_points}")
         if self.refine_tol <= 0:
@@ -154,12 +167,42 @@ def _delay_statistics(arr: ArrayConfig, caz: CazacConfig, xg: np.ndarray,
     return np.matmul(_conj_shifts(caz), z[:, :, None])[..., 0], z.any(axis=1)
 
 
+# the most entries a search's lattice table may hold (64 MiB of complex
+# phase rows): a window far narrower than grid_points steps, or a very large
+# array, would need a finer or longer table
+_MAX_LATTICE_ENTRIES = 2 ** 22
+
+
+def _lattice_density(cfg: SageConfig, field: str, span: float, entries_per_step: float) -> int:
+    """The smallest power of two Q whose lattice spacing 1/Q is no coarser than
+    that of ``grid_points`` even points across ``span``.
+
+    A table of ``Q * entries_per_step`` entries above ``_MAX_LATTICE_ENTRIES``
+    is refused, naming the window ``field``.
+    """
+    q = 1
+    while q * span < cfg.grid_points - 1:
+        q *= 2
+    if q * entries_per_step > _MAX_LATTICE_ENTRIES:
+        raise ConfigurationError(
+            f"sage.{field} = {getattr(cfg, field)} with grid_points = {cfg.grid_points} needs "
+            f"a search lattice of {q * entries_per_step:.3g} table entries, above "
+            f"{_MAX_LATTICE_ENTRIES}; widen the window or lower grid_points")
+    return q
+
+
 def _search_delays(caz: CazacConfig, w: np.ndarray, centers: Sequence[float],
                    cfg: SageConfig) -> List[float]:
-    lo, hi = zip(*(_tau_bounds(c, cfg, caz.length) for c in centers))
-    return [float(t) for t in _kernels.search_tau(
-        w, caz.rolloff, caz.pulse_halfwidth, caz.length, lo, hi,
-        cfg.grid_points, cfg.refine_tol)]
+    """Delay searches around ``centers``, each window rounded outward to the
+    lattice 1/Q, Q as fine as a ``grid_points`` grid on the narrowest window
+    (one clipped at 0 or L)."""
+    ell = caz.length
+    # Q rows of 2 * halfwidth taps
+    lattice = _kernels.delay_lattice(caz.rolloff, caz.pulse_halfwidth, ell, _lattice_density(
+        cfg, "tau_window_symbols", min(cfg.tau_window_symbols, ell), 2 * caz.pulse_halfwidth))
+    lo, hi = zip(*(_kernels.lattice_window(*_tau_bounds(c, cfg, ell), 1.0 / lattice.density)
+                   for c in centers))
+    return [float(t) for t in _kernels.search_tau(w, lattice, lo, hi, cfg.refine_tol)]
 
 
 def _beam_statistics(caz: CazacConfig, xg: np.ndarray,
@@ -177,15 +220,23 @@ def _angle_spectra(q: np.ndarray) -> np.ndarray:
 def _search_angles(arr: ArrayConfig, q: np.ndarray, centers: Sequence[float],
                    cfg: SageConfig) -> List[float]:
     """Angle searches around ``centers``, wrapped to [0, 2*pi); a vanishing
-    q_b keeps its center."""
+    q_b keeps its center.
+
+    Each window is the wrapped center +/- the half-width, rounded outward to
+    the lattice 2*pi/(M*Q), Q as fine as a ``grid_points`` grid on it.
+    """
     half = _mu_half_window(cfg, arr.m)
     mus = list(centers)
     moving = [b for b, m in enumerate(q.any(axis=1).tolist()) if m]
     if moving:
-        found = _kernels.search_mu(
-            _angle_spectra(q if len(moving) == len(mus) else q[moving]),
-            [mus[b] - half for b in moving], [mus[b] + half for b in moving],
-            cfg.grid_points, cfg.refine_tol)
+        # about M * Q * (1 + half / pi) rows of M phases
+        lattice = _kernels.angle_lattice(arr.m, _lattice_density(
+            cfg, "mu_window", arr.m * half / np.pi, arr.m ** 2 * (1.0 + half / np.pi)), half)
+        wrapped = [mus[b] % (2.0 * np.pi) for b in moving]
+        lo, hi = zip(*(_kernels.lattice_window(c - half, c + half, lattice.step)
+                       for c in wrapped))
+        found = _kernels.search_mu(_angle_spectra(q if len(moving) == len(mus) else q[moving]),
+                                   lattice, lo, hi, cfg.refine_tol)
         for b, mu in zip(moving, found):
             mus[b] = mu
     return np.mod(mus, 2.0 * np.pi).tolist()
@@ -208,9 +259,13 @@ def _mu_half_window(cfg: SageConfig, m: int) -> float:
 
 def _tau_bounds(center: float, cfg: SageConfig, ell: int) -> Tuple[float, float]:
     # delays live on a cycle of length L; the window is clipped to [0, L], so
-    # a delay past L - 1 is still found (the pilot model is periodic in it)
+    # a delay past L - 1 is still found (the pilot model is periodic in it).
+    # The search rounds it outward to its lattice
     lo = max(0.0, center - cfg.tau_window_symbols)
     hi = min(float(ell), center + cfg.tau_window_symbols)
+    if not lo <= hi:
+        raise ConfigurationError(f"delay search center {center} lies more than "
+                                 f"tau_window_symbols = {cfg.tau_window_symbols} outside [0, {ell}]")
     return lo, hi
 
 
@@ -245,12 +300,13 @@ def maximize_tau(x_hat: np.ndarray, mu_fixed: float, cfg: SageConfig, search_cen
     """Delay maximizing |tr{C(tau)^H A(mu)^H X}| ** 2 / (beta tr{C^H A^H A C}).
 
     The search covers ``search_center`` +/- the configured window, clipped to
-    [0, L]; the bracket around the best point of a ``grid_points`` grid is
-    zoomed until it is no wider than ``refine_tol`` or two successive
-    parabola vertices lie within ``refine_tol``.  A maximum on a clipped end
-    (the line-of-sight delay 0, or a peak past the window) closes in one
-    round after the grid.  An all-zero hidden observation returns the center
-    unchanged.
+    [0, L] and rounded outward to the delay lattice (:class:`SageConfig`);
+    the bracket around the best lattice point is zoomed until it is no wider
+    than ``refine_tol`` or two successive parabola vertices lie within
+    ``refine_tol``.  A maximum on a clipped end (the line-of-sight delay 0,
+    or a peak past the window) closes in one round after the lattice round.
+    An all-zero hidden observation returns the center unchanged; a center
+    more than the window outside [0, L] raises :class:`ConfigurationError`.
     """
     w, moving = _delay_statistics(arr, caz, _gathered(x_hat[None]), [mu_fixed])
     return _search_delays(caz, w, [search_center], cfg)[0] if moving[0] else float(search_center)
@@ -260,7 +316,8 @@ def maximize_mu(x_hat: np.ndarray, tau_fixed: float, cfg: SageConfig, search_cen
                 *, arr: ArrayConfig, caz: CazacConfig) -> float:
     """Spatial frequency maximizing the same objective at a fixed delay.
 
-    Searches ``search_center`` +/- the window (default one beam spacing) with
+    Searches ``search_center``, wrapped into [0, 2*pi), +/- the window
+    (default one beam spacing), rounded outward to the angle lattice, with
     the stop rules of :func:`maximize_tau`; the result is wrapped into
     [0, 2*pi).
     """

@@ -91,6 +91,8 @@ def test_unknown_config_key_is_config_error(tmp_path, capsys):
     # the endfire angles themselves: -90 and +90 share one spatial frequency
     ({"scenario": {"theta_range_deg": [-90.0, 60.0]}}, "scenario.theta_range_deg"),
     ({"scenario": {"theta_range_deg": [0.0, 90.0]}}, "scenario.theta_range_deg"),
+    # a half-width past pi wraps the angle window onto itself
+    ({"sage": {"mu_window": 3.2}}, "sage.mu_window"),
 ])
 def test_wrongly_typed_value_is_config_error(tmp_path, capsys, data, key):
     with pytest.raises(ConfigurationError, match=re.escape(key)):
@@ -327,3 +329,15 @@ def test_module_entry_point_runs_from_a_checkout(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == EXIT_OK, proc.stderr
     assert proc.stdout.startswith("usage: beamest")
+
+
+def test_importing_the_package_leaves_out_the_process_pool(tmp_path):
+    # the pool machinery loads only when a sweep starts one: every CLI call
+    # and worker process imports beamest, and most never need it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import sys, beamest.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

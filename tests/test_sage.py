@@ -1,3 +1,4 @@
+import math
 import threading
 from dataclasses import replace
 
@@ -49,6 +50,7 @@ def test_config_validation():
     ("tau_window_symbols", 0.0),
     ("mu_window", -0.2),            # would search an inverted window
     ("mu_window", 0.0),
+    ("mu_window", np.pi + 1e-9),    # would wrap the window onto itself
     ("grid_points", 64.5),          # would fail later inside linspace
     ("max_iterations", 2.5),
 ])
@@ -394,6 +396,100 @@ def test_grid_plus_zoom_matches_brute_force():
     assert worst_mu <= 1e-5
 
 
+# the configurations the suite runs SAGE with: (SageConfig, ArrayConfig, CazacConfig)
+LATTICE_CASES = {
+    "defaults": (SageConfig(), ARR, CAZ),
+    "grid8": (SageConfig(grid_points=8), ARR, CAZ),
+    "tau0.5": (SageConfig(tau_window_symbols=0.5), ARR, CAZ),
+    "tau2.5": (SageConfig(tau_window_symbols=2.5), ARR, CAZ),
+    "mu0.1": (SageConfig(mu_window=0.1), ARR, CAZ),
+    "mu0.3": (SageConfig(mu_window=0.3), ARR, CAZ),
+    "mu0.6": (SageConfig(mu_window=0.6), ARR, CAZ),
+    "mu_pi": (SageConfig(mu_window=np.pi), ARR, CAZ),
+    "rolloff0": (SageConfig(), ARR, CazacConfig(rolloff=0.0)),
+    "halfwidth20": (SageConfig(), ARR, CazacConfig(pulse_halfwidth=20)),
+    "m8": (SageConfig(), ArrayConfig(m=8), CAZ),
+    "l25": (SageConfig(), ARR, CazacConfig(length=25)),
+}
+
+
+def first_rounds(monkeypatch, search, *args):
+    # the points and values a search's first round hands to the zoom, with no
+    # zoom round run
+    seen = []
+    monkeypatch.setattr(_kernels, "_zoom_max",
+                        lambda f, xs, fs, tol: seen.append((xs, fs)) or [x[0] for x in xs])
+    search(*args)
+    return seen[0]
+
+
+@pytest.mark.parametrize("case", LATTICE_CASES)
+def test_first_round_is_each_objective_on_its_lattice(monkeypatch, case):
+    # both first rounds are table reads, calling no objective, whose values
+    # equal the objectives at the same points bit for bit; each covers the
+    # window [max(0, c - w), min(L, c + w)] or c +/- half (c wrapped into
+    # [0, 2*pi)), rounded outward to its lattice, no coarser than a
+    # grid_points grid on that window
+    from beamest.sage import _angle_spectra, _search_angles, _search_delays
+    cfg, arr, caz = LATTICE_CASES[case]
+    ell, m = caz.length, arr.m
+    rng = np.random.default_rng(31)
+    tau_centers = [0.0, 0.3, ell / 2 + 0.37, ell - 0.2, float(ell)]
+    mu_centers = [0.0, 0.05, 3.0, 2 * np.pi - 0.02, 7.0, -0.3]
+    w = rng.standard_normal((5, ell)) + 1j * rng.standard_normal((5, ell))
+    q = rng.standard_normal((6, m)) + 1j * rng.standard_normal((6, m))
+    tau_calls = counted(monkeypatch, "tau_objective")
+    mu_calls = counted(monkeypatch, "mu_objective")
+    txs, tfs = first_rounds(monkeypatch, _search_delays, caz, w, tau_centers, cfg)
+    mxs, mfs = first_rounds(monkeypatch, _search_angles, arr, q, mu_centers, cfg)
+    assert tau_calls == mu_calls == []
+    monkeypatch.undo()
+
+    qt = _angle_spectra(q)
+    half = 2 * np.pi / m if cfg.mu_window is None else cfg.mu_window
+    tau_w = cfg.tau_window_symbols
+    windows = [(max(0.0, c - tau_w), min(ell, c + tau_w), min(tau_w, ell), x, fx,
+                _kernels.tau_objective(w[b], x, caz.rolloff, caz.pulse_halfwidth, ell))
+               for b, (c, x, fx) in enumerate(zip(tau_centers, txs, tfs))]
+    windows += [(c % (2 * np.pi) - half, c % (2 * np.pi) + half, 2 * half, x, fx,
+                 _kernels.mu_objective(qt[b], x))
+                for b, (c, x, fx) in enumerate(zip(mu_centers, mxs, mfs))]
+    for lo, hi, narrowest, x, fx, ref in windows:
+        np.testing.assert_array_equal(fx, ref)
+        step = x[1] - x[0]
+        np.testing.assert_allclose(np.diff(x), step, rtol=1e-9)
+        assert step <= narrowest / (cfg.grid_points - 1)
+        assert x[0] <= lo < x[0] + step and x[-1] - step < hi <= x[-1]
+    assert [txs[0][0], txs[-1][-1]] == [0.0, ell]
+
+
+@pytest.mark.parametrize("field, value", [("tau_window_symbols", 1e-6), ("mu_window", 1e-6),
+                                          ("grid_points", 10 ** 6)])
+def test_search_refuses_a_lattice_table_past_its_bound(field, value):
+    # a window far narrower than grid_points steps would need a table of
+    # ~1e9 entries; the search refuses it before building anything
+    cfg = SageConfig(**{field: value})
+    y = observe([(1.0 + 0j, 2.0, 4.0)])
+    if field != "mu_window":
+        with pytest.raises(ConfigurationError, match=r"sage\.tau_window_symbols"):
+            maximize_tau(y.y, 2.0, cfg, 4.0, arr=ARR, caz=CAZ)
+    if field != "tau_window_symbols":
+        with pytest.raises(ConfigurationError, match=r"sage\.mu_window"):
+            maximize_mu(y.y, 4.0, cfg, 2.0, arr=ARR, caz=CAZ)
+
+
+def test_angle_searches_across_the_wrap_equal_lone_searches():
+    # windows that cross 0 or 2*pi, alone and in one batch, each as if alone
+    from beamest.sage import _search_angles
+    rng = np.random.default_rng(12)
+    centers = [0.05, 2 * np.pi - 0.05, 6.3, -0.2, 3.0]
+    q = rng.standard_normal((5, 16)) + 1j * rng.standard_normal((5, 16))
+    cfg = SageConfig()
+    lone = [_search_angles(ARR, q[b:b + 1], [c], cfg)[0] for b, c in enumerate(centers)]
+    assert _search_angles(ARR, q, centers, cfg) == lone
+    assert all(0.0 <= mu < 2 * np.pi for mu in lone)
+
+
 def returns_within(fn, seconds=20.0):
     # a search that cannot narrow its bracket would spin forever: fail instead
     out = []
@@ -424,6 +520,15 @@ def test_searches_stop_at_tolerance_below_float_spacing():
             assert abs(tau - edge) <= 1e-8
 
 
+@pytest.mark.parametrize("center", [-1.5, 17.25])
+def test_delay_search_refuses_a_center_with_an_empty_window(center):
+    # a center more than the half-width outside [0, L] leaves no window to
+    # search
+    y = observe([(1.0 + 0j, 2.2, 4.0)])
+    with pytest.raises(ConfigurationError, match="outside"):
+        maximize_tau(y.y, 2.2, SageConfig(), center, arr=ARR, caz=CAZ)
+
+
 @pytest.mark.parametrize("tau_true, center, edge", [(15.6, 0.5, 0.0),    # window [0, 1.5]
                                                     (0.3, 15.5, 16.0)])  # window [14.5, L]
 def test_delay_search_returns_clipped_window_edge(tau_true, center, edge):
@@ -437,15 +542,20 @@ def test_delay_search_returns_clipped_window_edge(tau_true, center, edge):
 
 @pytest.mark.parametrize("side", [-1, 1])
 def test_angle_search_returns_window_edge(monkeypatch, side):
-    # the peak sits 0.6 rad from the center, beyond the 2*pi/16 half-window;
-    # the grid call and one round toward the edge find it
+    # the peak sits 0.6 rad from the center, beyond the 2*pi/16 half-window,
+    # whose end is rounded outward to the lattice 2*pi/(16 * 32); the
+    # lattice read and one round toward the edge find it
     cfg = SageConfig()
     y = observe([(1.0 + 0j, 2.0, 4.0)])
     center = 2.0 - side * 0.6
+    step = 2 * np.pi / (16 * 32)
+    end = center + side * 2 * np.pi / 16
+    edge = (np.ceil if side > 0 else np.floor)(end / step) * step
+    assert 0.0 <= side * (edge - end) < step
     calls = counted(monkeypatch, "mu_objective")
     mu = maximize_mu(y.y, 4.0, cfg, center, arr=ARR, caz=CAZ)
-    assert abs(mu - (center + side * 2 * np.pi / 16)) <= cfg.refine_tol
-    assert len(calls) == 2
+    assert abs(mu - edge) <= cfg.refine_tol
+    assert len(calls) == 1
 
 
 def stop_statistic(previous, current, cfg=SageConfig()):
@@ -491,14 +601,22 @@ def test_stop_statistic_counts_in_search_half_widths(tau_window, mu_window):
     assert stop_statistic([start], [replace(start, mu_hat=start.mu_hat - 1e-3)],
                           cfg) == pytest.approx(1e-3 / mu_half, rel=1e-9)
     # each search, started beyond its reach of the peak, stops at its window
-    # edge: a move of one half-width, which the stop test reads as 1
+    # edge, rounded outward to its lattice: a move of one half-width, which
+    # the stop test reads as 1, plus the rounding.  The delay edge 7.5 is on
+    # the lattice; the angle lattice is 2*pi/(M * Q), Q the smallest power
+    # of two putting grid_points - 1 steps in the window
+    q = 2 ** math.ceil(math.log2((cfg.grid_points - 1) * np.pi / (ARR.m * mu_half)))
+    step = 2 * np.pi / (ARR.m * q)
+    mu_edge = math.ceil((start.mu_hat + mu_half) / step) * step
+    assert 0.0 <= mu_edge - (start.mu_hat + mu_half) < step
     y = observe([(1.0 + 0j, 2.0, 8.0)])
     tau = maximize_tau(y.y, 2.0, cfg, start.tau_hat, arr=ARR, caz=CAZ)
     mu = maximize_mu(y.y, 8.0, cfg, start.mu_hat, arr=ARR, caz=CAZ)
-    for moved, half in ((replace(start, tau_hat=tau), tau_window),
-                        (replace(start, mu_hat=mu), mu_half)):
+    for moved, half, reading in ((replace(start, tau_hat=tau), tau_window, 1.0),
+                                 (replace(start, mu_hat=mu), mu_half,
+                                  (mu_edge - start.mu_hat) / mu_half)):
         assert stop_statistic([start], [moved], cfg) == pytest.approx(
-            1.0, abs=2 * cfg.refine_tol / half)
+            reading, abs=2 * cfg.refine_tol / half)
 
 
 def counted(monkeypatch, name):
@@ -556,6 +674,13 @@ def test_searches_need_few_objective_calls(monkeypatch, seed):
     assert abs((mu_hat - mu_ref + np.pi) % (2 * np.pi) - np.pi) <= 1e-6
 
 
+def zoom_from_grid(f, n, tol):
+    # n problems on [0, 1], whose first round is a 64-point grid evaluated,
+    # as the searches' is, in one call for all of them
+    xs = [np.linspace(0.0, 1.0, 64)] * n
+    return _kernels._zoom_max(f, xs, _kernels._per_problem(f, xs, list(range(n))), tol)
+
+
 @pytest.mark.parametrize("c", [0.3, 0.123456789, 0.71])
 @pytest.mark.parametrize("left", [1.0, 4.0, 50.0])
 def test_zoom_finds_peak_far_from_parabolic(c, left):
@@ -569,7 +694,7 @@ def test_zoom_finds_peak_far_from_parabolic(c, left):
         return -np.where(d < 0, left, 1.0) * np.abs(d) ** 1.5
 
     tol = 1e-7
-    x = _kernels._zoom_max(lambda x, rows: f(x), [0.0], [1.0], 64, tol)[0]
+    x = zoom_from_grid(lambda x, rows: f(x), 1, tol)[0]
     assert abs(x - c) <= tol
     assert len(calls) <= 20
 
@@ -586,7 +711,7 @@ def test_zoom_stops_once_the_parabola_vertex_settles(c):
         return -(x - c) ** 2
 
     tol = 1e-7
-    x = _kernels._zoom_max(f, [0.0], [1.0], 64, tol)[0]
+    x = zoom_from_grid(f, 1, tol)[0]
     assert abs(x - c) <= 1e-12
     assert len(calls) == 2
 
@@ -612,10 +737,10 @@ def test_lockstep_zoom_makes_one_call_per_round():
     lone_calls, lone = [], []
     for b in range(n):
         calls = []
-        lone.append(_kernels._zoom_max(objective(calls, np.array([b])), [0.0], [1.0], 64, tol)[0])
+        lone.append(zoom_from_grid(objective(calls, np.array([b])), 1, tol)[0])
         lone_calls.append(len(calls))
     calls = []
-    batch = _kernels._zoom_max(objective(calls, np.arange(n)), [0.0] * n, [1.0] * n, 64, tol)
+    batch = zoom_from_grid(objective(calls, np.arange(n)), n, tol)
     assert batch == lone
     assert len(set(lone_calls)) > 1
     assert len(calls) == max(lone_calls) < sum(lone_calls)
@@ -655,8 +780,9 @@ def test_delay_search_at_a_clipped_window_end_matches_dense_scan(monkeypatch):
     assert len(calls) - start == max(lone_calls)
     for tau, ref in zip(lone, refs):
         assert abs(tau - ref) <= cfg.refine_tol
-    # a peak past the end closes in the grid call and one round toward the end
-    assert [n for n, case in zip(lone_calls, WINDOW_END_CASES) if case[2] == "past"] == [2, 2]
+    # a peak past the end closes in one round toward the end, after the
+    # lattice read, which calls no objective
+    assert [n for n, case in zip(lone_calls, WINDOW_END_CASES) if case[2] == "past"] == [1, 1]
 
 
 def test_acceptance_block_search_calls(monkeypatch):
@@ -672,7 +798,7 @@ def test_acceptance_block_search_calls(monkeypatch):
     mu_calls = counted(monkeypatch, "mu_objective")
     iterations = sum(run_trial(cfg, s, t).sage_iterations for s in range(4) for t in range(25))
     assert iterations == 242
-    assert (len(tau_calls), len(mu_calls)) == (1385, 1308)
+    assert (len(tau_calls), len(mu_calls)) == (931, 894)
 
 
 def _ragged_problems(rng):
