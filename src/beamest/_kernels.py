@@ -281,15 +281,42 @@ def angle_lattice(m, density, half):
 
 
 def _vertex(x, y):
-    """The vertex of the parabola through three points, ``y[1]`` the highest.
+    """The vertex of the parabola through three points.
 
-    The vertex lies within half a gap of ``x[1]``; three equal values have
-    none, and ``x[1]`` stands in.
+    With ``y[1]`` the highest, the vertex lies within half a gap of ``x[1]``;
+    three points on a line have none, and ``x[1]`` stands in.
     """
     d0, d2 = x[1] - x[0], x[2] - x[1]
     g0, g2 = y[1] - y[0], y[1] - y[2]
     den = d0 * g2 + d2 * g0
     return x[1] if den == 0.0 else x[1] + 0.5 * (d2 * d2 * g0 - d0 * d0 * g2) / den
+
+
+def _settled_vertex(x, y, tol):
+    """The vertex ``v`` of the parabola through the inner triple of a vertex
+    stencil round ``x = [a, u - e, u, u + e, b]``, or None unless its predicted
+    error is within ``tol``.
+
+    The triple must be concave and ``|v - u| <= 2e``.  The leading-order error
+    of ``v`` is K * ((v - u)^2 + e^2 / 3), K = |f'''| / (2 |f''|), with f''
+    from the triple's second divided difference and f''' from the larger of
+    the third divided differences over the first four and the last four
+    points.  An asymmetric triple is never used: its vertex error is first
+    order in its far gap.
+    """
+    x, y = x.tolist(), y.tolist()
+    x0, x1, x2, x3, x4 = x
+    d0, d1, d2, d3 = ((y[j + 1] - y[j]) / (x[j + 1] - x[j]) for j in range(4))
+    c0, c1, c2 = (d1 - d0) / (x2 - x0), (d2 - d1) / (x3 - x1), (d3 - d2) / (x4 - x2)
+    if not c1 < 0.0:
+        return None
+    v = _vertex(x[1:4], y[1:4])
+    e = 0.5 * (x3 - x1)
+    # f'' = 2 * c1 and f''' = 6 * (third divided difference)
+    k = 1.5 * max(abs(c1 - c0) / (x3 - x0), abs(c2 - c1) / (x4 - x1)) / -c1
+    if abs(v - x2) <= 2.0 * e and k * ((v - x2) ** 2 + e * e / 3.0) <= tol:
+        return v
+    return None
 
 
 def _vertex_stencil(a, b, v, tol):
@@ -366,18 +393,22 @@ def _zoom_max(f, xs, fs, tol):
       the vertex of the parabola through the best point and its neighbours
       (:func:`_vertex_stencil`); on a smooth peak the next bracket is
       ``_VERTEX_SHRINK / 2`` times narrower, from function values alone
-      (successive parabolic interpolation);
+      (successive parabolic interpolation), and the three packed points
+      usually place the peak within ``tol`` at once (:func:`_settled_vertex`);
     * otherwise, ``_ZOOM_POINTS`` even points across the bracket: when the
       best point is a bracket end inside the window, when the stencil does
       not fit, or when the last round neither halved the bracket nor was a
       window-end round, which bounds the cost of a peak far from parabolic
       to about twice that of even rounds alone.
 
-    A problem stops when its bracket is no wider than ``tol``, returning the
-    bracket midpoint; when a new parabola vertex lies within ``tol`` of the
-    vertex the last round was packed around (Brent's step test), returning
-    the new vertex; or when a round no longer narrows the bracket, which
-    happens once ``tol`` is below the float spacing at the maximizer.
+    A problem stops after a vertex stencil round whose three packed points
+    predict their parabola's vertex within ``tol`` (:func:`_settled_vertex`),
+    returning that vertex; when its bracket is no wider than ``tol``,
+    returning the bracket midpoint; when a new parabola vertex lies within
+    ``tol`` of the vertex the last round was packed around (Brent's step
+    test), returning the new vertex; or when a round no longer narrows the
+    bracket, which happens once ``tol`` is below the float spacing at the
+    maximizer.
     """
     xs, fs = list(xs), list(fs)
     lo = [x[0] for x in xs]
@@ -392,6 +423,11 @@ def _zoom_max(f, xs, fs, tol):
         searching = []
         for p in active:
             x, fx = xs[p], fs[p]
+            if vertex[p] is not None:
+                v = _settled_vertex(x, fx, tol)
+                if v is not None:
+                    best[p] = v
+                    continue
             i = int(fx.argmax())
             last = x.size - 1
             a = x[max(i - 1, 0)]

@@ -10,9 +10,11 @@ read their first round from a per-configuration table on a fixed lattice
 the bracket around its best point, each round evaluating, in one array call,
 a few points around the vertex of the parabola through the best point and
 its neighbours, or, when the best point is the search window's end, points
-spaced geometrically toward that end.  A search stops when its bracket is no
-wider than ``refine_tol`` or when two successive parabola vertices lie within
-``refine_tol`` of each other (``_kernels._zoom_max``).
+spaced geometrically toward that end.  A search stops when the parabola
+through the three points packed around a vertex predicts its own vertex
+within ``refine_tol``, when its bracket is no wider than ``refine_tol``, or
+when two successive parabola vertices lie within ``refine_tol`` of each
+other (``_kernels._zoom_max``).
 
 The trace objectives reduce to small vector forms.  Writing X_g[k, s] =
 X[k, (s + k) mod L] (undoing the per-beam pilot shift with the gather
@@ -78,9 +80,12 @@ class SageConfig:
     the unrounded window and keeps 0 and L as exact ends.  A search whose
     lattice table would hold more than 2**22 entries (a window far narrower
     than ``grid_points`` steps, or a very large array) raises
-    :class:`ConfigurationError`.  A search stops once its bracket is no wider
-    than ``refine_tol``, or once a parabola vertex lies within ``refine_tol``
-    of the vertex before it, and returns that vertex.
+    :class:`ConfigurationError`.  A search stops once the parabola through the
+    three points packed around a vertex predicts its own vertex within
+    ``refine_tol`` (a leading-order error from the round's divided
+    differences), or once a parabola vertex lies within ``refine_tol`` of
+    the vertex before it, and returns that vertex; or once its bracket is no
+    wider than ``refine_tol``, and returns the bracket midpoint.
     """
 
     beta: float = 1.0
@@ -232,7 +237,7 @@ def _search_angles(arr: ArrayConfig, q: np.ndarray, centers: Sequence[float],
         # about M * Q * (1 + half / pi) rows of M phases
         lattice = _kernels.angle_lattice(arr.m, _lattice_density(
             cfg, "mu_window", arr.m * half / np.pi, arr.m ** 2 * (1.0 + half / np.pi)), half)
-        wrapped = [mus[b] % (2.0 * np.pi) for b in moving]
+        wrapped = [_finite_center(mus[b], "angle") % (2.0 * np.pi) for b in moving]
         lo, hi = zip(*(_kernels.lattice_window(c - half, c + half, lattice.step)
                        for c in wrapped))
         found = _kernels.search_mu(_angle_spectra(q if len(moving) == len(mus) else q[moving]),
@@ -257,11 +262,19 @@ def _mu_half_window(cfg: SageConfig, m: int) -> float:
     return cfg.mu_window if cfg.mu_window is not None else 2.0 * np.pi / m
 
 
+def _finite_center(center: float, search: str) -> float:
+    """``center``, refused unless it is a finite number: max(0, nan) is 0, and
+    a NaN window would search [0, L] or stop the lattice rounding."""
+    if not is_real(center):
+        raise ConfigurationError(f"{search} search center must be a finite number, got {center!r}")
+    return center
+
+
 def _tau_bounds(center: float, cfg: SageConfig, ell: int) -> Tuple[float, float]:
     # delays live on a cycle of length L; the window is clipped to [0, L], so
     # a delay past L - 1 is still found (the pilot model is periodic in it).
     # The search rounds it outward to its lattice
-    lo = max(0.0, center - cfg.tau_window_symbols)
+    lo = max(0.0, _finite_center(center, "delay") - cfg.tau_window_symbols)
     hi = min(float(ell), center + cfg.tau_window_symbols)
     if not lo <= hi:
         raise ConfigurationError(f"delay search center {center} lies more than "
@@ -301,12 +314,14 @@ def maximize_tau(x_hat: np.ndarray, mu_fixed: float, cfg: SageConfig, search_cen
 
     The search covers ``search_center`` +/- the configured window, clipped to
     [0, L] and rounded outward to the delay lattice (:class:`SageConfig`);
-    the bracket around the best lattice point is zoomed until it is no wider
-    than ``refine_tol`` or two successive parabola vertices lie within
-    ``refine_tol``.  A maximum on a clipped end (the line-of-sight delay 0,
-    or a peak past the window) closes in one round after the lattice round.
-    An all-zero hidden observation returns the center unchanged; a center
-    more than the window outside [0, L] raises :class:`ConfigurationError`.
+    the bracket around the best lattice point is zoomed until a parabola
+    vertex is predicted within ``refine_tol`` (usually one round after the
+    lattice round), two successive parabola vertices lie within
+    ``refine_tol``, or the bracket is no wider than ``refine_tol``.  A
+    maximum on a clipped end (the line-of-sight delay 0, or a peak past the
+    window) closes in one round after the lattice round.  An all-zero hidden
+    observation returns the center unchanged; a non-finite center, or one
+    more than the window outside [0, L], raises :class:`ConfigurationError`.
     """
     w, moving = _delay_statistics(arr, caz, _gathered(x_hat[None]), [mu_fixed])
     return _search_delays(caz, w, [search_center], cfg)[0] if moving[0] else float(search_center)
@@ -319,7 +334,7 @@ def maximize_mu(x_hat: np.ndarray, tau_fixed: float, cfg: SageConfig, search_cen
     Searches ``search_center``, wrapped into [0, 2*pi), +/- the window
     (default one beam spacing), rounded outward to the angle lattice, with
     the stop rules of :func:`maximize_tau`; the result is wrapped into
-    [0, 2*pi).
+    [0, 2*pi).  A non-finite center raises :class:`ConfigurationError`.
     """
     _, q = _beam_statistics(caz, _gathered(x_hat[None]), [tau_fixed])
     return _search_angles(arr, q, [search_center], cfg)[0]

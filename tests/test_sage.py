@@ -529,6 +529,17 @@ def test_delay_search_refuses_a_center_with_an_empty_window(center):
         maximize_tau(y.y, 2.2, SageConfig(), center, arr=ARR, caz=CAZ)
 
 
+@pytest.mark.parametrize("center", [np.nan, np.inf, -np.inf])
+def test_searches_refuse_a_non_finite_center(center):
+    # max(0, nan) is 0, so a NaN delay window would search [0, L]; the angle
+    # window's lattice rounding would fail on floor(nan)
+    y = observe([(1.0 + 0j, 2.2, 4.0)])
+    with pytest.raises(ConfigurationError, match="delay search center"):
+        maximize_tau(y.y, 2.2, SageConfig(), center, arr=ARR, caz=CAZ)
+    with pytest.raises(ConfigurationError, match="angle search center"):
+        maximize_mu(y.y, 4.0, SageConfig(), center, arr=ARR, caz=CAZ)
+
+
 @pytest.mark.parametrize("tau_true, center, edge", [(15.6, 0.5, 0.0),    # window [0, 1.5]
                                                     (0.3, 15.5, 16.0)])  # window [14.5, L]
 def test_delay_search_returns_clipped_window_edge(tau_true, center, edge):
@@ -798,7 +809,34 @@ def test_acceptance_block_search_calls(monkeypatch):
     mu_calls = counted(monkeypatch, "mu_objective")
     iterations = sum(run_trial(cfg, s, t).sage_iterations for s in range(4) for t in range(25))
     assert iterations == 242
-    assert (len(tau_calls), len(mu_calls)) == (931, 894)
+    assert (len(tau_calls), len(mu_calls)) == (496, 452)
+
+
+def test_searches_stop_within_tolerance_of_a_fine_search(monkeypatch):
+    # every search of the acceptance workload's first block at seed 5 (lone
+    # trials) and of one high-SNR two-path block lies within refine_tol of
+    # the same search run to a 1e-13 tolerance: a stop on the predicted
+    # error of a parabola vertex must not cost accuracy
+    from beamest import RunConfig, run_trial
+    zoom = _kernels._zoom_max
+    gaps = []
+
+    def checked(f, xs, fs, tol):
+        out = zoom(f, xs, fs, tol)
+        gaps.extend(abs(a - b) for a, b in zip(out, zoom(f, xs, fs, 1e-13)))
+        return out
+    monkeypatch.setattr(_kernels, "_zoom_max", checked)
+    accept = ScenarioConfig(n_nlos=1, delta_nlos_range_m=(4.5, 22.5))
+    block_seed = int(np.random.SeedSequence((5, 0)).generate_state(1)[0])
+    for scenario, snrs, trials in ((accept, (-10.0, 0.0, 10.0, 20.0), 25),
+                                   (ScenarioConfig(), (20.0, 30.0), 10)):
+        cfg = RunConfig(scenario=replace(scenario, seed=block_seed), snr_sweep_db=snrs,
+                        trials=trials)
+        for s in range(len(snrs)):
+            for t in range(trials):
+                run_trial(cfg, s, t)
+    assert len(gaps) > 1000
+    assert max(gaps) <= SageConfig().refine_tol
 
 
 def _ragged_problems(rng):
