@@ -3,11 +3,13 @@
 The raised-cosine pulse evaluation, delayed pilot rows and the 1-D peak
 searches inside the refinement stage dominate the Monte-Carlo runtime.  One
 kernel, batched over delays, builds the delayed pilot (:func:`pilot_rows`);
-the delay derivatives and the delay objective share its tap support.  The
-search objectives take a whole array of points per call, each point against
-its own row of a stack of statistics, and the searches advance a batch of
-problems in lockstep, so a search round costs a handful of numpy calls for
-the whole batch rather than one call per point or per problem.  A search's
+the delay derivatives, the delay objective and the taps folded onto the L
+lags that the refinement's update uses (:func:`folded_taps`) share its tap
+support.  The search objectives take a whole array of points per call, each
+point against its own row of a stack of statistics, and the searches
+advance a batch of problems in lockstep, so a search round costs a handful
+of numpy calls for the whole batch rather than one call per point or per
+problem.  A search's
 first round covers its window on a fixed lattice (delays at multiples of
 1/Q symbol, spatial frequencies at multiples of 2*pi/(M*Q)), whose pulse
 taps and phase rows are tabulated once per configuration
@@ -140,6 +142,21 @@ def pilot_rows_and_derivs(cbase, taus, rolloff, halfwidth):
     taps = np.stack([h, -hp]) * (u <= np.floor(t + halfwidth))
     rows = _delayed(cbase, u, taps)
     return rows[0], rows[1]
+
+
+def folded_taps(taus, rolloff, halfwidth, ell):
+    """The taps of :func:`pilot_rows` folded onto the L lags, (R, L):
+    f_r[d] = sum over u = d (mod L) of h(u - tau_r).
+
+    The delayed pilot row is v(tau_r)[s] = sum_d f_r[d] c((s - d) mod L).
+    An integer delay's row is the unit vector at tau_r mod L, exactly; taps
+    L apart (2*halfwidth > L) are summed in order of position.
+    """
+    t = np.asarray(taus, dtype=float)[:, None]
+    u = _support(t, halfwidth, 2 * halfwidth)
+    lags = u % ell + ell * np.arange(t.shape[0])[:, None]
+    return np.bincount(lags.ravel(), rc_samples(u - t, rolloff).ravel(),
+                       t.size * ell).reshape(t.shape[0], ell)
 
 
 def tau_objective(w, tau, rolloff, halfwidth, ell, rows=None):

@@ -21,7 +21,7 @@ import numpy as np
 from .arrays import ArrayConfig, beam_gains, mu_to_theta_deg, wrapped_distance
 from .channel import ReceiveMatrix
 from .errors import ConfigurationError
-from .pilots import CazacConfig, _conj_shifts, _unshift_index, sidelobe_power_ratios
+from .pilots import CazacConfig, _lag_correlation, sidelobe_power_ratios
 
 
 class Detection(NamedTuple):
@@ -88,12 +88,11 @@ class CoarseEstimate:
 
 def correlate(y: ReceiveMatrix) -> np.ndarray:
     """The M x L power matrix |Z|^2 of the correlation Z = Y C^H over all L
-    lags (a single-snapshot estimate), each beam's pilot shift undone:
-    entry (k, d) is beam k's power at delay d.  A (B, M, L) stack of
-    observations in ``y`` gives the (B, M, L) stack from one ``matmul``, each
-    matrix equal to its lone call bit for bit."""
-    p = np.abs(y.y @ _conj_shifts(y.caz).T) ** 2
-    return p.reshape(p.shape[:-2] + (-1,)).take(_unshift_index(*p.shape[-2:]), axis=-1)
+    lags (a single-snapshot estimate), each beam's pilot shift undone
+    (``pilots._lag_correlation``): entry (k, d) is beam k's power at delay
+    d.  A (B, M, L) stack of observations in ``y`` gives the (B, M, L) stack
+    from one ``matmul``, each matrix equal to its lone call bit for bit."""
+    return np.abs(_lag_correlation(y.y, y.caz)) ** 2
 
 
 def detection_threshold(noise_var: float, m: int, p_fa: float = 1e-3, *,

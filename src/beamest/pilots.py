@@ -6,8 +6,9 @@ base sequence cyclically shifted by k.  Non-integer path delays are modelled
 by raised-cosine interpolation of the wrapped sequence, truncated to
 ``pulse_halfwidth`` symbols either side.  Only this module builds the
 per-beam shift layout (row k shifted by k): ``_shift_index``,
-``_stack_shifted`` and ``_conj_shifts`` lay rows out as C(tau), and
-``_unshift_index`` undoes the shift.
+``_stack_shifted`` and ``_conj_shifts`` lay rows out as C(tau),
+``_unshift_index`` undoes the shift, and ``_lag_correlation`` correlates an
+observation with every pilot shift, the beam shifts undone.
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ def _stack_shifted(row0: np.ndarray, m: int) -> np.ndarray:
 @lru_cache(maxsize=16)
 def _unshift_index(m: int, n: int) -> np.ndarray:
     """Read-only flat index k*n + (s + k) mod n, row k, column s of an m x n matrix:
-    the gather undoing the per-beam shift, at (M, L) for both stages (SAGE's
-    X_g, and the coarse stage's power matrix with column d at delay d)."""
+    the gather undoing the per-beam shift, at (M, L) for :func:`_lag_correlation`
+    (column d at delay d) and for SAGE's data-domain X_g."""
     rows = np.arange(m)[:, None]
     idx = rows * n + (np.arange(n)[None, :] + rows) % n
     idx.setflags(write=False)
@@ -128,6 +129,17 @@ def _conj_shifts(cfg: CazacConfig) -> np.ndarray:
     out = _stack_shifted(_cached_base(cfg), cfg.length).conj()
     out.setflags(write=False)
     return out
+
+
+def _lag_correlation(x: np.ndarray, cfg: CazacConfig) -> np.ndarray:
+    """P[k, d] = sum_s X_g[k, s] conj(c((s - d) mod L)) of one (M, L) observation,
+    or of each slab of a (B, M, L) stack (one ``matmul``, each slab equal to
+    its lone call bit for bit): each beam's row correlated with every cyclic
+    shift of the base pilot, its own shift undone, so column d is delay d.
+    X_g[k, s] = X[k, (s + k) mod L] is the observation gathered with
+    :func:`_unshift_index`; the gather is taken after the correlation."""
+    z = x @ _conj_shifts(cfg).T
+    return z.reshape(z.shape[:-2] + (-1,)).take(_unshift_index(*z.shape[-2:]), axis=-1)
 
 
 @lru_cache(maxsize=8)

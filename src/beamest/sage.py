@@ -16,31 +16,43 @@ within ``refine_tol``, when its bracket is no wider than ``refine_tol``, or
 when two successive parabola vertices lie within ``refine_tol`` of each
 other (``_kernels._zoom_max``).
 
-The trace objectives reduce to small vector forms.  Writing X_g[k, s] =
-X[k, (s + k) mod L] (undoing the per-beam pilot shift with the gather
-``pilots._unshift_index``) and v for the delayed base pilot row:
+The update runs in the element-lag domain.  With P[k, d] = sum_s X_g[k, s]
+conj(c((s - d) mod L)) the lag correlation of an observation X (X_g[k, s] =
+X[k, (s + k) mod L], each beam's pilot shift undone; ``pilots._lag_correlation``,
+whose |.|^2 is the coarse stage's power matrix) and W the DFT codebook,
+Q = conj(W) P.  The codebook is unitary and the base pilot has perfect
+periodic autocorrelation, so X -> Q / sqrt(L) is unitary, and one path
+alpha A(mu) C(tau) is the rank-one term alpha s(mu) (L f_tau)^T, with
+s(mu)[m] = exp(j m mu) and f_tau[d] = sum over u = d (mod L) of h(u - tau),
+the pulse taps folded onto the L lags (``_kernels.folded_taps``; an integer
+delay's f_tau is the unit vector e_tau).  The trace objectives are then
+small vector forms of the hidden observation's Q:
 
-* tr{C(tau)^H A(mu)^H X} = sum_s conj(v_tau(s)) * z(s),
-  z(s) = sum_k conj(A_kk) X_g[k, s];
-* tr{C^H A^H A C} = M * ||v_tau||^2, since the beam gains of any spatial
-  frequency have total power M (the codebook is unitary).
+* tr{C(tau)^H A(mu)^H X} = w . f_tau = exp(-j m mu) . q~, with the delay
+  statistic w = exp(-j m mu) Q and the angle spectrum q~ = Q f_tau;
+* tr{C^H A^H A C} = M ||v_tau||^2 = M L ||f_tau||^2.
 
 SAGE updates one path at a time, so it batches only across independent
 observations.  One engine, ``_lockstep``, refines the B problems of one
 (B, M, L) observation stack, each with its own initial paths and update
 order, in lockstep: iteration i, update slot j advances every problem still
 iterating that has a j-th path, and a problem leaves the batch when it
-converges or reaches ``max_iterations``.  The hidden observations go
-through the update as one stack; the delay statistic z -> w, the beam
-statistic q and M * ifft(q), the pilot rows, the gains and the
-reconstructions are one array expression each for the batch (the initial
-reconstructions one call over every (problem, path) pair), and each search
-round is one objective call over the points of every problem still
-searching (``_kernels._zoom_max``).  Every value is computed per problem
+converges or reaches ``max_iterations``.  The observation stack is taken to
+the element-lag domain once, and every path keeps its rank-one term there;
+the hidden observations (Q minus the other paths' terms) go through the
+update as one stack, and the delay statistics, the folded taps, the angle
+spectra, the gains and the new terms are one array expression each for the
+batch, with no pilot row, beam gain or FFT in the update (the initial terms
+are one transform of the reconstructions of every (problem, path) pair);
+each search round is one objective call over the points of every problem
+still searching (``_kernels._zoom_max``).  Every value is computed per problem
 with the operations a lone problem uses (a matrix-vector product stays one
 BLAS call per problem), so a problem's result does not depend on its
 batch.  ``run_sage_batch`` refines one coarse estimate per slab;
-``run_sage``, ``run_sage_from`` and the public step helpers work on stacks of one.
+``run_sage`` and ``run_sage_from`` work on stacks of one.  The public step
+helpers take an observation-domain hidden observation, as
+:func:`expectation_step` returns it, transform it once and call the loop's
+own step functions.
 """
 
 from __future__ import annotations
@@ -51,12 +63,12 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .arrays import ArrayConfig, beam_gains, wrapped_distance
+from .arrays import ArrayConfig, _cached_codebook, beam_gains, wrapped_distance
 from .channel import ReceiveMatrix, path_signal
 from .coarse import CoarseEstimate
 from .errors import (ConfigurationError, NumericalDegeneracyError, is_real, require_integers,
                      require_reals)
-from .pilots import CazacConfig, _cached_base, _conj_shifts, _unshift_index
+from .pilots import CazacConfig, _cached_base, _lag_correlation, _unshift_index
 
 
 @dataclass(frozen=True)
@@ -138,11 +150,10 @@ class RefinedEstimate:
 
 def _gathered(x: np.ndarray) -> np.ndarray:
     """X_g of one (M, L) observation or of each slab of an (S, M, L) stack,
-    gathered with ``pilots._unshift_index``.
-
-    The result is C-ordered, as later steps rely on: a matrix-vector
-    product over a strided vector, or a sum whose reduced axis is the
-    innermost in memory, rounds differently.
+    gathered with ``pilots._unshift_index``: row k of X with beam k's pilot
+    shift undone, X_g[k, s] = X[k, (s + k) mod L].  The refinement never
+    forms it; it states the data-domain objectives that checks compare the
+    element-lag forms against.
     """
     return x.reshape(x.shape[:-2] + (-1,)).take(_unshift_index(*x.shape[-2:]), axis=-1)
 
@@ -153,7 +164,8 @@ def _pilots(caz: CazacConfig, taus: Sequence[float]) -> np.ndarray:
 
 def _reconstructions(arr: ArrayConfig, caz: CazacConfig,
                      estimates: Sequence[PathEstimate]) -> np.ndarray:
-    """The (n, M, L) path terms of ``estimates``; a zero gain gives exact zeros."""
+    """The (n, M, L) observation-domain path terms of ``estimates``; a zero
+    gain gives exact zeros."""
     out = np.zeros((len(estimates), arr.m, caz.length), dtype=complex)
     live = [e.alpha_hat != 0 for e in estimates]
     if any(live):
@@ -163,13 +175,18 @@ def _reconstructions(arr: ArrayConfig, caz: CazacConfig,
     return out
 
 
-def _delay_statistics(arr: ArrayConfig, caz: CazacConfig, xg: np.ndarray,
-                      mus: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """w[b, d] = sum_s corr[d, s] z_b(s), z_b(s) = sum_k conj(A_kk(mu_b)) X_g[b, k, s],
-    with corr[d, s] = conj(c((s - d) mod L)) (``pilots._conj_shifts``), and
-    whether z_b is nonzero (a zero z_b has no delay to search)."""
-    z = (beam_gains(arr, mus).conj()[:, :, None] * xg).sum(axis=1)
-    return np.matmul(_conj_shifts(caz), z[:, :, None])[..., 0], z.any(axis=1)
+def _element_lag(arr: ArrayConfig, caz: CazacConfig, x: np.ndarray) -> np.ndarray:
+    """Q = conj(W) P of each slab of the (S, M, L) observation stack ``x``, P
+    its lag correlation (``pilots._lag_correlation``) and W the DFT codebook:
+    element m, lag d.  One path alpha A(mu) C(tau) maps to
+    alpha s(mu) (L f_tau)^T (:func:`_path_terms`)."""
+    return np.matmul(_cached_codebook(arr).conj(), _lag_correlation(x, caz))
+
+
+def _path_terms(ell: int, alphas: np.ndarray, phases: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The (S, M, L) element-lag terms alpha_b s(mu_b) (L f_b)^T, from the phase
+    rows exp(-j m mu_b) (``_kernels._phase_rows``) and the folded taps f_b."""
+    return (alphas[:, None] * phases.conj())[:, :, None] * (ell * f)[:, None, :]
 
 
 # the most entries a search's lattice table may hold (64 MiB of complex
@@ -210,51 +227,76 @@ def _search_delays(caz: CazacConfig, w: np.ndarray, centers: Sequence[float],
     return [float(t) for t in _kernels.search_tau(w, lattice, lo, hi, cfg.refine_tol)]
 
 
-def _beam_statistics(caz: CazacConfig, xg: np.ndarray,
-                     taus: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
-    """The pilot rows v_b(tau_b) and q[b, k] = sum_s X_g[b, k, s] conj(v_b(s))."""
-    v = _pilots(caz, taus)
-    return v, (xg * v.conj()[:, None, :]).sum(axis=2)
+def _delay_statistics(q: np.ndarray, mus: Sequence[float]) -> np.ndarray:
+    """w_b = exp(-j m mu_b) Q_b, the (B, L) delay statistics of the (B, M, L)
+    element-lag stack ``q``."""
+    return np.matmul(_kernels._phase_rows(q.shape[1], mus)[:, None, :], q)[:, 0, :]
 
 
-def _angle_spectra(q: np.ndarray) -> np.ndarray:
-    """M * ifft(q) of each (B, M) row of beam statistics."""
-    return q.shape[-1] * np.fft.ifft(q)
+def _delay_step(caz: CazacConfig, q: np.ndarray, mus: Sequence[float],
+                centers: Sequence[float], cfg: SageConfig) -> Tuple[List[float], np.ndarray]:
+    """The delay searches of the (B, M, L) element-lag stack ``q`` at the
+    spatial frequencies ``mus``, around ``centers``, and which problems'
+    statistics are nonzero; a vanishing statistic keeps its center.  A
+    non-finite center is refused first."""
+    taus = [float(_finite_center(c, "delay")) for c in centers]
+    w = _delay_statistics(q, mus)
+    moving = w.any(axis=1)
+    keep = moving.tolist()
+    if all(keep):
+        taus = _search_delays(caz, w, taus, cfg)
+    elif any(keep):
+        found = iter(_search_delays(caz, w[moving], [c for c, k in zip(taus, keep) if k], cfg))
+        taus = [next(found) if k else c for c, k in zip(taus, keep)]
+    return taus, moving
 
 
-def _search_angles(arr: ArrayConfig, q: np.ndarray, centers: Sequence[float],
+def _angle_statistics(caz: CazacConfig, q: np.ndarray,
+                      taus: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
+    """The folded taps f_b = f(tau_b) and the angle spectra q~_b = Q_b f_b of
+    the (B, M, L) element-lag stack ``q``, (B, L) and (B, M)."""
+    f = _kernels.folded_taps(taus, caz.rolloff, caz.pulse_halfwidth, caz.length)
+    return f, np.matmul(q, f[:, :, None])[:, :, 0]
+
+
+def _search_angles(arr: ArrayConfig, qt: np.ndarray, centers: Sequence[float],
                    cfg: SageConfig) -> List[float]:
-    """Angle searches around ``centers``, wrapped to [0, 2*pi); a vanishing
-    q_b keeps its center.
+    """Angle searches of the (B, M) spectra ``qt`` around ``centers``, wrapped to
+    [0, 2*pi); a non-finite center is refused first, and a vanishing q~_b
+    keeps its center.
 
     Each window is the wrapped center +/- the half-width, rounded outward to
     the lattice 2*pi/(M*Q), Q as fine as a ``grid_points`` grid on it.
     """
     half = _mu_half_window(cfg, arr.m)
-    mus = list(centers)
-    moving = [b for b, m in enumerate(q.any(axis=1).tolist()) if m]
+    mus = [_finite_center(c, "angle") for c in centers]
+    moving = [b for b, m in enumerate(qt.any(axis=1).tolist()) if m]
     if moving:
         # about M * Q * (1 + half / pi) rows of M phases
         lattice = _kernels.angle_lattice(arr.m, _lattice_density(
             cfg, "mu_window", arr.m * half / np.pi, arr.m ** 2 * (1.0 + half / np.pi)), half)
-        wrapped = [_finite_center(mus[b], "angle") % (2.0 * np.pi) for b in moving]
         lo, hi = zip(*(_kernels.lattice_window(c - half, c + half, lattice.step)
-                       for c in wrapped))
-        found = _kernels.search_mu(_angle_spectra(q if len(moving) == len(mus) else q[moving]),
+                       for c in (mus[b] % (2.0 * np.pi) for b in moving)))
+        found = _kernels.search_mu(qt if len(moving) == len(mus) else qt[moving],
                                    lattice, lo, hi, cfg.refine_tol)
         for b, mu in zip(moving, found):
             mus[b] = mu
     return np.mod(mus, 2.0 * np.pi).tolist()
 
 
-def _gain_quotients(arr: ArrayConfig, q: np.ndarray, v: np.ndarray,
-                    gains: np.ndarray) -> List[complex]:
-    """tr{C^H A^H X} / tr{C^H A^H A C} per problem, the numerator being A(mu)^H q."""
-    den = (arr.m * (np.abs(v) ** 2).sum(axis=1)).tolist()
-    if min(den) < 1e-30:
+def _pilot_energies(caz: CazacConfig, f: np.ndarray) -> np.ndarray:
+    """||v(tau_b)||^2 = L ||f_b||^2 per row of folded taps (the base pilot's
+    cyclic shifts are orthogonal, each of energy L)."""
+    return caz.length * (f * f).sum(axis=1)
+
+
+def _gains(caz: CazacConfig, qt: np.ndarray, f: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """tr{C^H A^H X} / tr{C^H A^H A C} per problem: exp(-j m mu_b) q~_b over
+    M L ||f_b||^2, from the phase rows exp(-j m mu_b)."""
+    den = qt.shape[1] * _pilot_energies(caz, f)
+    if den.min() < 1e-30:
         raise NumericalDegeneracyError("vanishing pilot energy in the gain update")
-    num = np.matmul(gains.conj()[:, None, :], q[:, :, None])[:, 0, 0]
-    return [n / d for n, d in zip(num.tolist(), den)]
+    return np.matmul(phases[:, None, :], qt[:, :, None])[:, 0, 0] / den
 
 
 def _mu_half_window(cfg: SageConfig, m: int) -> float:
@@ -282,19 +324,12 @@ def _tau_bounds(center: float, cfg: SageConfig, ell: int) -> Tuple[float, float]
     return lo, hi
 
 
-def _pilot_energy(v: np.ndarray) -> float:
-    return float(np.sum(np.abs(v) ** 2))
-
-
-def _objective_scale(cfg: SageConfig, m: int) -> float:
-    return 1.0 / (cfg.beta * m)
-
-
-def _hidden_observation(y: np.ndarray, recon: Sequence[np.ndarray], r: int,
+def _hidden_observation(y: np.ndarray, terms: Sequence[np.ndarray], r: int,
                         beta: float) -> np.ndarray:
-    """The residual after every other path, blended with path r's own by beta."""
-    x_hat = y - sum((x for i, x in enumerate(recon) if i != r), np.zeros_like(y))
-    return x_hat if beta == 1.0 else (1.0 - beta) * recon[r] + beta * x_hat
+    """The residual after every other path's term, blended with path r's own
+    by beta; the same in the observation and the element-lag domain."""
+    x_hat = y - sum((x for i, x in enumerate(terms) if i != r), np.zeros_like(y))
+    return x_hat if beta == 1.0 else (1.0 - beta) * terms[r] + beta * x_hat
 
 
 def expectation_step(y: ReceiveMatrix, estimates: Sequence[PathEstimate], r: int,
@@ -312,116 +347,128 @@ def maximize_tau(x_hat: np.ndarray, mu_fixed: float, cfg: SageConfig, search_cen
                  *, arr: ArrayConfig, caz: CazacConfig) -> float:
     """Delay maximizing |tr{C(tau)^H A(mu)^H X}| ** 2 / (beta tr{C^H A^H A C}).
 
-    The search covers ``search_center`` +/- the configured window, clipped to
+    In the element-lag domain Q of ``x_hat`` the numerator is |w . f_tau|^2,
+    w = exp(-j m mu) Q, and the denominator beta M L ||f_tau||^2.  The
+    search covers ``search_center`` +/- the configured window, clipped to
     [0, L] and rounded outward to the delay lattice (:class:`SageConfig`);
     the bracket around the best lattice point is zoomed until a parabola
     vertex is predicted within ``refine_tol`` (usually one round after the
     lattice round), two successive parabola vertices lie within
     ``refine_tol``, or the bracket is no wider than ``refine_tol``.  A
     maximum on a clipped end (the line-of-sight delay 0, or a peak past the
-    window) closes in one round after the lattice round.  An all-zero hidden
-    observation returns the center unchanged; a non-finite center, or one
-    more than the window outside [0, L], raises :class:`ConfigurationError`.
+    window) closes in one round after the lattice round.  A non-finite
+    center, or one more than the window outside [0, L], raises
+    :class:`ConfigurationError`; an all-zero hidden observation then returns
+    the center unchanged.
     """
-    w, moving = _delay_statistics(arr, caz, _gathered(x_hat[None]), [mu_fixed])
-    return _search_delays(caz, w, [search_center], cfg)[0] if moving[0] else float(search_center)
+    q = _element_lag(arr, caz, x_hat[None])
+    return _delay_step(caz, q, [mu_fixed], [search_center], cfg)[0][0]
 
 
 def maximize_mu(x_hat: np.ndarray, tau_fixed: float, cfg: SageConfig, search_center: float,
                 *, arr: ArrayConfig, caz: CazacConfig) -> float:
     """Spatial frequency maximizing the same objective at a fixed delay.
 
+    Its numerator is |exp(-j m mu) q~|^2, q~ = Q f_tau the angle spectrum.
     Searches ``search_center``, wrapped into [0, 2*pi), +/- the window
     (default one beam spacing), rounded outward to the angle lattice, with
     the stop rules of :func:`maximize_tau`; the result is wrapped into
-    [0, 2*pi).  A non-finite center raises :class:`ConfigurationError`.
+    [0, 2*pi).  A non-finite center raises :class:`ConfigurationError`, also
+    for an all-zero hidden observation, which returns the center.
     """
-    _, q = _beam_statistics(caz, _gathered(x_hat[None]), [tau_fixed])
-    return _search_angles(arr, q, [search_center], cfg)[0]
+    qt = _angle_statistics(caz, _element_lag(arr, caz, x_hat[None]), [tau_fixed])[1]
+    return _search_angles(arr, qt, [search_center], cfg)[0]
 
 
 def tau_objective_value(x_hat: np.ndarray, mu_fixed: float, tau: float, cfg: SageConfig,
                         *, arr: ArrayConfig, caz: CazacConfig) -> float:
     """The delay-search objective evaluated at one point (for ascent checks)."""
-    w, moving = _delay_statistics(arr, caz, _gathered(x_hat[None]), [mu_fixed])
-    if not moving[0]:
+    w = _delay_statistics(_element_lag(arr, caz, x_hat[None]), [mu_fixed])
+    if not w.any():
         return 0.0
     raw = _kernels.tau_objective(w[0], tau, caz.rolloff, caz.pulse_halfwidth, caz.length)
-    return raw * _objective_scale(cfg, arr.m)
+    return raw / (cfg.beta * arr.m)
 
 
 def mu_objective_value(x_hat: np.ndarray, tau_fixed: float, mu: float, cfg: SageConfig,
                        *, arr: ArrayConfig, caz: CazacConfig) -> float:
     """The spatial-frequency objective evaluated at one point (for ascent checks)."""
-    v, q = _beam_statistics(caz, _gathered(x_hat[None]), [tau_fixed])
-    raw = _kernels.mu_objective(_angle_spectra(q)[0], mu)
-    return raw * _objective_scale(cfg, arr.m) / _pilot_energy(v[0])
+    f, qt = _angle_statistics(caz, _element_lag(arr, caz, x_hat[None]), [tau_fixed])
+    raw = _kernels.mu_objective(qt[0], mu)
+    return raw / (cfg.beta * _pilot_energies(caz, f)[0])
 
 
 def update_alpha(x_hat: np.ndarray, mu_fixed: float, tau_fixed: float,
                  *, arr: ArrayConfig, caz: CazacConfig) -> complex:
-    """Closed-form combined gain tr{C^H A^H X} / tr{C^H A^H A C}."""
-    v, q = _beam_statistics(caz, _gathered(x_hat[None]), [tau_fixed])
-    return _gain_quotients(arr, q, v, beam_gains(arr, [mu_fixed]))[0]
+    """Closed-form combined gain tr{C^H A^H X} / tr{C^H A^H A C}, which is
+    exp(-j m mu) q~ / (M L ||f_tau||^2) in the element-lag domain."""
+    f, qt = _angle_statistics(caz, _element_lag(arr, caz, x_hat[None]), [tau_fixed])
+    return complex(_gains(caz, qt, f, _kernels._phase_rows(arr.m, [mu_fixed]))[0])
 
 
-def _update_paths(arr: ArrayConfig, caz: CazacConfig, ys: np.ndarray,
-                  recon: List[np.ndarray], est: List[List[PathEstimate]], idx: List[int],
+def _update_paths(arr: ArrayConfig, caz: CazacConfig, qs: np.ndarray,
+                  terms: List[np.ndarray], est: List[List[PathEstimate]], idx: List[int],
                   slots: List[int], cfg: SageConfig) -> None:
     """Update path ``slots[i]`` of problem ``idx[i]`` for every i, in place.
 
-    One call per step for all of them: the delay statistics and searches, the
-    beam statistics and angle searches, the gains and the reconstructions,
-    from the (S, M, L) stack of hidden observations.  A problem whose delay
-    statistic vanishes keeps that path unchanged.
+    One call per step for all of them, on the (S, M, L) stack of element-lag
+    hidden observations: the delay statistics and searches, the angle
+    spectra and searches, the gains and the path terms.  A problem whose
+    delay statistic vanishes keeps that path unchanged.
     """
-    xg = _gathered(np.array([_hidden_observation(ys[p], recon[p], r, cfg.beta)
-                             for p, r in zip(idx, slots)]))
+    q = np.array([_hidden_observation(qs[p], terms[p], r, cfg.beta)
+                  for p, r in zip(idx, slots)])
     old = [est[p][r] for p, r in zip(idx, slots)]
-    w, moving = _delay_statistics(arr, caz, xg, [e.mu_hat for e in old])
+    taus, moving = _delay_step(caz, q, [e.mu_hat for e in old], [e.tau_hat for e in old], cfg)
     if not moving.all():
         keep = moving.tolist()
-        idx, slots, old = ([a for a, k in zip(seq, keep) if k] for seq in (idx, slots, old))
+        idx, slots, old, taus = ([a for a, k in zip(seq, keep) if k]
+                                 for seq in (idx, slots, old, taus))
         if not idx:
             return
-        xg, w = xg[moving], w[moving]
-    taus = _search_delays(caz, w, [e.tau_hat for e in old], cfg)
-    v, q = _beam_statistics(caz, xg, taus)
-    mus = _search_angles(arr, q, [e.mu_hat for e in old], cfg)
-    gains = beam_gains(arr, mus)
-    alphas = _gain_quotients(arr, q, v, gains)
-    signals = path_signal(alphas, gains, v)
-    for p, r, mu, tau, alpha, signal in zip(idx, slots, mus, taus, alphas, signals):
+        q = q[moving]
+    f, qt = _angle_statistics(caz, q, taus)
+    mus = _search_angles(arr, qt, [e.mu_hat for e in old], cfg)
+    phases = _kernels._phase_rows(arr.m, mus)
+    alphas = _gains(caz, qt, f, phases)
+    new = _path_terms(caz.length, alphas, phases, f)
+    for p, r, mu, tau, alpha, term in zip(idx, slots, mus, taus, alphas.tolist(), new):
         est[p][r] = PathEstimate(mu_hat=mu, tau_hat=tau, alpha_hat=alpha)
-        recon[p][r] = signal
+        terms[p][r] = term
 
 
 def _lockstep(y: ReceiveMatrix, initials: Sequence[Sequence[PathEstimate]],
               orders: Sequence[Sequence[int]], cfg: SageConfig) -> List[RefinedEstimate]:
     """Refine the B problems of the (B, M, L) stack ``y`` in lockstep, each as if alone.
 
+    The stack is taken to the element-lag domain once (:func:`_element_lag`).
     Iteration i updates slot j of every problem still iterating that has a
     j-th path in its ``order``, all in one :func:`_update_paths` call.  A
     problem leaves the batch once its largest parameter change, relative to
     the search windows and to the gain (:func:`_max_change`), falls to the
-    stopping threshold, or after ``max_iterations``.
+    stopping threshold, or after ``max_iterations``.  A non-finite initial
+    delay or spatial frequency raises :class:`ConfigurationError` first.
     """
     if not initials:
         return []
     for init in initials:
         if not init:
             raise ConfigurationError("refinement needs at least one initial path")
+        for e in init:
+            _finite_center(e.tau_hat, "delay")
+            _finite_center(e.mu_hat, "angle")
     arr, caz = y.arr, y.caz
+    qs = _element_lag(arr, caz, y.y)
     est = [list(init) for init in initials]
-    recon = np.split(_reconstructions(arr, caz, [e for init in est for e in init]),
-                     np.cumsum([len(init) for init in est[:-1]]))
+    recon = _reconstructions(arr, caz, [e for init in est for e in init])
+    terms = np.split(_element_lag(arr, caz, recon), np.cumsum([len(i) for i in est[:-1]]))
     results: List[Optional[RefinedEstimate]] = [None] * len(est)
     active = list(range(len(est)))
     for iterations in range(1, cfg.max_iterations + 1):
         previous = [list(est[p]) for p in active]
         for j in range(max(len(orders[p]) for p in active)):
             idx = [p for p in active if j < len(orders[p])]
-            _update_paths(arr, caz, y.y, recon, est, idx, [orders[p][j] for p in idx], cfg)
+            _update_paths(arr, caz, qs, terms, est, idx, [orders[p][j] for p in idx], cfg)
         still = []
         for p, prev in zip(active, previous):
             converged = _max_change(prev, est[p], cfg, arr.m) <= cfg.gamma_stop

@@ -149,6 +149,38 @@ def test_update_alpha_zero_and_scaling():
     assert abs(scaled - (2.0 - 1.5j) * base) < 1e-12
 
 
+@pytest.mark.parametrize("pulse", [{}, {"rolloff": 0.0}, {"pulse_halfwidth": 20}])
+@pytest.mark.parametrize("m, ell", [(16, 16), (8, 16), (16, 25), (4, 9)])
+def test_element_lag_domain_is_unitary_with_rank_one_paths(m, ell, pulse):
+    # Y -> Q / sqrt(L) is unitary (a unitary codebook, and base-pilot shifts
+    # with perfect periodic autocorrelation), and a lone path alpha A(mu)
+    # C(tau) maps to alpha s(mu) (L f_tau)^T; with pulse_halfwidth = 20 the
+    # 40 taps fold onto L lags with collisions
+    from beamest.arrays import beam_gains
+    from beamest.channel import path_signal
+    from beamest.sage import _element_lag, _path_terms, _pilots
+    arr, caz = ArrayConfig(m=m), CazacConfig(length=ell, **pulse)
+
+    def folded(taus):
+        return _kernels.folded_taps(taus, caz.rolloff, caz.pulse_halfwidth, ell)
+    rng = np.random.default_rng(m * ell)
+    y = rng.standard_normal((3, m, ell)) + 1j * rng.standard_normal((3, m, ell))
+    np.testing.assert_allclose(np.sum(np.abs(_element_lag(arr, caz, y)) ** 2, axis=(1, 2)),
+                               ell * np.sum(np.abs(y) ** 2, axis=(1, 2)), rtol=1e-13)
+
+    alphas = np.array([0.7 - 0.4j, -1.3 + 0.2j, 0.05j, 2.0])
+    mus = np.array([2.345, 0.0, 6.2, 2 * np.pi / m * 3])
+    taus = [0.37 * ell, 3.0, ell - 0.2, 0.0]
+    x = path_signal(alphas, beam_gains(arr, mus), _pilots(caz, taus))
+    terms = _path_terms(ell, alphas, _kernels._phase_rows(m, mus), folded(taus))
+    q = _element_lag(arr, caz, x)
+    assert np.max(np.abs(q - terms)) <= 1e-13 * np.max(np.abs(terms))
+
+    # at an integer delay the folded taps are the unit vector e_(tau mod L)
+    integers = np.arange(ell + 1)
+    assert np.array_equal(folded(integers.astype(float)), np.eye(ell)[integers % ell])
+
+
 def random_two_path(rng):
     th = rng.uniform(-60, 60, 2)
     mus = [spatial_frequency(t) for t in th]
@@ -209,23 +241,32 @@ def test_fixed_point_at_truth():
 
 
 def test_step_helpers_equal_one_loop_update():
-    # the public helpers chain the loop's own steps, so the first path update
-    # of one pass equals the chain bit for bit, not merely to rounding
+    # the public helpers chain the loop's own steps.  With one path the hidden
+    # observation is the observation itself, and the first path update of one
+    # pass equals the chain bit for bit, not merely to rounding; with two, the
+    # loop subtracts the other path's element-lag term where the helpers
+    # transform the observation-domain residual, which agrees to rounding
     rng = np.random.default_rng(21)
     cfg = SageConfig(max_iterations=1)
-    for _ in range(50):
-        real = draw_realization(ScenarioConfig(n_nlos=1), rng).with_snr_db(10.0)
-        y = synthesize(real, ARR, CAZ, rng)
-        start = [PathEstimate(mu_hat=p.mu + rng.uniform(-0.05, 0.05),
-                              tau_hat=p.tau_symbols + rng.uniform(-0.3, 0.3),
-                              alpha_hat=g * (1.0 + 0.1 * rng.standard_normal()))
-                 for p, g in zip(real.paths, real.gains())]
-        loop = run_sage_from(y, start, cfg).paths[0]
-        x = expectation_step(y, start, 0, cfg)
-        tau = maximize_tau(x, start[0].mu_hat, cfg, start[0].tau_hat, arr=ARR, caz=CAZ)
-        mu = maximize_mu(x, tau, cfg, start[0].mu_hat, arr=ARR, caz=CAZ)
-        alpha = update_alpha(x, mu, tau, arr=ARR, caz=CAZ)
-        assert (loop.tau_hat, loop.mu_hat, loop.alpha_hat) == (tau, mu, alpha)
+    for n_nlos in (0, 1):
+        for _ in range(50):
+            real = draw_realization(ScenarioConfig(n_nlos=n_nlos), rng).with_snr_db(10.0)
+            y = synthesize(real, ARR, CAZ, rng)
+            start = [PathEstimate(mu_hat=p.mu + rng.uniform(-0.05, 0.05),
+                                  tau_hat=p.tau_symbols + rng.uniform(-0.3, 0.3),
+                                  alpha_hat=g * (1.0 + 0.1 * rng.standard_normal()))
+                     for p, g in zip(real.paths, real.gains())]
+            loop = run_sage_from(y, start, cfg).paths[0]
+            x = expectation_step(y, start, 0, cfg)
+            tau = maximize_tau(x, start[0].mu_hat, cfg, start[0].tau_hat, arr=ARR, caz=CAZ)
+            mu = maximize_mu(x, tau, cfg, start[0].mu_hat, arr=ARR, caz=CAZ)
+            alpha = update_alpha(x, mu, tau, arr=ARR, caz=CAZ)
+            if n_nlos == 0:
+                assert (loop.tau_hat, loop.mu_hat, loop.alpha_hat) == (tau, mu, alpha)
+            else:
+                assert abs(loop.tau_hat - tau) <= 1e-10
+                assert abs((loop.mu_hat - mu + np.pi) % (2 * np.pi) - np.pi) <= 1e-10
+                assert abs(loop.alpha_hat - alpha) <= 1e-10
 
 
 def test_single_path_refinement_not_worse_than_coarse():
@@ -430,22 +471,24 @@ def test_first_round_is_each_objective_on_its_lattice(monkeypatch, case):
     # window [max(0, c - w), min(L, c + w)] or c +/- half (c wrapped into
     # [0, 2*pi)), rounded outward to its lattice, no coarser than a
     # grid_points grid on that window
-    from beamest.sage import _angle_spectra, _search_angles, _search_delays
+    from beamest.sage import (_angle_statistics, _delay_statistics, _search_angles,
+                              _search_delays)
     cfg, arr, caz = LATTICE_CASES[case]
     ell, m = caz.length, arr.m
     rng = np.random.default_rng(31)
     tau_centers = [0.0, 0.3, ell / 2 + 0.37, ell - 0.2, float(ell)]
     mu_centers = [0.0, 0.05, 3.0, 2 * np.pi - 0.02, 7.0, -0.3]
-    w = rng.standard_normal((5, ell)) + 1j * rng.standard_normal((5, ell))
-    q = rng.standard_normal((6, m)) + 1j * rng.standard_normal((6, m))
+    # the statistics of random element-lag stacks, at random fixed parameters
+    q = rng.standard_normal((11, m, ell)) + 1j * rng.standard_normal((11, m, ell))
+    w = _delay_statistics(q[:5], rng.uniform(0, 2 * np.pi, 5))
+    qt = _angle_statistics(caz, q[5:], rng.uniform(0, ell, 6))[1]
     tau_calls = counted(monkeypatch, "tau_objective")
     mu_calls = counted(monkeypatch, "mu_objective")
     txs, tfs = first_rounds(monkeypatch, _search_delays, caz, w, tau_centers, cfg)
-    mxs, mfs = first_rounds(monkeypatch, _search_angles, arr, q, mu_centers, cfg)
+    mxs, mfs = first_rounds(monkeypatch, _search_angles, arr, qt, mu_centers, cfg)
     assert tau_calls == mu_calls == []
     monkeypatch.undo()
 
-    qt = _angle_spectra(q)
     half = 2 * np.pi / m if cfg.mu_window is None else cfg.mu_window
     tau_w = cfg.tau_window_symbols
     windows = [(max(0.0, c - tau_w), min(ell, c + tau_w), min(tau_w, ell), x, fx,
@@ -532,12 +575,20 @@ def test_delay_search_refuses_a_center_with_an_empty_window(center):
 @pytest.mark.parametrize("center", [np.nan, np.inf, -np.inf])
 def test_searches_refuse_a_non_finite_center(center):
     # max(0, nan) is 0, so a NaN delay window would search [0, L]; the angle
-    # window's lattice rounding would fail on floor(nan)
-    y = observe([(1.0 + 0j, 2.2, 4.0)])
-    with pytest.raises(ConfigurationError, match="delay search center"):
-        maximize_tau(y.y, 2.2, SageConfig(), center, arr=ARR, caz=CAZ)
-    with pytest.raises(ConfigurationError, match="angle search center"):
-        maximize_mu(y.y, 4.0, SageConfig(), center, arr=ARR, caz=CAZ)
+    # window's lattice rounding would fail on floor(nan).  An all-zero hidden
+    # observation has nothing to search, but the center is refused before
+    # that shortcut, in the helpers and in the loop
+    zero = ReceiveMatrix(y=np.zeros((16, 16), dtype=complex), arr=ARR, caz=CAZ)
+    for y in (observe([(1.0 + 0j, 2.2, 4.0)]), zero):
+        with pytest.raises(ConfigurationError, match="delay search center"):
+            maximize_tau(y.y, 2.2, SageConfig(), center, arr=ARR, caz=CAZ)
+        with pytest.raises(ConfigurationError, match="angle search center"):
+            maximize_mu(y.y, 4.0, SageConfig(), center, arr=ARR, caz=CAZ)
+        for field, search in (("tau_hat", "delay"), ("mu_hat", "angle")):
+            start = replace(PathEstimate(mu_hat=2.2, tau_hat=4.0, alpha_hat=0j),
+                            **{field: center})
+            with pytest.raises(ConfigurationError, match=f"{search} search center"):
+                run_sage_from(y, [start], SageConfig())
 
 
 @pytest.mark.parametrize("tau_true, center, edge", [(15.6, 0.5, 0.0),    # window [0, 1.5]
@@ -767,12 +818,12 @@ WINDOW_END_CASES = [(15.7, 0.0, "past"), (0.0, 0.0, "on"), (0.004, 0.0, "inside"
 
 
 def test_delay_search_at_a_clipped_window_end_matches_dense_scan(monkeypatch):
-    from beamest.sage import _delay_statistics, _gathered, _search_delays
+    from beamest.sage import _delay_statistics, _element_lag, _search_delays
     cfg = SageConfig()
     stats, refs = [], []
     for tau_true, center, _ in WINDOW_END_CASES:
         y = observe([(1.0 + 0j, 2.2, tau_true)])
-        w = _delay_statistics(ARR, CAZ, _gathered(y.y[None]), [2.2])[0]
+        w = _delay_statistics(_element_lag(ARR, CAZ, y.y[None]), [2.2])
         lo, hi = _tau_bounds(center, cfg, 16)
         assert {lo, hi} & {0.0, 16.0}
         stats.append(w)
