@@ -3,18 +3,20 @@
 The raised-cosine pulse evaluation, delayed pilot rows and the 1-D peak
 searches inside the refinement stage dominate the Monte-Carlo runtime.  One
 kernel, batched over delays, builds the delayed pilot (:func:`pilot_rows`);
-the delay derivatives, the delay objective and the taps folded onto the L
-lags that the refinement's update uses (:func:`folded_taps`) share its tap
+the delay derivatives and the taps folded onto the L lags (:func:`folded_taps`),
+on which the refinement's update and the delay objective run, share its tap
 support.  The search objectives take a whole array of points per call, each
-point against its own row of a stack of statistics, and the searches
-advance a batch of problems in lockstep, so a search round costs a handful
-of numpy calls for the whole batch rather than one call per point or per
-problem.  A search's
-first round covers its window on a fixed lattice (delays at multiples of
-1/Q symbol, spatial frequencies at multiples of 2*pi/(M*Q)), whose pulse
-taps and phase rows are tabulated once per configuration
-(:func:`delay_lattice`, :func:`angle_lattice`), so that round evaluates no
-pulse or exponential and equals the objective at its points bit for bit.
+point against its own row of a stack of statistics, and reduce them with one
+matrix-vector product per problem (:func:`_row_dots`); the searches advance a
+batch of problems in lockstep, so a search round costs a handful of numpy
+calls for the whole batch rather than one call per point.  A search's first
+round covers its window on a fixed lattice (delays at multiples of 1/Q
+symbol, spatial frequencies at multiples of 2*pi/(M*Q)) and reads a table
+built once per configuration: the folded taps at the offsets j/Q across one
+window's reach, which a window reads rotated by its integer start
+(:func:`delay_lattice`), and the phase rows of every lattice point a window
+can reach (:func:`angle_lattice`).  So that round evaluates no pulse or
+exponential and equals the objective at its points bit for bit.
 
 All delay arguments are in symbol units (t / T_s).
 """
@@ -22,7 +24,6 @@ All delay arguments are in symbol units (t / T_s).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -159,38 +160,37 @@ def folded_taps(taus, rolloff, halfwidth, ell):
                        t.size * ell).reshape(t.shape[0], ell)
 
 
+def _row_dots(a, v, rows=None):
+    """``np.dot(a, v)`` for the points (rows) of ``a``, each against its own vector.
+
+    With ``rows`` given, ``v`` is a stack of vectors and ``rows`` picks each
+    point's: one index for every point, or an (N, 1) index whose points of
+    one vector are consecutive.  Each run of one vector takes one
+    matrix-vector product, the product a call for that vector alone would
+    take: a product over several vectors' points would round differently.
+    """
+    if rows is None or isinstance(rows, int):
+        return np.dot(a, v if rows is None else v[rows])
+    r = rows[:, 0]
+    cuts = [0, *(np.flatnonzero(r[1:] != r[:-1]) + 1).tolist(), r.size]
+    return np.concatenate([np.dot(a[i:j], v[r[i]]) for i, j in zip(cuts, cuts[1:])])
+
+
 def tau_objective(w, tau, rolloff, halfwidth, ell, rows=None):
-    """Delay-search objective |sum_u h(u - tau) w[u mod L]|^2 / ||v(tau)||^2.
+    """Delay-search objective |f_tau . w|^2 / (L ||f_tau||^2), f_tau the folded
+    taps (:func:`folded_taps`).
 
-    ``tau`` is a scalar or a 1-D array; an array is evaluated as one
-    (N x 2*halfwidth) tap matrix, ``halfwidth`` being a whole number of
-    symbols.  Row n holds the taps
-    u = ceil(tau_n - halfwidth) ... ceil(tau_n - halfwidth) + 2*halfwidth - 1,
-    the taps of :func:`pilot_rows`.  With ``rows`` given, ``w`` is a (B, L)
-    stack of statistics and the (N, 1) index ``rows`` picks each point's row.
-    Every point is evaluated elementwise, so its value does not depend on the
-    other points of the call.
+    This is |v(tau)^H z|^2 / ||v(tau)||^2 for w the pilot-shift correlation
+    of z, since the base pilot's cyclic shifts are orthogonal, each of
+    energy L.  ``tau`` is a scalar or a 1-D array; an array is evaluated as
+    one (N x L) matrix of folded taps.  With ``rows`` given, ``w`` is a
+    (B, L) stack of statistics and ``rows`` picks each point's row, as in
+    :func:`_row_dots`.
     """
-    t = np.asarray(tau, dtype=float)[..., None]
-    u = _support(t, halfwidth, 2 * halfwidth)
-    taps = rc_samples(u - t, rolloff)
-    wu = w[u % ell] if rows is None else w[rows, u % ell]
-    num = abs((taps * wu).sum(axis=-1)) ** 2
-    return num / _tap_energy(taps, ell)
-
-
-def _tap_energy(taps, ell):
-    """||v||^2 of the pilot rows with taps ``taps`` (..., n) at consecutive positions.
-
-    ||v||^2 = L * sum of tap products over pairs congruent mod L: each tap's
-    square, and twice the product of every pair a multiple of L apart.
-    """
-    energy = (taps ** 2).sum(axis=-1)
-    n = taps.shape[-1]
-    for d in range(ell, n, ell):
-        for i in range(n - d):
-            energy = energy + 2.0 * taps[..., i] * taps[..., i + d]
-    return ell * energy
+    t = np.asarray(tau, dtype=float)
+    f = folded_taps(t.reshape(-1), rolloff, halfwidth, ell)
+    out = abs(_row_dots(f, w, rows)) ** 2 / (ell * (f ** 2).sum(axis=1))
+    return out.reshape(t.shape) if t.ndim else out[0]
 
 
 def mu_objective(qt, mu, rows=None):
@@ -198,20 +198,10 @@ def mu_objective(qt, mu, rows=None):
 
     ``mu`` is a scalar or a 1-D array; an array is evaluated as one (N x M)
     phase matrix.  With ``rows`` given, ``qt`` is a (B, M) stack of spectra
-    and ``rows`` picks each point's, as in :func:`tau_objective`; the points
-    of one row must be consecutive.  Each run of one row takes one
-    matrix-vector product, the product a call for that row alone would
-    take: a product over several rows' points would round differently.
+    and ``rows`` picks each point's, as in :func:`_row_dots`.
     """
     m = qt.shape[-1]
-    ph = _phase_rows(m, mu)
-    if rows is None:
-        s = np.dot(ph, qt)
-    else:
-        r = rows[:, 0]
-        cuts = [0, *(np.flatnonzero(r[1:] != r[:-1]) + 1).tolist(), r.size]
-        s = np.concatenate([np.dot(ph[a:b], qt[r[a]]) for a, b in zip(cuts, cuts[1:])])
-    return abs(s) ** 2 / m
+    return abs(_row_dots(_phase_rows(m, mu), qt, rows)) ** 2 / m
 
 
 def _phase_rows(m, mu):
@@ -220,12 +210,13 @@ def _phase_rows(m, mu):
 
 
 class DelayLattice(NamedTuple):
-    """:func:`tau_objective`'s pulse pieces at the delays q / density, q = 0..density-1.
+    """:func:`tau_objective`'s pieces at the delays j / density, j = 0 .. reach * density.
 
-    Row q holds the taps at tau = q / density, the position of its first
-    tap, ceil(q / density - halfwidth), and L * ||v||^2 (:func:`_tap_energy`).
-    A delay k / density, k = n * density + q, has row q's taps and energy,
-    shifted n symbols.
+    Row j of ``taps`` holds the folded taps f at j / density.  A delay
+    n + j / density has row j's taps rotated n lags, bit for bit: the pulse
+    taps are the same numbers and fold in the same order.  ``energy[n % L, j]``
+    is L ||f||^2 of that rotated row, summed in the rotated order, as
+    :func:`tau_objective` sums it.
     """
 
     rolloff: float
@@ -233,35 +224,18 @@ class DelayLattice(NamedTuple):
     ell: int
     density: int
     taps: np.ndarray
-    start: np.ndarray
     energy: np.ndarray
 
 
-@lru_cache(maxsize=8)
-def delay_lattice(rolloff, halfwidth, ell, density):
-    """Read-only :class:`DelayLattice`, built once per configuration by
-    :func:`tau_objective`'s own tap and energy code."""
-    t = (np.arange(density) / density)[:, None]
-    u = _support(t, halfwidth, 2 * halfwidth)
-    taps = rc_samples(u - t, rolloff)
-    out = DelayLattice(rolloff, halfwidth, ell, density, taps, u[:, 0], _tap_energy(taps, ell))
-    for a in out[4:]:
+def delay_lattice(rolloff, halfwidth, ell, density, reach):
+    """Read-only :class:`DelayLattice` over ``reach`` symbols, built by
+    :func:`tau_objective`'s own tap and energy code; it holds
+    2 * L * (reach * density + 1) entries."""
+    taps = folded_taps(np.arange(reach * density + 1) / density, rolloff, halfwidth, ell)
+    energy = ell * np.stack([(np.roll(taps, n, axis=1) ** 2).sum(axis=1) for n in range(ell)])
+    for a in (taps, energy):
         a.setflags(write=False)
-    return out
-
-
-def tau_lattice_objective(w, lattice, k, rows=None):
-    """:func:`tau_objective` at the delays ``k`` / density, read from ``lattice``.
-
-    ``k`` is a 1-D integer array, ``w`` and ``rows`` as in
-    :func:`tau_objective`, whose value at each point this equals bit for bit:
-    k / density is exact, so the taps and their support are the lattice
-    row's, and the arithmetic after them is the same.
-    """
-    n, q = np.divmod(k, lattice.density)
-    u = (n + lattice.start[q])[:, None] + np.arange(lattice.taps.shape[1])
-    wu = w[u % lattice.ell] if rows is None else w[rows, u % lattice.ell]
-    return abs((lattice.taps[q] * wu).sum(axis=-1)) ** 2 / lattice.energy[q]
+    return DelayLattice(rolloff, halfwidth, ell, density, taps, energy)
 
 
 class AngleLattice(NamedTuple):
@@ -280,10 +254,9 @@ def lattice_window(lo, hi, step):
     return a - (a * step > lo), b + (b * step < hi)
 
 
-@lru_cache(maxsize=8)
 def angle_lattice(m, density, half):
-    """Read-only :class:`AngleLattice` at step 2*pi / (M * density), built once
-    per configuration with :func:`mu_objective`'s phase expression.
+    """Read-only :class:`AngleLattice` at step 2*pi / (M * density), built
+    with :func:`mu_objective`'s phase expression.
 
     It covers every lattice window (:func:`lattice_window`) of half-width
     ``half`` around a center in [0, 2*pi].
@@ -479,23 +452,22 @@ def search_tau(w, lattice, lo, hi, tol):
     """Delays maximizing :func:`tau_objective`, row b of the (B, L) ``w`` over
     the window [lo[b], hi[b]] / density of the :class:`DelayLattice` ``lattice``.
 
-    The first round reads the objective at every lattice point of each window
-    (:func:`tau_lattice_objective`); the later rounds call :func:`tau_objective`.
+    The first round is one matrix-vector product per problem, of the
+    lattice's rows over its window, rotated by the window's integer start:
+    the product :func:`tau_objective` takes for that row (``take`` keeps the
+    rotated rows C-contiguous, as :func:`folded_taps` returns them).  The
+    later rounds call :func:`tau_objective`.
     """
-    rolloff, halfwidth, ell = lattice[:3]
-    ks = [np.arange(a, b + 1) for a, b in zip(lo, hi)]
-
-    def first(k, rows):
-        if isinstance(rows, int):
-            return tau_lattice_objective(w[rows], lattice, k)
-        return tau_lattice_objective(w, lattice, k, rows)
-
-    def f(t, rows):
-        if isinstance(rows, int):
-            return tau_objective(w[rows], t, rolloff, halfwidth, ell)
-        return tau_objective(w, t, rolloff, halfwidth, ell, rows)
-    return _zoom_max(f, [k / lattice.density for k in ks],
-                     _per_problem(first, ks, list(range(len(ks)))), tol)
+    rolloff, halfwidth, ell, density = lattice[:4]
+    xs, fs = [], []
+    for b, (k_lo, k_hi) in enumerate(zip(lo, hi)):
+        n, j = divmod(k_lo, density)
+        window = slice(j, k_hi - n * density + 1)
+        f = lattice.taps[window].take(np.arange(ell) - n % ell, axis=1)
+        xs.append(np.arange(k_lo, k_hi + 1) / density)
+        fs.append(abs(np.dot(f, w[b])) ** 2 / lattice.energy[n % ell, window])
+    return _zoom_max(lambda t, rows: tau_objective(w, t, rolloff, halfwidth, ell, rows),
+                     xs, fs, tol)
 
 
 def search_mu(qt, lattice, lo, hi, tol):
@@ -510,10 +482,8 @@ def search_mu(qt, lattice, lo, hi, tol):
     m = qt.shape[-1]
     windows = [slice(a - lattice.first, b - lattice.first + 1) for a, b in zip(lo, hi)]
     fs = [abs(np.dot(lattice.phases[s], qt[p])) ** 2 / m for p, s in enumerate(windows)]
-
-    def f(x, rows):
-        return mu_objective(qt[rows], x) if isinstance(rows, int) else mu_objective(qt, x, rows)
-    return _zoom_max(f, [lattice.mu[s] for s in windows], fs, tol)
+    return _zoom_max(lambda x, rows: mu_objective(qt, x, rows),
+                     [lattice.mu[s] for s in windows], fs, tol)
 
 
 def active_backend() -> str:

@@ -57,8 +57,10 @@ own step functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -91,7 +93,7 @@ class SageConfig:
     mu +/- the half-width, is rounded outward to the lattice, so it covers
     the unrounded window and keeps 0 and L as exact ends.  A search whose
     lattice table would hold more than 2**22 entries (a window far narrower
-    than ``grid_points`` steps, or a very large array) raises
+    than ``grid_points`` steps, or a very large array or pilot) raises
     :class:`ConfigurationError`.  A search stops once the parabola through the
     three points packed around a vertex predicts its own vertex within
     ``refine_tol`` (a leading-order error from the round's divided
@@ -179,7 +181,11 @@ def _element_lag(arr: ArrayConfig, caz: CazacConfig, x: np.ndarray) -> np.ndarra
     """Q = conj(W) P of each slab of the (S, M, L) observation stack ``x``, P
     its lag correlation (``pilots._lag_correlation``) and W the DFT codebook:
     element m, lag d.  One path alpha A(mu) C(tau) maps to
-    alpha s(mu) (L f_tau)^T (:func:`_path_terms`)."""
+    alpha s(mu) (L f_tau)^T (:func:`_path_terms`).  Every entry point of the
+    refinement transforms its observation here, and a NaN or inf in it, which
+    would turn every statistic, search and gain into NaN, is refused."""
+    if not np.isfinite(x).all():
+        raise ConfigurationError("refinement needs a finite observation; it holds NaN or inf")
     return np.matmul(_cached_codebook(arr).conj(), _lag_correlation(x, caz))
 
 
@@ -195,35 +201,55 @@ def _path_terms(ell: int, alphas: np.ndarray, phases: np.ndarray, f: np.ndarray)
 _MAX_LATTICE_ENTRIES = 2 ** 22
 
 
-def _lattice_density(cfg: SageConfig, field: str, span: float, entries_per_step: float) -> int:
+def _lattice_density(cfg: SageConfig, field: str, span: float,
+                     entries: Callable[[int], float]) -> int:
     """The smallest power of two Q whose lattice spacing 1/Q is no coarser than
     that of ``grid_points`` even points across ``span``.
 
-    A table of ``Q * entries_per_step`` entries above ``_MAX_LATTICE_ENTRIES``
-    is refused, naming the window ``field``.
+    A table of ``entries(Q)`` entries above ``_MAX_LATTICE_ENTRIES`` is
+    refused, naming the window ``field``.
     """
     q = 1
     while q * span < cfg.grid_points - 1:
         q *= 2
-    if q * entries_per_step > _MAX_LATTICE_ENTRIES:
+    if entries(q) > _MAX_LATTICE_ENTRIES:
         raise ConfigurationError(
             f"sage.{field} = {getattr(cfg, field)} with grid_points = {cfg.grid_points} needs "
-            f"a search lattice of {q * entries_per_step:.3g} table entries, above "
+            f"a search lattice of {entries(q):.3g} table entries, above "
             f"{_MAX_LATTICE_ENTRIES}; widen the window or lower grid_points")
     return q
 
 
+@lru_cache(maxsize=8)
+def _delay_table(caz: CazacConfig, cfg: SageConfig) -> _kernels.DelayLattice:
+    """The delay searches' lattice table, 1/Q as fine as a ``grid_points`` grid
+    on the narrowest window (one clipped at 0 or L); a window rounded outward
+    to it ends within min(L, ceil(2 * tau_window_symbols) + 2) symbols of its
+    integer start."""
+    ell = caz.length
+    reach = min(ell, math.ceil(2.0 * cfg.tau_window_symbols) + 2)
+    density = _lattice_density(cfg, "tau_window_symbols", min(cfg.tau_window_symbols, ell),
+                               lambda q: 2 * ell * (reach * q + 1))
+    return _kernels.delay_lattice(caz.rolloff, caz.pulse_halfwidth, ell, density, reach)
+
+
+@lru_cache(maxsize=8)
+def _angle_table(arr: ArrayConfig, cfg: SageConfig) -> _kernels.AngleLattice:
+    """The angle searches' lattice table, 2*pi/(M*Q) as fine as a ``grid_points``
+    grid on the window: about M * Q * (1 + half / pi) rows of M phases."""
+    half = _mu_half_window(cfg, arr.m)
+    density = _lattice_density(cfg, "mu_window", arr.m * half / np.pi,
+                               lambda q: q * arr.m ** 2 * (1.0 + half / np.pi))
+    return _kernels.angle_lattice(arr.m, density, half)
+
+
 def _search_delays(caz: CazacConfig, w: np.ndarray, centers: Sequence[float],
                    cfg: SageConfig) -> List[float]:
-    """Delay searches around ``centers``, each window rounded outward to the
-    lattice 1/Q, Q as fine as a ``grid_points`` grid on the narrowest window
-    (one clipped at 0 or L)."""
-    ell = caz.length
-    # Q rows of 2 * halfwidth taps
-    lattice = _kernels.delay_lattice(caz.rolloff, caz.pulse_halfwidth, ell, _lattice_density(
-        cfg, "tau_window_symbols", min(cfg.tau_window_symbols, ell), 2 * caz.pulse_halfwidth))
-    lo, hi = zip(*(_kernels.lattice_window(*_tau_bounds(c, cfg, ell), 1.0 / lattice.density)
-                   for c in centers))
+    """Delay searches around the finite ``centers``, each window rounded
+    outward to the lattice of :func:`_delay_table`."""
+    lattice = _delay_table(caz, cfg)
+    lo, hi = zip(*(_kernels.lattice_window(*_tau_bounds(c, cfg, caz.length),
+                                           1.0 / lattice.density) for c in centers))
     return [float(t) for t in _kernels.search_tau(w, lattice, lo, hi, cfg.refine_tol)]
 
 
@@ -236,10 +262,10 @@ def _delay_statistics(q: np.ndarray, mus: Sequence[float]) -> np.ndarray:
 def _delay_step(caz: CazacConfig, q: np.ndarray, mus: Sequence[float],
                 centers: Sequence[float], cfg: SageConfig) -> Tuple[List[float], np.ndarray]:
     """The delay searches of the (B, M, L) element-lag stack ``q`` at the
-    spatial frequencies ``mus``, around ``centers``, and which problems'
-    statistics are nonzero; a vanishing statistic keeps its center.  A
-    non-finite center is refused first."""
-    taus = [float(_finite_center(c, "delay")) for c in centers]
+    spatial frequencies ``mus``, around the finite ``centers``, and which
+    problems' statistics are nonzero; a vanishing statistic keeps its
+    center."""
+    taus = [float(c) for c in centers]
     w = _delay_statistics(q, mus)
     moving = w.any(axis=1)
     keep = moving.tolist()
@@ -261,27 +287,24 @@ def _angle_statistics(caz: CazacConfig, q: np.ndarray,
 
 def _search_angles(arr: ArrayConfig, qt: np.ndarray, centers: Sequence[float],
                    cfg: SageConfig) -> List[float]:
-    """Angle searches of the (B, M) spectra ``qt`` around ``centers``, wrapped to
-    [0, 2*pi); a non-finite center is refused first, and a vanishing q~_b
-    keeps its center.
+    """Angle searches of the (B, M) spectra ``qt`` around the finite
+    ``centers``, wrapped to [0, 2*pi); a vanishing q~_b keeps its center.
 
     Each window is the wrapped center +/- the half-width, rounded outward to
-    the lattice 2*pi/(M*Q), Q as fine as a ``grid_points`` grid on it.
+    the lattice of :func:`_angle_table`.
     """
-    half = _mu_half_window(cfg, arr.m)
-    mus = [_finite_center(c, "angle") for c in centers]
+    mus = list(centers)
     moving = [b for b, m in enumerate(qt.any(axis=1).tolist()) if m]
     if moving:
-        # about M * Q * (1 + half / pi) rows of M phases
-        lattice = _kernels.angle_lattice(arr.m, _lattice_density(
-            cfg, "mu_window", arr.m * half / np.pi, arr.m ** 2 * (1.0 + half / np.pi)), half)
+        lattice = _angle_table(arr, cfg)
+        half = _mu_half_window(cfg, arr.m)
         lo, hi = zip(*(_kernels.lattice_window(c - half, c + half, lattice.step)
                        for c in (mus[b] % (2.0 * np.pi) for b in moving)))
         found = _kernels.search_mu(qt if len(moving) == len(mus) else qt[moving],
                                    lattice, lo, hi, cfg.refine_tol)
         for b, mu in zip(moving, found):
             mus[b] = mu
-    return np.mod(mus, 2.0 * np.pi).tolist()
+    return [float(mu) % (2.0 * np.pi) for mu in mus]
 
 
 def _pilot_energies(caz: CazacConfig, f: np.ndarray) -> np.ndarray:
@@ -304,19 +327,19 @@ def _mu_half_window(cfg: SageConfig, m: int) -> float:
     return cfg.mu_window if cfg.mu_window is not None else 2.0 * np.pi / m
 
 
-def _finite_center(center: float, search: str) -> float:
-    """``center``, refused unless it is a finite number: max(0, nan) is 0, and
-    a NaN window would search [0, L] or stop the lattice rounding."""
+def _finite_center(center: float, search: str) -> None:
+    """Refuse a ``center`` that is not a finite number: max(0, nan) is 0, and
+    a NaN window would search [0, L] or stop the lattice rounding.  The
+    entry points check it; a search takes its centers as checked."""
     if not is_real(center):
         raise ConfigurationError(f"{search} search center must be a finite number, got {center!r}")
-    return center
 
 
 def _tau_bounds(center: float, cfg: SageConfig, ell: int) -> Tuple[float, float]:
     # delays live on a cycle of length L; the window is clipped to [0, L], so
     # a delay past L - 1 is still found (the pilot model is periodic in it).
     # The search rounds it outward to its lattice
-    lo = max(0.0, _finite_center(center, "delay") - cfg.tau_window_symbols)
+    lo = max(0.0, center - cfg.tau_window_symbols)
     hi = min(float(ell), center + cfg.tau_window_symbols)
     if not lo <= hi:
         raise ConfigurationError(f"delay search center {center} lies more than "
@@ -357,10 +380,11 @@ def maximize_tau(x_hat: np.ndarray, mu_fixed: float, cfg: SageConfig, search_cen
     ``refine_tol``, or the bracket is no wider than ``refine_tol``.  A
     maximum on a clipped end (the line-of-sight delay 0, or a peak past the
     window) closes in one round after the lattice round.  A non-finite
-    center, or one more than the window outside [0, L], raises
-    :class:`ConfigurationError`; an all-zero hidden observation then returns
-    the center unchanged.
+    ``x_hat`` or center, or a center more than the window outside [0, L],
+    raises :class:`ConfigurationError`; an all-zero hidden observation then
+    returns the center unchanged.
     """
+    _finite_center(search_center, "delay")
     q = _element_lag(arr, caz, x_hat[None])
     return _delay_step(caz, q, [mu_fixed], [search_center], cfg)[0][0]
 
@@ -373,9 +397,11 @@ def maximize_mu(x_hat: np.ndarray, tau_fixed: float, cfg: SageConfig, search_cen
     Searches ``search_center``, wrapped into [0, 2*pi), +/- the window
     (default one beam spacing), rounded outward to the angle lattice, with
     the stop rules of :func:`maximize_tau`; the result is wrapped into
-    [0, 2*pi).  A non-finite center raises :class:`ConfigurationError`, also
-    for an all-zero hidden observation, which returns the center.
+    [0, 2*pi).  A non-finite center or ``x_hat`` raises
+    :class:`ConfigurationError`; an all-zero hidden observation returns the
+    center.
     """
+    _finite_center(search_center, "angle")
     qt = _angle_statistics(caz, _element_lag(arr, caz, x_hat[None]), [tau_fixed])[1]
     return _search_angles(arr, qt, [search_center], cfg)[0]
 
@@ -401,7 +427,8 @@ def mu_objective_value(x_hat: np.ndarray, tau_fixed: float, mu: float, cfg: Sage
 def update_alpha(x_hat: np.ndarray, mu_fixed: float, tau_fixed: float,
                  *, arr: ArrayConfig, caz: CazacConfig) -> complex:
     """Closed-form combined gain tr{C^H A^H X} / tr{C^H A^H A C}, which is
-    exp(-j m mu) q~ / (M L ||f_tau||^2) in the element-lag domain."""
+    exp(-j m mu) q~ / (M L ||f_tau||^2) in the element-lag domain.  A
+    non-finite ``x_hat`` raises :class:`ConfigurationError`."""
     f, qt = _angle_statistics(caz, _element_lag(arr, caz, x_hat[None]), [tau_fixed])
     return complex(_gains(caz, qt, f, _kernels._phase_rows(arr.m, [mu_fixed]))[0])
 
@@ -446,8 +473,9 @@ def _lockstep(y: ReceiveMatrix, initials: Sequence[Sequence[PathEstimate]],
     j-th path in its ``order``, all in one :func:`_update_paths` call.  A
     problem leaves the batch once its largest parameter change, relative to
     the search windows and to the gain (:func:`_max_change`), falls to the
-    stopping threshold, or after ``max_iterations``.  A non-finite initial
-    delay or spatial frequency raises :class:`ConfigurationError` first.
+    stopping threshold, or after ``max_iterations``.  A non-finite
+    observation, initial delay, spatial frequency or gain raises
+    :class:`ConfigurationError` first.
     """
     if not initials:
         return []
@@ -457,6 +485,8 @@ def _lockstep(y: ReceiveMatrix, initials: Sequence[Sequence[PathEstimate]],
         for e in init:
             _finite_center(e.tau_hat, "delay")
             _finite_center(e.mu_hat, "angle")
+            if not np.isfinite(e.alpha_hat):
+                raise ConfigurationError(f"initial gain must be finite, got {e.alpha_hat!r}")
     arr, caz = y.arr, y.caz
     qs = _element_lag(arr, caz, y.y)
     est = [list(init) for init in initials]

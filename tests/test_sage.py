@@ -451,6 +451,7 @@ LATTICE_CASES = {
     "halfwidth20": (SageConfig(), ARR, CazacConfig(pulse_halfwidth=20)),
     "m8": (SageConfig(), ArrayConfig(m=8), CAZ),
     "l25": (SageConfig(), ARR, CazacConfig(length=25)),
+    "l289": (SageConfig(), ARR, CazacConfig(length=289)),
 }
 
 
@@ -531,6 +532,71 @@ def test_angle_searches_across_the_wrap_equal_lone_searches():
     lone = [_search_angles(ARR, q[b:b + 1], [c], cfg)[0] for b, c in enumerate(centers)]
     assert _search_angles(ARR, q, centers, cfg) == lone
     assert all(0.0 <= mu < 2 * np.pi for mu in lone)
+
+
+@pytest.mark.parametrize("caz", [CAZ, CazacConfig(length=25), CazacConfig(pulse_halfwidth=20)],
+                         ids=["l16", "l25", "halfwidth20"])
+def test_delay_searches_across_window_starts_equal_lone_searches(caz):
+    # windows starting at different integers read one table's rows rotated
+    # by their starts; alone and in one batch, each is as if alone.  With
+    # pulse_halfwidth = 20 the 40 taps fold onto the 16 lags with collisions
+    from beamest.sage import _search_delays
+    ell = caz.length
+    rng = np.random.default_rng(ell + caz.pulse_halfwidth)
+    centers = [0.0, 0.3, ell / 2 + 0.37, ell - 0.2, float(ell)]
+    w = rng.standard_normal((5, ell)) + 1j * rng.standard_normal((5, ell))
+    cfg = SageConfig()
+    lone = [_search_delays(caz, w[b:b + 1], [c], cfg)[0] for b, c in enumerate(centers)]
+    assert _search_delays(caz, w, centers, cfg) == lone
+    # each within its window [max(0, c - 1), min(L, c + 1)], rounded outward
+    # to the lattice 1/64
+    step = 1.0 / 64
+    assert all(max(0.0, c - 1.0) - step < tau < min(ell, c + 1.0) + step
+               for c, tau in zip(centers, lone))
+
+
+def test_delay_table_grows_linearly_in_the_pilot_length():
+    # the table holds the folded taps across one window's reach and their
+    # energies, L entries each per lattice row, so at a fixed window it
+    # grows as L (a table over the full period would grow as L^2); a
+    # default search runs at L = 400
+    from beamest.sage import _delay_table
+    cfg = SageConfig()
+    sizes = {ell: sum(a.size for a in _delay_table(CazacConfig(length=ell), cfg)[4:])
+             for ell in (16, 100, 400)}
+    assert sizes[400] == 4 * sizes[100] == 25 * sizes[16]
+    caz = CazacConfig(length=400)
+    y = synthesize(make_real([(1.0 + 0j, 2.0, 123.4)]), ARR, caz)
+    assert abs(maximize_tau(y.y, 2.0, cfg, 123.0, arr=ARR, caz=caz) - 123.4) < 1e-4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_refinement_refuses_a_non_finite_observation(bad):
+    # a NaN or inf in the observation would come back as a NaN gain with
+    # converged = False; each entry refuses it where it takes the observation
+    # to the element-lag domain, also in one slab of a batch.  The expectation
+    # step's residual carries it to the helpers, which refuse it
+    from beamest.sage import run_sage_batch
+    clean = observe([(1.0 + 0j, 2.2, 4.0)])
+    coarse = run_pipeline(clean)[0]
+    y = replace(clean, y=clean.y.copy())
+    y.y[3, 5] = bad
+    start = [PathEstimate(mu_hat=2.2, tau_hat=4.0, alpha_hat=0j)]
+    cfg = SageConfig()
+    entries = [lambda: run_sage(y, coarse, cfg, 1.0),
+               lambda: run_sage_from(y, start, cfg),
+               lambda: run_sage_batch(replace(y, y=np.stack([clean.y, y.y])), [coarse] * 2, cfg),
+               lambda: maximize_tau(expectation_step(y, start, 0, cfg), 2.2, cfg, 4.0,
+                                    arr=ARR, caz=CAZ),
+               lambda: maximize_tau(y.y, 2.2, cfg, 4.0, arr=ARR, caz=CAZ),
+               lambda: maximize_mu(y.y, 4.0, cfg, 2.2, arr=ARR, caz=CAZ),
+               lambda: update_alpha(y.y, 2.2, 4.0, arr=ARR, caz=CAZ)]
+    for entry in entries:
+        with pytest.raises(ConfigurationError, match="finite observation"):
+            entry()
+    # a non-finite initial gain is refused by name, not as the observation
+    with pytest.raises(ConfigurationError, match="initial gain"):
+        run_sage_from(clean, [replace(start[0], alpha_hat=complex(bad, 0.0))], cfg)
 
 
 def returns_within(fn, seconds=20.0):
