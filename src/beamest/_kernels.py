@@ -16,7 +16,9 @@ built once per configuration: the folded taps at the offsets j/Q across one
 window's reach, which a window reads rotated by its integer start
 (:func:`delay_lattice`), and the phase rows of every lattice point a window
 can reach (:func:`angle_lattice`).  So that round evaluates no pulse or
-exponential and equals the objective at its points bit for bit.
+exponential and equals the objective at its points bit for bit, and most
+searches stop on it: its values hold the local derivatives that place a
+smooth peak within the tolerance (:func:`_lattice_settled`).
 
 All delay arguments are in symbol units (t / T_s).
 """
@@ -309,6 +311,82 @@ def _settled_vertex(x, y, tol):
     return None
 
 
+def _interpolant_rows(k):
+    """For the best point at position k = 0..6 of seven lattice points, u = -k
+    .. 6 - k lattice steps from it: the rows mapping the values at u = -k - 1
+    .. 7 - k to the coefficients of the seven points' interpolant's p'(u) and
+    p''(u), highest power first, and to the 7th divided differences over the
+    first eight and the last eight; and the coefficients of Pi'(u), Pi(u) the
+    product of (u - u_j) over the seven points.
+
+    720 = 6! clears the denominators of the inverse Vandermonde matrix, so
+    the weights are the exact rationals, rounded once.
+    """
+    u = np.arange(7.0) - k
+    c = np.rint(np.linalg.inv(np.vander(u)) * 720.0) / 720.0
+    d1 = np.arange(6.0, 0.0, -1.0)[:, None] * c[:6]
+    d2 = np.arange(5.0, 0.0, -1.0)[:, None] * d1[:5]
+    diff7 = np.array([math.comb(7, j) * (-1.0) ** (7 - j) for j in range(8)]) / 5040.0
+    rows = np.zeros((13, 9))
+    rows[:11, 1:8] = np.vstack([d1, d2])
+    rows[11, :8] = rows[12, 1:] = diff7
+    return rows, np.polyder(np.poly(u)).tolist()
+
+
+_INTERPOLANT = [_interpolant_rows(k) for k in range(7)]
+
+
+def _horner(c, u):
+    """The polynomial with coefficients ``c``, highest power first, at ``u``."""
+    y = 0.0
+    for a in c:
+        y = y * u + a
+    return y
+
+
+def _lattice_settled(x, fx, tol):
+    """The maximizer read from a first round on a uniform lattice, or None
+    unless its values place it within ``tol``.
+
+    p is the degree-6 interpolant through the seven points nearest the best
+    point x_i, clipped to the window.  Its error in p' is about
+    |D7| |Pi'(u)|, D7 the larger 7th divided difference over an eighth point
+    either side where one exists.  A best point on a window end is returned,
+    exactly, when p' there points out of the window by more than that error.
+    Otherwise p's vertex v, found by Newton steps from x_i until a step is
+    below ``tol`` / 1000, lies within |D7| |Pi'(v)| / |p''(v)| of the
+    maximizer, and v is returned when it lies in x_i's bracket, p''(v) < 0
+    and that bound is within ``tol``.  Lattice values are rounded at about
+    1e-16 of the peak, far below the 7th differences of a smooth peak.
+    """
+    n = x.size
+    if n < 8:
+        return None
+    i = int(fx.argmax())
+    s = min(max(i - 3, 0), n - 7)
+    rows, dpi = _INTERPOLANT[i - s]
+    # the eighth points either side, where the window has them
+    a, b = max(s - 1, 0), min(s + 8, n)
+    r = (rows[:, a - s + 1:b - s + 1] @ fx[a:b]).tolist()
+    p1, p2 = r[:6], r[6:11]
+    d7 = max(abs(r[11]) if a < s else 0.0, abs(r[12]) if b > s + 7 else 0.0)
+    if (i == 0 and p1[-1] < -d7 * abs(dpi[-1])) or (i == n - 1 and p1[-1] > d7 * abs(dpi[-1])):
+        return x[i]
+    # the bracket in lattice steps from x_i
+    lo, hi = -float(i > 0), float(i < n - 1)
+    h = (x[s + 6] - x[s]) / 6.0
+    u, step = 0.0, math.inf
+    for _ in range(8):
+        curv = _horner(p2, u)
+        if not curv < 0.0 or not lo <= u <= hi:
+            return None
+        if abs(step) * h <= 1e-3 * tol:
+            return x[i] + u * h if h * d7 * abs(_horner(dpi, u)) <= -curv * tol else None
+        step = _horner(p1, u) / curv
+        u -= step
+    return None
+
+
 def _vertex_stencil(a, b, v, tol):
     """The bracket ends ``a, b`` and ``v - e, v, v + e`` around a vertex ``v``.
 
@@ -367,13 +445,17 @@ def _zoom_max(f, xs, fs, tol):
     """Maximize B independent objectives in lockstep, each over its window
     [xs[b][0], xs[b][-1]].
 
-    ``xs[b]`` are the increasing points of problem b's first round and
-    ``fs[b]`` their values.  ``f`` evaluates every later round, one call for
-    every problem still searching (:func:`_per_problem`); per problem the
-    search runs as if alone.  Each round zooms into the bracket, the pair of
-    neighbours of the best point of the last round (the point itself
-    standing in for a missing neighbour at an end).  A round picks its
-    points by where that best point lies:
+    ``xs[b]`` are the points of problem b's first round, evenly spaced and
+    increasing, and ``fs[b]`` their values.  When those values place the
+    maximizer within ``tol`` (:func:`_lattice_settled`: the vertex of their
+    degree-6 interpolant, or a window end the interpolant slopes out of),
+    the problem stops there, with no call to ``f``.  ``f`` evaluates every
+    later round, one call for every problem still searching
+    (:func:`_per_problem`); per problem the search runs as if alone.  Each
+    later round zooms into the bracket, the pair of neighbours of the best
+    point of the last round (the point itself standing in for a missing
+    neighbour at an end).  A round picks its points by where that best
+    point lies:
 
     * on the window end ``lo[b]`` or ``hi[b]`` (a peak on or past a clipped
       window): points spaced geometrically toward that end
@@ -391,14 +473,14 @@ def _zoom_max(f, xs, fs, tol):
       window-end round, which bounds the cost of a peak far from parabolic
       to about twice that of even rounds alone.
 
-    A problem stops after a vertex stencil round whose three packed points
-    predict their parabola's vertex within ``tol`` (:func:`_settled_vertex`),
-    returning that vertex; when its bracket is no wider than ``tol``,
-    returning the bracket midpoint; when a new parabola vertex lies within
-    ``tol`` of the vertex the last round was packed around (Brent's step
-    test), returning the new vertex; or when a round no longer narrows the
-    bracket, which happens once ``tol`` is below the float spacing at the
-    maximizer.
+    A zooming problem stops after a vertex stencil round whose three packed
+    points predict their parabola's vertex within ``tol``
+    (:func:`_settled_vertex`), returning that vertex; when its bracket is no
+    wider than ``tol``, returning the bracket midpoint; when a new parabola
+    vertex lies within ``tol`` of the vertex the last round was packed
+    around (Brent's step test), returning the new vertex; or when a round no
+    longer narrows the bracket, which happens once ``tol`` is below the
+    float spacing at the maximizer.
     """
     xs, fs = list(xs), list(fs)
     lo = [x[0] for x in xs]
@@ -408,7 +490,13 @@ def _zoom_max(f, xs, fs, tol):
     vertex = [None] * len(xs)
     at_end = [False] * len(xs)
     best = [0.0] * len(xs)
-    active = list(range(len(xs)))
+    active = []
+    for p, (x, fx) in enumerate(zip(xs, fs)):
+        v = _lattice_settled(x, fx, tol)
+        if v is None:
+            active.append(p)
+        else:
+            best[p] = v
     while active:
         searching = []
         for p in active:

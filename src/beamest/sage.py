@@ -6,11 +6,16 @@ reconstruction, and the maximization step updates that path's delay, spatial
 frequency and complex gain one coordinate at a time.  The two 1-D searches
 read their first round from a per-configuration table on a fixed lattice
 (delays at multiples of 1/Q symbol, spatial frequencies at multiples of
-2*pi/(M*Q)), each window rounded outward to the lattice, and then zoom into
-the bracket around its best point, each round evaluating, in one array call,
-a few points around the vertex of the parabola through the best point and
-its neighbours, or, when the best point is the search window's end, points
-spaced geometrically toward that end.  A search stops when the parabola
+2*pi/(M*Q)), each window rounded outward to the lattice.  A search stops on
+that round when the degree-6 interpolant through the seven lattice points
+nearest the best one places the maximizer within ``refine_tol``, its error
+bounded by the 7th divided differences of the lattice values: at the
+interpolant's vertex, or at a window end it slopes out of
+(``_kernels._lattice_settled``).  Otherwise it zooms into the bracket around
+its best point, each round evaluating, in one array call, a few points
+around the vertex of the parabola through the best point and its
+neighbours, or, when the best point is the search window's end, points
+spaced geometrically toward that end.  A zoom stops when the parabola
 through the three points packed around a vertex predicts its own vertex
 within ``refine_tol``, when its bracket is no wider than ``refine_tol``, or
 when two successive parabola vertices lie within ``refine_tol`` of each
@@ -94,9 +99,13 @@ class SageConfig:
     the unrounded window and keeps 0 and L as exact ends.  A search whose
     lattice table would hold more than 2**22 entries (a window far narrower
     than ``grid_points`` steps, or a very large array or pilot) raises
-    :class:`ConfigurationError`.  A search stops once the parabola through the
-    three points packed around a vertex predicts its own vertex within
-    ``refine_tol`` (a leading-order error from the round's divided
+    :class:`ConfigurationError`.  A search stops on its lattice round when
+    the degree-6 interpolant of the seven lattice points nearest the best one
+    places the maximizer within ``refine_tol`` (an error bound from the 7th
+    divided differences), returning the interpolant's vertex or the window
+    end it slopes out of.  Otherwise it zooms, and stops once the parabola
+    through the three points packed around a vertex predicts its own vertex
+    within ``refine_tol`` (a leading-order error from the round's divided
     differences), or once a parabola vertex lies within ``refine_tol`` of
     the vertex before it, and returns that vertex; or once its bracket is no
     wider than ``refine_tol``, and returns the bracket midpoint.
@@ -373,18 +382,19 @@ def maximize_tau(x_hat: np.ndarray, mu_fixed: float, cfg: SageConfig, search_cen
     In the element-lag domain Q of ``x_hat`` the numerator is |w . f_tau|^2,
     w = exp(-j m mu) Q, and the denominator beta M L ||f_tau||^2.  The
     search covers ``search_center`` +/- the configured window, clipped to
-    [0, L] and rounded outward to the delay lattice (:class:`SageConfig`);
-    the bracket around the best lattice point is zoomed until a parabola
-    vertex is predicted within ``refine_tol`` (usually one round after the
-    lattice round), two successive parabola vertices lie within
+    [0, L] and rounded outward to the delay lattice (:class:`SageConfig`).
+    The search usually stops on the lattice round, whose interpolant places
+    a smooth peak, or a peak past a clipped end (the line-of-sight delay 0),
+    within ``refine_tol``; otherwise the bracket around the best lattice
+    point is zoomed until a parabola vertex is predicted within
+    ``refine_tol``, two successive parabola vertices lie within
     ``refine_tol``, or the bracket is no wider than ``refine_tol``.  A
-    maximum on a clipped end (the line-of-sight delay 0, or a peak past the
-    window) closes in one round after the lattice round.  A non-finite
-    ``x_hat`` or center, or a center more than the window outside [0, L],
-    raises :class:`ConfigurationError`; an all-zero hidden observation then
-    returns the center unchanged.
+    non-finite ``x_hat`` or center, or a center more than the window outside
+    [0, L], raises :class:`ConfigurationError`; an all-zero hidden
+    observation then returns the center unchanged.
     """
     _finite_center(search_center, "delay")
+    _tau_bounds(search_center, cfg, caz.length)
     q = _element_lag(arr, caz, x_hat[None])
     return _delay_step(caz, q, [mu_fixed], [search_center], cfg)[0][0]
 
@@ -396,8 +406,9 @@ def maximize_mu(x_hat: np.ndarray, tau_fixed: float, cfg: SageConfig, search_cen
     Its numerator is |exp(-j m mu) q~|^2, q~ = Q f_tau the angle spectrum.
     Searches ``search_center``, wrapped into [0, 2*pi), +/- the window
     (default one beam spacing), rounded outward to the angle lattice, with
-    the stop rules of :func:`maximize_tau`; the result is wrapped into
-    [0, 2*pi).  A non-finite center or ``x_hat`` raises
+    the stop rules of :func:`maximize_tau` (at the defaults every angle
+    search of the acceptance workload stops on the lattice round); the
+    result is wrapped into [0, 2*pi).  A non-finite center or ``x_hat`` raises
     :class:`ConfigurationError`; an all-zero hidden observation returns the
     center.
     """
@@ -474,20 +485,22 @@ def _lockstep(y: ReceiveMatrix, initials: Sequence[Sequence[PathEstimate]],
     problem leaves the batch once its largest parameter change, relative to
     the search windows and to the gain (:func:`_max_change`), falls to the
     stopping threshold, or after ``max_iterations``.  A non-finite
-    observation, initial delay, spatial frequency or gain raises
+    observation, initial delay, spatial frequency or gain, or an initial
+    delay more than the delay window outside [0, L], raises
     :class:`ConfigurationError` first.
     """
     if not initials:
         return []
+    arr, caz = y.arr, y.caz
     for init in initials:
         if not init:
             raise ConfigurationError("refinement needs at least one initial path")
         for e in init:
             _finite_center(e.tau_hat, "delay")
+            _tau_bounds(e.tau_hat, cfg, caz.length)
             _finite_center(e.mu_hat, "angle")
             if not np.isfinite(e.alpha_hat):
                 raise ConfigurationError(f"initial gain must be finite, got {e.alpha_hat!r}")
-    arr, caz = y.arr, y.caz
     qs = _element_lag(arr, caz, y.y)
     est = [list(init) for init in initials]
     recon = _reconstructions(arr, caz, [e for init in est for e in init])
