@@ -18,22 +18,26 @@ window's reach, which a window reads rotated by its integer start
 can reach (:func:`angle_lattice`).  So that round evaluates no pulse or
 exponential and equals the objective at its points bit for bit, and most
 searches stop on it: its values hold the local derivatives that place a
-smooth peak within the tolerance (:func:`_lattice_settled`).
+smooth peak within the tolerance (:func:`_lattice_settled`).  The delay
+objective is smooth only between integer delays, where the pulse taps keep
+their support, so a delay search reads its lattice values one such piece at
+a time
+(:func:`_delay_settled`).  A search the lattice round cannot settle zooms
+in even rounds (:func:`_zoom_max`).
 
 All delay arguments are in symbol units (t / T_s).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
-# points evaluated evenly across the bracket in a zoom round without a vertex
+# points evaluated evenly across the bracket in a zoom round
 _ZOOM_POINTS = 16
-# ratio of the bracket width to the stencil spacing around a parabola vertex
-_VERTEX_SHRINK = 256.0
 
 # below this distance an argument counts as sitting on an exact sample /
 # singular point and the analytic limit is used instead of the raw quotient
@@ -272,52 +276,14 @@ def angle_lattice(m, density, half):
     return out
 
 
-def _vertex(x, y):
-    """The vertex of the parabola through three points.
-
-    With ``y[1]`` the highest, the vertex lies within half a gap of ``x[1]``;
-    three points on a line have none, and ``x[1]`` stands in.
-    """
-    d0, d2 = x[1] - x[0], x[2] - x[1]
-    g0, g2 = y[1] - y[0], y[1] - y[2]
-    den = d0 * g2 + d2 * g0
-    return x[1] if den == 0.0 else x[1] + 0.5 * (d2 * d2 * g0 - d0 * d0 * g2) / den
-
-
-def _settled_vertex(x, y, tol):
-    """The vertex ``v`` of the parabola through the inner triple of a vertex
-    stencil round ``x = [a, u - e, u, u + e, b]``, or None unless its predicted
-    error is within ``tol``.
-
-    The triple must be concave and ``|v - u| <= 2e``.  The leading-order error
-    of ``v`` is K * ((v - u)^2 + e^2 / 3), K = |f'''| / (2 |f''|), with f''
-    from the triple's second divided difference and f''' from the larger of
-    the third divided differences over the first four and the last four
-    points.  An asymmetric triple is never used: its vertex error is first
-    order in its far gap.
-    """
-    x, y = x.tolist(), y.tolist()
-    x0, x1, x2, x3, x4 = x
-    d0, d1, d2, d3 = ((y[j + 1] - y[j]) / (x[j + 1] - x[j]) for j in range(4))
-    c0, c1, c2 = (d1 - d0) / (x2 - x0), (d2 - d1) / (x3 - x1), (d3 - d2) / (x4 - x2)
-    if not c1 < 0.0:
-        return None
-    v = _vertex(x[1:4], y[1:4])
-    e = 0.5 * (x3 - x1)
-    # f'' = 2 * c1 and f''' = 6 * (third divided difference)
-    k = 1.5 * max(abs(c1 - c0) / (x3 - x0), abs(c2 - c1) / (x4 - x1)) / -c1
-    if abs(v - x2) <= 2.0 * e and k * ((v - x2) ** 2 + e * e / 3.0) <= tol:
-        return v
-    return None
-
-
 def _interpolant_rows(k):
     """For the best point at position k = 0..6 of seven lattice points, u = -k
-    .. 6 - k lattice steps from it: the rows mapping the values at u = -k - 1
-    .. 7 - k to the coefficients of the seven points' interpolant's p'(u) and
-    p''(u), highest power first, and to the 7th divided differences over the
-    first eight and the last eight; and the coefficients of Pi'(u), Pi(u) the
-    product of (u - u_j) over the seven points.
+    .. 6 - k lattice steps from it: for the seven starting at position o =
+    0..2 of nine consecutive lattice points, rows[o] maps the nine values to
+    the coefficients of the seven points' interpolant's p'(u) and p''(u),
+    highest power first, and to the 7th divided differences over the first
+    eight and the last eight of the nine; and the coefficients of Pi'(u),
+    Pi(u) the product of (u - u_j) over the seven points.
 
     720 = 6! clears the denominators of the inverse Vandermonde matrix, so
     the weights are the exact rationals, rounded once.
@@ -327,9 +293,10 @@ def _interpolant_rows(k):
     d1 = np.arange(6.0, 0.0, -1.0)[:, None] * c[:6]
     d2 = np.arange(5.0, 0.0, -1.0)[:, None] * d1[:5]
     diff7 = np.array([math.comb(7, j) * (-1.0) ** (7 - j) for j in range(8)]) / 5040.0
-    rows = np.zeros((13, 9))
-    rows[:11, 1:8] = np.vstack([d1, d2])
-    rows[11, :8] = rows[12, 1:] = diff7
+    rows = np.zeros((3, 13, 9))
+    for o in range(3):
+        rows[o, :11, o:o + 7] = np.vstack([d1, d2])
+    rows[:, 11, :8] = rows[:, 12, 1:] = diff7
     return rows, np.polyder(np.poly(u)).tolist()
 
 
@@ -350,8 +317,11 @@ def _lattice_settled(x, fx, tol):
 
     p is the degree-6 interpolant through the seven points nearest the best
     point x_i, clipped to the window.  Its error in p' is about
-    |D7| |Pi'(u)|, D7 the larger 7th divided difference over an eighth point
-    either side where one exists.  A best point on a window end is returned,
+    |D7| |Pi'(u)|, D7 the larger 7th divided difference over two sets of
+    eight consecutive points: the seven with the eighth point either side,
+    or, where the window ends at the seven, the seven with the next point
+    inward and the eight one point further in, so that D7 never rests on a
+    single set.  A best point on a window end is returned,
     exactly, when p' there points out of the window by more than that error.
     Otherwise p's vertex v, found by Newton steps from x_i until a step is
     below ``tol`` / 1000, lies within |D7| |Pi'(v)| / |p''(v)| of the
@@ -360,16 +330,17 @@ def _lattice_settled(x, fx, tol):
     1e-16 of the peak, far below the 7th differences of a smooth peak.
     """
     n = x.size
-    if n < 8:
+    if n < 9:
         return None
     i = int(fx.argmax())
     s = min(max(i - 3, 0), n - 7)
+    # nine points: the seven and an eighth either side, or two more on one
+    # side where the window ends on the other
+    a = min(max(s - 1, 0), n - 9)
     rows, dpi = _INTERPOLANT[i - s]
-    # the eighth points either side, where the window has them
-    a, b = max(s - 1, 0), min(s + 8, n)
-    r = (rows[:, a - s + 1:b - s + 1] @ fx[a:b]).tolist()
+    r = (rows[s - a] @ fx[a:a + 9]).tolist()
     p1, p2 = r[:6], r[6:11]
-    d7 = max(abs(r[11]) if a < s else 0.0, abs(r[12]) if b > s + 7 else 0.0)
+    d7 = max(abs(r[11]), abs(r[12]))
     if (i == 0 and p1[-1] < -d7 * abs(dpi[-1])) or (i == n - 1 and p1[-1] > d7 * abs(dpi[-1])):
         return x[i]
     # the bracket in lattice steps from x_i
@@ -385,34 +356,6 @@ def _lattice_settled(x, fx, tol):
         step = _horner(p1, u) / curv
         u -= step
     return None
-
-
-def _vertex_stencil(a, b, v, tol):
-    """The bracket ends ``a, b`` and ``v - e, v, v + e`` around a vertex ``v``.
-
-    ``e = max((b - a) / _VERTEX_SHRINK, tol / 4)``.  Returns None when these
-    five points are not strictly increasing: the stencil would need clipping
-    at a bracket end, or ``e`` is below the float spacing at ``v``.
-    """
-    e = max((b - a) / _VERTEX_SHRINK, 0.25 * tol)
-    if a < v - e < v < v + e < b:
-        return np.array([a, v - e, v, v + e, b])
-    return None
-
-
-def _toward_end(end, other, tol):
-    """Points from ``other`` toward a window ``end``, increasing.
-
-    Their distances from ``end`` are ``|other - end| * 4**-k``, k = 0, 1, ...,
-    down to the first no larger than ``tol / 2`` (or than the float spacing
-    at ``end``, if that is larger), and ``end`` itself, so a maximum on the
-    end leaves a bracket no wider than ``tol / 2``.
-    """
-    w = other - end
-    floor = max(0.5 * tol, math.ulp(end))
-    k = max(1, math.ceil(0.5 * (math.log2(abs(w)) - math.log2(floor))))
-    x = [other, *(end + w * 0.25 ** j for j in range(1, k + 1)), end]
-    return np.array(x if w < 0.0 else x[::-1])
 
 
 def _even(lo, hi, n):
@@ -441,94 +384,66 @@ def _per_problem(f, xs, problems):
     return out
 
 
-def _zoom_max(f, xs, fs, tol):
+def _delay_settled(density, x, fx, tol):
+    """:func:`_lattice_settled` for a delay window on the lattice 1/density,
+    read only where the delay objective is smooth: between two consecutive
+    integer delays, where every pulse tap keeps its support.
+
+    A best point x_i off the integers is read on the lattice points between
+    the integers either side of it, within the window.  A best point on an
+    integer is read on the piece either side (a window end stands in for a
+    piece that the window does not hold).  A piece gives x_i when its
+    interpolant falls away from x_i by more than its error bound, and then
+    the search returns the other piece's result: x_i itself when both fall
+    away, the other piece's vertex, or None, to zoom.
+    """
+    def piece(a, b):
+        return _lattice_settled(x[a:b], fx[a:b], tol)
+
+    i = int(fx.argmax())
+    # lattice steps from the integer delay at or below x_i
+    r = (round(float(x[0]) * density) + i) % density
+    if r:
+        return piece(max(i - r, 0), i - r + density + 1)
+    t = x[i]
+    left = t if i == 0 else piece(max(i - density, 0), i + 1)
+    right = t if i == x.size - 1 else piece(i, i + density + 1)
+    return right if left == t else left if right == t else None
+
+
+def _zoom_max(f, xs, fs, tol, settled):
     """Maximize B independent objectives in lockstep, each over its window
     [xs[b][0], xs[b][-1]].
 
     ``xs[b]`` are the points of problem b's first round, evenly spaced and
-    increasing, and ``fs[b]`` their values.  When those values place the
-    maximizer within ``tol`` (:func:`_lattice_settled`: the vertex of their
-    degree-6 interpolant, or a window end the interpolant slopes out of),
-    the problem stops there, with no call to ``f``.  ``f`` evaluates every
-    later round, one call for every problem still searching
-    (:func:`_per_problem`); per problem the search runs as if alone.  Each
-    later round zooms into the bracket, the pair of neighbours of the best
-    point of the last round (the point itself standing in for a missing
-    neighbour at an end).  A round picks its points by where that best
-    point lies:
-
-    * on the window end ``lo[b]`` or ``hi[b]`` (a peak on or past a clipped
-      window): points spaced geometrically toward that end
-      (:func:`_toward_end`), so a maximum on the end closes in this one
-      round and one just inside it leaves a narrow bracket;
-    * inside the bracket: the bracket ends and three points packed around
-      the vertex of the parabola through the best point and its neighbours
-      (:func:`_vertex_stencil`); on a smooth peak the next bracket is
-      ``_VERTEX_SHRINK / 2`` times narrower, from function values alone
-      (successive parabolic interpolation), and the three packed points
-      usually place the peak within ``tol`` at once (:func:`_settled_vertex`);
-    * otherwise, ``_ZOOM_POINTS`` even points across the bracket: when the
-      best point is a bracket end inside the window, when the stencil does
-      not fit, or when the last round neither halved the bracket nor was a
-      window-end round, which bounds the cost of a peak far from parabolic
-      to about twice that of even rounds alone.
-
-    A zooming problem stops after a vertex stencil round whose three packed
-    points predict their parabola's vertex within ``tol``
-    (:func:`_settled_vertex`), returning that vertex; when its bracket is no
-    wider than ``tol``, returning the bracket midpoint; when a new parabola
-    vertex lies within ``tol`` of the vertex the last round was packed
-    around (Brent's step test), returning the new vertex; or when a round no
-    longer narrows the bracket, which happens once ``tol`` is below the
-    float spacing at the maximizer.
+    increasing, and ``fs[b]`` their values.  When the first-round rule
+    ``settled(x, fx, tol)`` places the maximizer within ``tol`` from those
+    values (:func:`_lattice_settled` or :func:`_delay_settled`), the problem
+    stops there, with no call to ``f``.  Otherwise it zooms: each round
+    spreads ``_ZOOM_POINTS`` even points across the bracket, the pair of
+    neighbours of the last round's best point (the point itself standing in
+    for a missing neighbour at a window end), until the bracket is no wider
+    than ``tol``, returning its midpoint, or a round no longer narrows it,
+    which happens once ``tol`` is below the float spacing at the maximizer.
+    ``f`` evaluates each round, one call for every problem still searching
+    (:func:`_per_problem`); per problem the search runs as if alone.
     """
     xs, fs = list(xs), list(fs)
-    lo = [x[0] for x in xs]
-    hi = [x[-1] for x in xs]
     width = [math.inf] * len(xs)
-    # the vertex the last round was packed around, or None after another round
-    vertex = [None] * len(xs)
-    at_end = [False] * len(xs)
-    best = [0.0] * len(xs)
-    active = []
-    for p, (x, fx) in enumerate(zip(xs, fs)):
-        v = _lattice_settled(x, fx, tol)
-        if v is None:
-            active.append(p)
-        else:
-            best[p] = v
+    best = [settled(x, fx, tol) for x, fx in zip(xs, fs)]
+    active = [p for p, v in enumerate(best) if v is None]
     while active:
         searching = []
         for p in active:
-            x, fx = xs[p], fs[p]
-            if vertex[p] is not None:
-                v = _settled_vertex(x, fx, tol)
-                if v is not None:
-                    best[p] = v
-                    continue
-            i = int(fx.argmax())
-            last = x.size - 1
-            a = x[max(i - 1, 0)]
-            b = x[min(i + 1, last)]
+            x = xs[p]
+            i = int(fs[p].argmax())
+            a, b = x[max(i - 1, 0)], x[min(i + 1, x.size - 1)]
             if b - a <= tol or b - a >= width[p]:
                 best[p] = 0.5 * (a + b)
-                continue
-            # a vertex that did not halve the bracket sits on a poor parabola
-            trusted = 2.0 * (b - a) <= width[p] or at_end[p]
-            width[p] = b - a
-            at_end[p] = (i == 0 and x[0] == lo[p]) or (i == last and x[last] == hi[p])
-            points = None
-            if at_end[p]:
-                points = _toward_end(x[i], b if i == 0 else a, tol)
-            elif trusted and 0 < i < last:
-                v = _vertex(x[i - 1:i + 2], fx[i - 1:i + 2])
-                if vertex[p] is not None and abs(v - vertex[p]) <= tol:
-                    best[p] = v
-                    continue
-                points = _vertex_stencil(a, b, v, tol)
-            vertex[p] = None if points is None or at_end[p] else points[2]
-            xs[p] = _even(a, b, _ZOOM_POINTS) if points is None else points
-            searching.append(p)
+            else:
+                width[p] = b - a
+                xs[p] = _even(a, b, _ZOOM_POINTS)
+                searching.append(p)
         active = searching
         if active:
             for p, values in zip(active, _per_problem(f, xs, active)):
@@ -555,7 +470,7 @@ def search_tau(w, lattice, lo, hi, tol):
         xs.append(np.arange(k_lo, k_hi + 1) / density)
         fs.append(abs(np.dot(f, w[b])) ** 2 / lattice.energy[n % ell, window])
     return _zoom_max(lambda t, rows: tau_objective(w, t, rolloff, halfwidth, ell, rows),
-                     xs, fs, tol)
+                     xs, fs, tol, functools.partial(_delay_settled, density))
 
 
 def search_mu(qt, lattice, lo, hi, tol):
@@ -571,7 +486,7 @@ def search_mu(qt, lattice, lo, hi, tol):
     windows = [slice(a - lattice.first, b - lattice.first + 1) for a, b in zip(lo, hi)]
     fs = [abs(np.dot(lattice.phases[s], qt[p])) ** 2 / m for p, s in enumerate(windows)]
     return _zoom_max(lambda x, rows: mu_objective(qt, x, rows),
-                     [lattice.mu[s] for s in windows], fs, tol)
+                     [lattice.mu[s] for s in windows], fs, tol, _lattice_settled)
 
 
 def active_backend() -> str:

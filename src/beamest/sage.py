@@ -11,15 +11,13 @@ that round when the degree-6 interpolant through the seven lattice points
 nearest the best one places the maximizer within ``refine_tol``, its error
 bounded by the 7th divided differences of the lattice values: at the
 interpolant's vertex, or at a window end it slopes out of
-(``_kernels._lattice_settled``).  Otherwise it zooms into the bracket around
-its best point, each round evaluating, in one array call, a few points
-around the vertex of the parabola through the best point and its
-neighbours, or, when the best point is the search window's end, points
-spaced geometrically toward that end.  A zoom stops when the parabola
-through the three points packed around a vertex predicts its own vertex
-within ``refine_tol``, when its bracket is no wider than ``refine_tol``, or
-when two successive parabola vertices lie within ``refine_tol`` of each
-other (``_kernels._zoom_max``).
+(``_kernels._lattice_settled``).  The pulse truncation kinks the delay
+objective at every integer delay, so a delay search reads only the lattice
+points between the two integers around its best point; a best point on an
+integer is read on both sides of it (``_kernels._delay_settled``).
+Otherwise the search zooms: each round evaluates, in one array call, 16
+even points across the bracket around its best point, until the bracket is
+no wider than ``refine_tol`` (``_kernels._zoom_max``).
 
 The update runs in the element-lag domain.  With P[k, d] = sum_s X_g[k, s]
 conj(c((s - d) mod L)) the lag correlation of an observation X (X_g[k, s] =
@@ -103,12 +101,10 @@ class SageConfig:
     the degree-6 interpolant of the seven lattice points nearest the best one
     places the maximizer within ``refine_tol`` (an error bound from the 7th
     divided differences), returning the interpolant's vertex or the window
-    end it slopes out of.  Otherwise it zooms, and stops once the parabola
-    through the three points packed around a vertex predicts its own vertex
-    within ``refine_tol`` (a leading-order error from the round's divided
-    differences), or once a parabola vertex lies within ``refine_tol`` of
-    the vertex before it, and returns that vertex; or once its bracket is no
-    wider than ``refine_tol``, and returns the bracket midpoint.
+    end it slopes out of; a delay search reads only the lattice points
+    between consecutive integer delays, where its objective is smooth.
+    Otherwise it zooms in even rounds until its bracket is no wider than
+    ``refine_tol``, and returns the bracket midpoint.
     """
 
     beta: float = 1.0
@@ -277,12 +273,11 @@ def _delay_step(caz: CazacConfig, q: np.ndarray, mus: Sequence[float],
     taus = [float(c) for c in centers]
     w = _delay_statistics(q, mus)
     moving = w.any(axis=1)
-    keep = moving.tolist()
-    if all(keep):
-        taus = _search_delays(caz, w, taus, cfg)
-    elif any(keep):
-        found = iter(_search_delays(caz, w[moving], [c for c, k in zip(taus, keep) if k], cfg))
-        taus = [next(found) if k else c for c, k in zip(taus, keep)]
+    keep = moving.nonzero()[0].tolist()
+    if keep:
+        found = _search_delays(caz, w.take(keep, axis=0), [taus[b] for b in keep], cfg)
+        for b, tau in zip(keep, found):
+            taus[b] = tau
     return taus, moving
 
 
@@ -309,8 +304,7 @@ def _search_angles(arr: ArrayConfig, qt: np.ndarray, centers: Sequence[float],
         half = _mu_half_window(cfg, arr.m)
         lo, hi = zip(*(_kernels.lattice_window(c - half, c + half, lattice.step)
                        for c in (mus[b] % (2.0 * np.pi) for b in moving)))
-        found = _kernels.search_mu(qt if len(moving) == len(mus) else qt[moving],
-                                   lattice, lo, hi, cfg.refine_tol)
+        found = _kernels.search_mu(qt.take(moving, axis=0), lattice, lo, hi, cfg.refine_tol)
         for b, mu in zip(moving, found):
             mus[b] = mu
     return [float(mu) % (2.0 * np.pi) for mu in mus]
@@ -383,12 +377,11 @@ def maximize_tau(x_hat: np.ndarray, mu_fixed: float, cfg: SageConfig, search_cen
     w = exp(-j m mu) Q, and the denominator beta M L ||f_tau||^2.  The
     search covers ``search_center`` +/- the configured window, clipped to
     [0, L] and rounded outward to the delay lattice (:class:`SageConfig`).
-    The search usually stops on the lattice round, whose interpolant places
-    a smooth peak, or a peak past a clipped end (the line-of-sight delay 0),
-    within ``refine_tol``; otherwise the bracket around the best lattice
-    point is zoomed until a parabola vertex is predicted within
-    ``refine_tol``, two successive parabola vertices lie within
-    ``refine_tol``, or the bracket is no wider than ``refine_tol``.  A
+    The search usually stops on the lattice round, whose interpolant between
+    the integer delays either side of the best lattice point places the
+    peak, or a peak past a clipped end (the line-of-sight delay 0), within
+    ``refine_tol``; otherwise the bracket around the best lattice point is
+    zoomed in even rounds until it is no wider than ``refine_tol``.  A
     non-finite ``x_hat`` or center, or a center more than the window outside
     [0, L], raises :class:`ConfigurationError`; an all-zero hidden
     observation then returns the center unchanged.
@@ -406,9 +399,10 @@ def maximize_mu(x_hat: np.ndarray, tau_fixed: float, cfg: SageConfig, search_cen
     Its numerator is |exp(-j m mu) q~|^2, q~ = Q f_tau the angle spectrum.
     Searches ``search_center``, wrapped into [0, 2*pi), +/- the window
     (default one beam spacing), rounded outward to the angle lattice, with
-    the stop rules of :func:`maximize_tau` (at the defaults every angle
-    search of the acceptance workload stops on the lattice round); the
-    result is wrapped into [0, 2*pi).  A non-finite center or ``x_hat`` raises
+    the stop rules of :func:`maximize_tau`, its interpolant read across the
+    whole window (at the defaults every angle search of the acceptance
+    workload stops on the lattice round); the result is wrapped into
+    [0, 2*pi).  A non-finite center or ``x_hat`` raises
     :class:`ConfigurationError`; an all-zero hidden observation returns the
     center.
     """

@@ -87,9 +87,13 @@ def test_expectation_step_beta_blend():
 
 
 def test_maximize_tau_recovers_integer_delay():
+    # a lone noise-free path peaks exactly on the integer, with zero slope on
+    # either side, so no piece's interpolant falls away from it by more than
+    # its error bound: the search zooms and still lands within refine_tol
+    cfg = SageConfig()
     y = observe([(1.0 + 0j, 1.9, 3.0)])
-    tau = maximize_tau(y.y, 1.9, SageConfig(), 3.0, arr=ARR, caz=CAZ)
-    assert abs(tau - 3.0) < 1e-6
+    tau = maximize_tau(y.y, 1.9, cfg, 3.0, arr=ARR, caz=CAZ)
+    assert abs(tau - 3.0) <= cfg.refine_tol
 
 
 def test_maximize_tau_recovers_fractional_delay():
@@ -460,7 +464,7 @@ def first_rounds(monkeypatch, search, *args):
     # zoom round run
     seen = []
     monkeypatch.setattr(_kernels, "_zoom_max",
-                        lambda f, xs, fs, tol: seen.append((xs, fs)) or [x[0] for x in xs])
+                        lambda f, xs, fs, tol, settled: seen.append((xs, fs)) or [x[0] for x in xs])
     search(*args)
     return seen[0]
 
@@ -779,8 +783,8 @@ def dense_argmax(f, lo, hi, n_points=100000):
 
 @pytest.mark.parametrize("seed", [5, 6, 7])
 def test_searches_need_few_objective_calls(monkeypatch, seed):
-    # a smooth peak is found by parabolic vertex rounds: the grid call plus a
-    # few more, where even 16-point zoom rounds needed nine
+    # a smooth peak is placed by the lattice round's interpolant: the grid
+    # call plus a few more at most
     rng = np.random.default_rng(seed)
     cfg = SageConfig()
     assert cfg.refine_tol == 1e-7
@@ -818,14 +822,16 @@ def zoom_from_grid(f, n, tol):
     # n problems on [0, 1], whose first round is a 64-point grid evaluated,
     # as the searches' is, in one call for all of them
     xs = [np.linspace(0.0, 1.0, 64)] * n
-    return _kernels._zoom_max(f, xs, _kernels._per_problem(f, xs, list(range(n))), tol)
+    return _kernels._zoom_max(f, xs, _kernels._per_problem(f, xs, list(range(n))), tol,
+                              _kernels._lattice_settled)
 
 
 @pytest.mark.parametrize("c", [0.3, 0.123456789, 0.71])
 @pytest.mark.parametrize("left", [1.0, 4.0, 50.0])
 def test_zoom_finds_peak_far_from_parabolic(c, left):
     # |x - c| ** 1.5 has no curvature at c, and the slopes differ either side:
-    # the vertex rounds miss, and the search must still close in on c
+    # the lattice round cannot settle it, and the zoom must still close in
+    # on c
     calls = []
 
     def f(x):
@@ -868,8 +874,8 @@ def test_lattice_round_needs_a_concave_interpolant():
 
 
 def test_lockstep_zoom_makes_one_call_per_round():
-    # problems at different stages (vertex rounds, even rounds, done) share
-    # each round's call, and each ends where it ends alone
+    # problems at different stages (settled on the grid, zooming, done)
+    # share each round's call, and each ends where it ends alone
     tol = 1e-7
     centers = np.array([0.3, 0.123456789, 0.71, 0.55, 0.9])
     slopes = np.array([1.0, 4.0, 50.0, 1.0, 2.0])
@@ -936,6 +942,34 @@ def test_delay_search_at_a_clipped_window_end_matches_dense_scan(monkeypatch):
     assert [n for n, case in zip(lone_calls, WINDOW_END_CASES) if case[2] == "past"] == [0, 0]
 
 
+# (offset in lattice steps of 1/64 symbol, search center): a path at delay
+# 8 + offset / 64, beside a weaker one 3.7 symbols later whose tail moves the
+# peak off the lattice.  Each window holds the integer 8 inside it; the peak
+# lies on it (its best lattice point is 8) or within one lattice step of it
+INTEGER_CASES = [(-1.0, 8.0), (-0.6, 8.0), (-0.2, 8.0), (0.0, 8.0), (0.3, 8.0), (0.9, 8.0),
+                 (1.0, 8.0), (-0.2, 7.6), (0.0, 7.6), (0.3, 8.5), (1.0, 8.5)]
+
+
+@pytest.mark.parametrize("offset, center", INTEGER_CASES)
+def test_delay_search_beside_an_integer_settles_on_the_lattice(monkeypatch, offset, center):
+    # the pulse truncation kinks the delay objective at an integer delay, so
+    # the lattice round reads only the smooth pieces either side of it: a
+    # peak on or beside the integer settles with no objective call, within
+    # refine_tol of a dense scan
+    from beamest.sage import _delay_statistics, _element_lag, _search_delays
+    cfg = SageConfig()
+    y = observe([(1.0 + 0j, 2.2, 8.0 + offset / 64), (0.3 + 0.2j, 1.1, 11.7)])
+    w = _delay_statistics(_element_lag(ARR, CAZ, y.y[None]), [2.2])
+    lo, hi = _tau_bounds(center, cfg, 16)
+    assert lo < 8.0 < hi
+    ref = dense_argmax(lambda t: _kernels.tau_objective(
+        w[0], t, CAZ.rolloff, CAZ.pulse_halfwidth, 16), lo, hi)
+    calls = counted(monkeypatch, "tau_objective")
+    tau = _search_delays(CAZ, w, [center], cfg)[0]
+    assert len(calls) == 0
+    assert abs(tau - ref) <= cfg.refine_tol
+
+
 def chunked(f, n=8):
     # a dense scan's objective in a few calls, so that long pilots stay small
     return lambda x: np.concatenate([f(c) for c in np.array_split(x, n)])
@@ -944,10 +978,11 @@ def chunked(f, n=8):
 @pytest.mark.parametrize("case", LATTICE_CASES)
 def test_lattice_round_settles_within_tolerance_of_a_fine_search(monkeypatch, case):
     # a search that the lattice round settles, with no objective call after
-    # it, lies within refine_tol of the same search run to 1e-13; a window-end
-    # search that settles also lies within refine_tol of a dense scan.  The
-    # searches: those of the lattice test on random statistics, and the paths
-    # of WINDOW_END_CASES placed past, on and just inside a clipped end
+    # it, lies within refine_tol of the same search run to 1e-13; a settled
+    # search of a placed path also lies within refine_tol of a dense scan.
+    # The searches: those of the lattice test on random statistics, the paths
+    # of WINDOW_END_CASES placed past, on and just inside a clipped end, and
+    # those of INTEGER_CASES on and beside an integer delay
     from beamest.sage import (_angle_statistics, _delay_statistics, _element_lag,
                               _search_angles, _search_delays)
     cfg, arr, caz = LATTICE_CASES[case]
@@ -956,36 +991,42 @@ def test_lattice_round_settles_within_tolerance_of_a_fine_search(monkeypatch, ca
     q = rng.standard_normal((11, m, ell)) + 1j * rng.standard_normal((11, m, ell))
     ends = [(tau if tau < 8 else ell - 16 + tau, center * ell / 16)
             for tau, center, _ in WINDOW_END_CASES]
-    w_ends = np.concatenate([_delay_statistics(_element_lag(
-        arr, caz, synthesize(make_real([(1.0 + 0j, 2.2, tau)]), arr, caz).y[None]), [2.2])
-        for tau, _ in ends])
+
+    def delay_stats(draws):
+        return np.concatenate([_delay_statistics(_element_lag(
+            arr, caz, synthesize(make_real(paths), arr, caz).y[None]), [2.2]) for paths in draws])
+    w_ends = delay_stats([[(1.0 + 0j, 2.2, tau)] for tau, _ in ends])
+    w_ints = delay_stats([[(1.0 + 0j, 2.2, 8.0 + offset / 64), (0.3 + 0.2j, 1.1, 11.7)]
+                          for offset, _ in INTEGER_CASES])
     rounds = []
-    monkeypatch.setattr(_kernels, "_zoom_max", lambda f, xs, fs, tol:
-                        rounds.append((f, xs, fs)) or [x[0] for x in xs])
+    monkeypatch.setattr(_kernels, "_zoom_max", lambda f, xs, fs, tol, settled:
+                        rounds.append((f, xs, fs, settled)) or [x[0] for x in xs])
     _search_delays(caz, _delay_statistics(q[:5], rng.uniform(0, 2 * np.pi, 5)),
                    [0.0, 0.3, ell / 2 + 0.37, ell - 0.2, float(ell)], cfg)
     _search_angles(arr, _angle_statistics(caz, q[5:], rng.uniform(0, ell, 6))[1],
                    [0.0, 0.05, 3.0, 2 * np.pi - 0.02, 7.0, -0.3], cfg)
     _search_delays(caz, w_ends, [center for _, center in ends], cfg)
+    _search_delays(caz, w_ints, [center for _, center in INTEGER_CASES], cfg)
     monkeypatch.undo()
 
     tol = cfg.refine_tol
     settled = {"interior": 0, "end": 0}
-    for r, (f, xs, fs) in enumerate(rounds):
+    for r, (f, xs, fs, rule) in enumerate(rounds):
         for b, (x, fx) in enumerate(zip(xs, fs)):
             calls = []
 
             def g(t, rows, b=b):
                 calls.append(1)
                 return f(t, b)
-            out = _kernels._zoom_max(g, [x], [fx], tol)[0]
+            out = _kernels._zoom_max(g, [x], [fx], tol, rule)[0]
             if calls:
                 continue
             settled["end" if out in (x[0], x[-1]) else "interior"] += 1
-            assert abs(out - _kernels._zoom_max(g, [x], [fx], 1e-13)[0]) <= tol
-            if r == 2:
+            assert abs(out - _kernels._zoom_max(g, [x], [fx], 1e-13, rule)[0]) <= tol
+            if r >= 2:
+                w = (w_ends, w_ints)[r - 2][b]
                 ref = dense_argmax(chunked(lambda t: _kernels.tau_objective(
-                    w_ends[b], t, caz.rolloff, caz.pulse_halfwidth, ell)), x[0], x[-1], 20001)
+                    w, t, caz.rolloff, caz.pulse_halfwidth, ell)), x[0], x[-1], 20001)
                 assert abs(out - ref) <= tol
     # an 8-point grid is too coarse for the 7th differences to settle a peak
     # inside the window
@@ -1005,32 +1046,43 @@ def test_acceptance_block_search_calls(monkeypatch):
     mu_calls = counted(monkeypatch, "mu_objective")
     iterations = sum(run_trial(cfg, s, t).sage_iterations for s in range(4) for t in range(25))
     assert iterations == 242
-    assert (len(tau_calls), len(mu_calls)) == (22, 0)
+    assert (len(tau_calls), len(mu_calls)) == (0, 0)
 
 
 def test_searches_stop_within_tolerance_of_a_fine_search(monkeypatch):
     # every search of the acceptance workload's first block at seed 5 (lone
     # trials) and of one high-SNR two-path block lies within refine_tol of
     # the same search run to a 1e-13 tolerance: a stop on the predicted
-    # error of a parabola vertex must not cost accuracy
+    # error of an interpolant's vertex must not cost accuracy.  Two more
+    # trials hold delay peaks beside an integer delay, where the objective
+    # kinks
     from beamest import RunConfig, run_trial
     zoom = _kernels._zoom_max
     gaps = []
 
-    def checked(f, xs, fs, tol):
-        out = zoom(f, xs, fs, tol)
-        gaps.extend(abs(a - b) for a, b in zip(out, zoom(f, xs, fs, 1e-13)))
+    def checked(f, xs, fs, tol, settled):
+        out = zoom(f, xs, fs, tol, settled)
+        gaps.extend(abs(a - b) for a, b in zip(out, zoom(f, xs, fs, 1e-13, settled)))
         return out
     monkeypatch.setattr(_kernels, "_zoom_max", checked)
-    accept = ScenarioConfig(n_nlos=1, delta_nlos_range_m=(4.5, 22.5))
-    block_seed = int(np.random.SeedSequence((5, 0)).generate_state(1)[0])
-    for scenario, snrs, trials in ((accept, (-10.0, 0.0, 10.0, 20.0), 25),
-                                   (ScenarioConfig(), (20.0, 30.0), 10)):
-        cfg = RunConfig(scenario=replace(scenario, seed=block_seed), snr_sweep_db=snrs,
-                        trials=trials)
-        for s in range(len(snrs)):
-            for t in range(trials):
+
+    def block(scenario, snrs, trials, seed):
+        # block seed[1] of a benchmark workload run at seed seed[0]
+        block_seed = int(np.random.SeedSequence(seed).generate_state(1)[0])
+        return RunConfig(scenario=replace(scenario, seed=block_seed), snr_sweep_db=snrs,
+                         trials=trials)
+    accept = (ScenarioConfig(n_nlos=1, delta_nlos_range_m=(4.5, 22.5)),
+              (-10.0, 0.0, 10.0, 20.0), 25)
+    multipath_hi_snr = (ScenarioConfig(), (20.0, 30.0), 10)
+    for workload in (accept, multipath_hi_snr):
+        cfg = block(*workload, (5, 0))
+        for s in range(len(cfg.snr_sweep_db)):
+            for t in range(cfg.trials):
                 run_trial(cfg, s, t)
+    # at 20 dB: accept_sweep's block 7 at seed 21, trial 4, and
+    # multipath_hi_snr's block 2 at seed 41, trial 5
+    run_trial(block(*accept, (21, 7)), 3, 4)
+    run_trial(block(*multipath_hi_snr, (41, 2)), 0, 5)
     assert len(gaps) > 1000
     assert max(gaps) <= SageConfig().refine_tol
 
