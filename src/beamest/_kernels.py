@@ -5,11 +5,10 @@ searches inside the refinement stage dominate the Monte-Carlo runtime.  One
 kernel, batched over delays, builds the delayed pilot (:func:`pilot_rows`);
 the delay derivatives and the taps folded onto the L lags (:func:`folded_taps`),
 on which the refinement's update and the delay objective run, share its tap
-support.  The search objectives take a whole array of points per call, each
-point against its own row of a stack of statistics, and reduce them with one
-matrix-vector product per problem (:func:`_row_dots`); the searches advance a
-batch of problems in lockstep, so a search round costs a handful of numpy
-calls for the whole batch rather than one call per point.  A search's first
+support.  Each search maximizes one statistic over one window, and its
+objective takes a whole array of points per call, reduced by one
+matrix-vector product against that statistic, so a search round costs a
+handful of numpy calls rather than one call per point.  A search's first
 round covers its window on a fixed lattice (delays at multiples of 1/Q
 symbol, spatial frequencies at multiples of 2*pi/(M*Q)) and reads a table
 built once per configuration: the folded taps at the offsets j/Q across one
@@ -21,9 +20,8 @@ searches stop on it: its values hold the local derivatives that place a
 smooth peak within the tolerance (:func:`_lattice_settled`).  The delay
 objective is smooth only between integer delays, where the pulse taps keep
 their support, so a delay search reads its lattice values one such piece at
-a time
-(:func:`_delay_settled`).  A search the lattice round cannot settle zooms
-in even rounds (:func:`_zoom_max`).
+a time (:func:`_delay_settled`).  A search the lattice round cannot settle
+zooms in even rounds (:func:`_zoom_max`).
 
 All delay arguments are in symbol units (t / T_s).
 """
@@ -166,48 +164,29 @@ def folded_taps(taus, rolloff, halfwidth, ell):
                        t.size * ell).reshape(t.shape[0], ell)
 
 
-def _row_dots(a, v, rows=None):
-    """``np.dot(a, v)`` for the points (rows) of ``a``, each against its own vector.
-
-    With ``rows`` given, ``v`` is a stack of vectors and ``rows`` picks each
-    point's: one index for every point, or an (N, 1) index whose points of
-    one vector are consecutive.  Each run of one vector takes one
-    matrix-vector product, the product a call for that vector alone would
-    take: a product over several vectors' points would round differently.
-    """
-    if rows is None or isinstance(rows, int):
-        return np.dot(a, v if rows is None else v[rows])
-    r = rows[:, 0]
-    cuts = [0, *(np.flatnonzero(r[1:] != r[:-1]) + 1).tolist(), r.size]
-    return np.concatenate([np.dot(a[i:j], v[r[i]]) for i, j in zip(cuts, cuts[1:])])
-
-
-def tau_objective(w, tau, rolloff, halfwidth, ell, rows=None):
+def tau_objective(w, tau, rolloff, halfwidth, ell):
     """Delay-search objective |f_tau . w|^2 / (L ||f_tau||^2), f_tau the folded
     taps (:func:`folded_taps`).
 
     This is |v(tau)^H z|^2 / ||v(tau)||^2 for w the pilot-shift correlation
     of z, since the base pilot's cyclic shifts are orthogonal, each of
     energy L.  ``tau`` is a scalar or a 1-D array; an array is evaluated as
-    one (N x L) matrix of folded taps.  With ``rows`` given, ``w`` is a
-    (B, L) stack of statistics and ``rows`` picks each point's row, as in
-    :func:`_row_dots`.
+    one (N x L) matrix of folded taps.
     """
     t = np.asarray(tau, dtype=float)
     f = folded_taps(t.reshape(-1), rolloff, halfwidth, ell)
-    out = abs(_row_dots(f, w, rows)) ** 2 / (ell * (f ** 2).sum(axis=1))
+    out = abs(np.dot(f, w)) ** 2 / (ell * (f ** 2).sum(axis=1))
     return out.reshape(t.shape) if t.ndim else out[0]
 
 
-def mu_objective(qt, mu, rows=None):
+def mu_objective(qt, mu):
     """Angle-search objective |sum_m exp(-j m mu) qt[m]|^2 / M.
 
     ``mu`` is a scalar or a 1-D array; an array is evaluated as one (N x M)
-    phase matrix.  With ``rows`` given, ``qt`` is a (B, M) stack of spectra
-    and ``rows`` picks each point's, as in :func:`_row_dots`.
+    phase matrix.
     """
     m = qt.shape[-1]
-    return abs(_row_dots(_phase_rows(m, mu), qt, rows)) ** 2 / m
+    return abs(np.dot(_phase_rows(m, mu), qt)) ** 2 / m
 
 
 def _phase_rows(m, mu):
@@ -365,25 +344,6 @@ def _even(lo, hi, n):
     return x
 
 
-def _per_problem(f, xs, problems):
-    """``f`` at the points ``xs[p]`` of each of ``problems`` in one call, as a
-    list of arrays, one per problem.
-
-    ``f(x, rows)`` evaluates flat points ``x``, those of problem p consecutive
-    and marked by ``rows`` as in :func:`tau_objective`; for one problem,
-    ``rows`` is its index p and ``x`` its points alone.
-    """
-    if len(problems) == 1:
-        return [f(xs[problems[0]], problems[0])]
-    sizes = [xs[p].size for p in problems]
-    values = f(np.concatenate([xs[p] for p in problems]), np.repeat(problems, sizes)[:, None])
-    out, start = [], 0
-    for size in sizes:
-        out.append(values[start:start + size])
-        start += size
-    return out
-
-
 def _delay_settled(density, x, fx, tol):
     """:func:`_lattice_settled` for a delay window on the lattice 1/density,
     read only where the delay objective is smooth: between two consecutive
@@ -411,82 +371,68 @@ def _delay_settled(density, x, fx, tol):
     return right if left == t else left if right == t else None
 
 
-def _zoom_max(f, xs, fs, tol, settled):
-    """Maximize B independent objectives in lockstep, each over its window
-    [xs[b][0], xs[b][-1]].
+def _zoom_max(f, x, fx, tol, settled):
+    """Maximize the objective ``f`` over the window [x[0], x[-1]].
 
-    ``xs[b]`` are the points of problem b's first round, evenly spaced and
-    increasing, and ``fs[b]`` their values.  When the first-round rule
+    ``x`` are the points of the search's first round, evenly spaced and
+    increasing, and ``fx`` their values.  When the first-round rule
     ``settled(x, fx, tol)`` places the maximizer within ``tol`` from those
-    values (:func:`_lattice_settled` or :func:`_delay_settled`), the problem
+    values (:func:`_lattice_settled` or :func:`_delay_settled`), the search
     stops there, with no call to ``f``.  Otherwise it zooms: each round
-    spreads ``_ZOOM_POINTS`` even points across the bracket, the pair of
-    neighbours of the last round's best point (the point itself standing in
-    for a missing neighbour at a window end), until the bracket is no wider
-    than ``tol``, returning its midpoint, or a round no longer narrows it,
-    which happens once ``tol`` is below the float spacing at the maximizer.
-    ``f`` evaluates each round, one call for every problem still searching
-    (:func:`_per_problem`); per problem the search runs as if alone.
+    evaluates ``f`` at ``_ZOOM_POINTS`` even points across the bracket, the
+    pair of neighbours of the last round's best point (the point itself
+    standing in for a missing neighbour at a window end), until the bracket
+    is no wider than ``tol``, returning its midpoint, or a round no longer
+    narrows it, which happens once ``tol`` is below the float spacing at the
+    maximizer.
     """
-    xs, fs = list(xs), list(fs)
-    width = [math.inf] * len(xs)
-    best = [settled(x, fx, tol) for x, fx in zip(xs, fs)]
-    active = [p for p, v in enumerate(best) if v is None]
-    while active:
-        searching = []
-        for p in active:
-            x = xs[p]
-            i = int(fs[p].argmax())
-            a, b = x[max(i - 1, 0)], x[min(i + 1, x.size - 1)]
-            if b - a <= tol or b - a >= width[p]:
-                best[p] = 0.5 * (a + b)
-            else:
-                width[p] = b - a
-                xs[p] = _even(a, b, _ZOOM_POINTS)
-                searching.append(p)
-        active = searching
-        if active:
-            for p, values in zip(active, _per_problem(f, xs, active)):
-                fs[p] = values
+    best = settled(x, fx, tol)
+    width = math.inf
+    while best is None:
+        i = int(fx.argmax())
+        a, b = x[max(i - 1, 0)], x[min(i + 1, x.size - 1)]
+        if b - a <= tol or b - a >= width:
+            best = 0.5 * (a + b)
+        else:
+            width = b - a
+            x = _even(a, b, _ZOOM_POINTS)
+            fx = f(x)
     return best
 
 
-def search_tau(w, lattice, lo, hi, tol):
-    """Delays maximizing :func:`tau_objective`, row b of the (B, L) ``w`` over
-    the window [lo[b], hi[b]] / density of the :class:`DelayLattice` ``lattice``.
+def search_tau(w, lattice, k_lo, k_hi, tol):
+    """The delay maximizing :func:`tau_objective` of the statistic ``w`` over
+    the window [k_lo, k_hi] / density of the :class:`DelayLattice` ``lattice``.
 
-    The first round is one matrix-vector product per problem, of the
-    lattice's rows over its window, rotated by the window's integer start:
-    the product :func:`tau_objective` takes for that row (``take`` keeps the
-    rotated rows C-contiguous, as :func:`folded_taps` returns them).  The
-    later rounds call :func:`tau_objective`.
+    The first round is one matrix-vector product, of the lattice's rows over
+    the window, rotated by its integer start: the product
+    :func:`tau_objective` takes (``take`` keeps the rotated rows
+    C-contiguous, as :func:`folded_taps` returns them).  The later rounds
+    call :func:`tau_objective`.
     """
     rolloff, halfwidth, ell, density = lattice[:4]
-    xs, fs = [], []
-    for b, (k_lo, k_hi) in enumerate(zip(lo, hi)):
-        n, j = divmod(k_lo, density)
-        window = slice(j, k_hi - n * density + 1)
-        f = lattice.taps[window].take(np.arange(ell) - n % ell, axis=1)
-        xs.append(np.arange(k_lo, k_hi + 1) / density)
-        fs.append(abs(np.dot(f, w[b])) ** 2 / lattice.energy[n % ell, window])
-    return _zoom_max(lambda t, rows: tau_objective(w, t, rolloff, halfwidth, ell, rows),
-                     xs, fs, tol, functools.partial(_delay_settled, density))
+    n, j = divmod(k_lo, density)
+    window = slice(j, k_hi - n * density + 1)
+    f = lattice.taps[window].take(np.arange(ell) - n % ell, axis=1)
+    fx = abs(np.dot(f, w)) ** 2 / lattice.energy[n % ell, window]
+    return _zoom_max(lambda t: tau_objective(w, t, rolloff, halfwidth, ell),
+                     np.arange(k_lo, k_hi + 1) / density, fx, tol,
+                     functools.partial(_delay_settled, density))
 
 
-def search_mu(qt, lattice, lo, hi, tol):
-    """Spatial frequencies maximizing :func:`mu_objective`, row b of the (B, M)
-    ``qt`` over the window [lo[b], hi[b]] * step of the :class:`AngleLattice`
+def search_mu(qt, lattice, k_lo, k_hi, tol):
+    """The spatial frequency maximizing :func:`mu_objective` of the spectrum
+    ``qt`` over the window [k_lo, k_hi] * step of the :class:`AngleLattice`
     ``lattice``.
 
-    The first round is one matrix-vector product per problem, of the
-    lattice's phase rows over its window: the product :func:`mu_objective`
-    takes for that row.  The later rounds call :func:`mu_objective`.
+    The first round is one matrix-vector product, of the lattice's phase
+    rows over the window: the product :func:`mu_objective` takes.  The later
+    rounds call :func:`mu_objective`.
     """
-    m = qt.shape[-1]
-    windows = [slice(a - lattice.first, b - lattice.first + 1) for a, b in zip(lo, hi)]
-    fs = [abs(np.dot(lattice.phases[s], qt[p])) ** 2 / m for p, s in enumerate(windows)]
-    return _zoom_max(lambda x, rows: mu_objective(qt, x, rows),
-                     [lattice.mu[s] for s in windows], fs, tol, _lattice_settled)
+    window = slice(k_lo - lattice.first, k_hi - lattice.first + 1)
+    fx = abs(np.dot(lattice.phases[window], qt)) ** 2 / qt.shape[-1]
+    return _zoom_max(lambda x: mu_objective(qt, x), lattice.mu[window], fx, tol,
+                     _lattice_settled)
 
 
 def active_backend() -> str:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .arrays import ArrayConfig, beam_gains, mu_to_theta_deg, wrapped_distance
 from .channel import ReceiveMatrix
-from .errors import ConfigurationError
+from .errors import ConfigurationError, is_real
 from .pilots import CazacConfig, _lag_correlation, sidelobe_power_ratios
 
 
@@ -102,8 +102,12 @@ def detection_threshold(noise_var: float, m: int, p_fa: float = 1e-3, *,
     Noise-only power entries are i.i.d. exponential with mean noise_var * L,
     since each sums L unit-modulus pilot symbols; the exponential tail bound
     on the max of a column's M of them pins the per-delay false-alarm
-    probability at roughly ``p_fa``.
+    probability at roughly ``p_fa``.  ``noise_var`` must be a positive finite
+    number.
     """
+    if not (is_real(noise_var) and noise_var > 0):
+        raise ConfigurationError(
+            f"noise variance must be a positive finite number, got {noise_var!r}")
     if not 0.0 < p_fa < 1.0:
         raise ConfigurationError(f"false-alarm target must lie in (0, 1), got {p_fa}")
     return noise_var * (m if ell is None else ell) * math.log(m / p_fa)

@@ -36,7 +36,7 @@ import os
 import platform
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import lru_cache, partial
-from numbers import Integral
+from numbers import Integral, Real
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -315,10 +315,13 @@ def synthesize_trial(cfg: RunConfig, snr_idx, trial):
     of the chunk's delays go through one tap pass (:func:`delayed_pilots`),
     and every trial's S0 is one stacked :func:`unit_power_signal` call.
     Pilot repetitions are averaged before anything downstream sees them,
-    leaving an effective noise variance of noise_var / repetitions.
+    leaving an effective noise variance of noise_var / repetitions.  A lone
+    pair that names no trial (:func:`_check_point`) raises
+    :class:`ConfigurationError`.
     """
-    if not isinstance(trial, Integral):
+    if not isinstance(trial, Real):
         return _synthesize(cfg, snr_idx, trial)
+    _check_point(cfg, snr_idx, trial)
     chunk = _synthesize(cfg, (snr_idx,), (trial,))
     real = chunk.reals[0].with_snr_db(float(cfg.snr_sweep_db[snr_idx]))
     return real, ReceiveMatrix(y=chunk.y[0, 0], arr=cfg.array, caz=cfg.cazac), chunk.noise_eff
@@ -346,8 +349,20 @@ def _synthesize(cfg: RunConfig, snr_indices: Sequence[int],
     return _Synthesis(reals, rows, pts, scen.noise_var / reps, y)
 
 
+def _check_point(cfg: RunConfig, snr_idx, trial) -> None:
+    """Refuse an SNR index outside ``cfg.snr_sweep_db`` or a negative trial; a
+    bool is no index.  A trial past ``cfg.trials`` is drawn like any other."""
+    n = len(cfg.snr_sweep_db)
+    if isinstance(snr_idx, bool) or not isinstance(snr_idx, Integral) or not 0 <= snr_idx < n:
+        raise ConfigurationError(f"SNR index must be an integer in 0 .. {n - 1}, got {snr_idx!r}")
+    if isinstance(trial, bool) or not isinstance(trial, Integral) or trial < 0:
+        raise ConfigurationError(f"trial must be a non-negative integer, got {trial!r}")
+
+
 def run_trial(cfg: RunConfig, snr_idx: int, trial: int) -> TrialRecord:
-    """Draw, synthesize, estimate and score one trial at one SNR point."""
+    """Draw, synthesize, estimate and score one trial at one SNR point; an SNR
+    index or trial that names no such point raises :class:`ConfigurationError`."""
+    _check_point(cfg, snr_idx, trial)
     return _chunk_records(cfg, (trial,), (snr_idx,))[0][0]
 
 

@@ -20,7 +20,7 @@ from math import isqrt
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigurationError, require_integers, require_reals
+from .errors import ConfigurationError, is_real, require_integers, require_reals
 
 
 @dataclass(frozen=True)
@@ -75,23 +75,38 @@ def _cached_base(cfg: CazacConfig) -> np.ndarray:
     return out
 
 
+# from 2**52 symbols on, a double holds no fraction of a symbol to
+# interpolate, and past 2**63 the tap index would overflow
+_MAX_DELAY = 2.0 ** 52
+
+
+def _check_rows_and_delay(m: int, tau: float) -> None:
+    """Refuse a row count below 1, or a delay that is NaN, infinite or at
+    least 2**52 symbols in magnitude."""
+    if m < 1:
+        raise ConfigurationError(f"row count must be positive, got {m}")
+    if not is_real(tau) or abs(tau) >= _MAX_DELAY:
+        raise ConfigurationError(
+            f"delay must be a finite number of symbols below 2**52 in magnitude, got {tau!r}")
+
+
 def pilot_matrix(cfg: CazacConfig, m: int, tau: float) -> np.ndarray:
     """M x L pilot matrix at delay ``tau`` symbols; row k is the k-shifted sequence.
 
     At integer delays each row is an exact cyclic shift (the pulse is 1 at the
     origin and 0 at every other sample); fractional delays interpolate with the
-    raised-cosine pulse, wrapping sequence indices cyclically.
+    raised-cosine pulse, wrapping sequence indices cyclically.  A row count
+    below 1 or a non-finite or huge delay raises :class:`ConfigurationError`.
     """
-    if m < 1:
-        raise ConfigurationError(f"row count must be positive, got {m}")
+    _check_rows_and_delay(m, tau)
     row0 = _kernels.pilot_rows(_cached_base(cfg), [tau], cfg.rolloff, cfg.pulse_halfwidth)[0]
     return _stack_shifted(row0, m)
 
 
 def pilot_matrix_derivative(cfg: CazacConfig, m: int, tau: float) -> np.ndarray:
-    """Entrywise derivative of :func:`pilot_matrix` with respect to the delay."""
-    if m < 1:
-        raise ConfigurationError(f"row count must be positive, got {m}")
+    """Entrywise derivative of :func:`pilot_matrix` with respect to the delay,
+    which takes the same arguments."""
+    _check_rows_and_delay(m, tau)
     row0 = _kernels.pilot_rows_and_derivs(_cached_base(cfg), [tau], cfg.rolloff,
                                           cfg.pulse_halfwidth)[1][0]
     return _stack_shifted(row0, m)

@@ -46,16 +46,16 @@ the hidden observations (Q minus the other paths' terms) go through the
 update as one stack, and the delay statistics, the folded taps, the angle
 spectra, the gains and the new terms are one array expression each for the
 batch, with no pilot row, beam gain or FFT in the update (the initial terms
-are one transform of the reconstructions of every (problem, path) pair);
-each search round is one objective call over the points of every problem
-still searching (``_kernels._zoom_max``).  Every value is computed per problem
-with the operations a lone problem uses (a matrix-vector product stays one
-BLAS call per problem), so a problem's result does not depend on its
-batch.  ``run_sage_batch`` refines one coarse estimate per slab;
-``run_sage`` and ``run_sage_from`` work on stacks of one.  The public step
-helpers take an observation-domain hidden observation, as
-:func:`expectation_step` returns it, transform it once and call the loop's
-own step functions.
+are one transform of the reconstructions of every (problem, path) pair).
+The line searches are the exception: each problem's delay and angle search
+runs alone on its own statistic, reading a lattice table looked up once per
+step.  Every value is computed per problem with the operations a lone
+problem uses (a matrix-vector product stays one BLAS call per problem), so
+a problem's result does not depend on its batch.  ``run_sage_batch``
+refines one coarse estimate per slab; ``run_sage`` and ``run_sage_from``
+work on stacks of one.  The public step helpers take an observation-domain
+hidden observation, as :func:`expectation_step` returns it, transform it
+once and call the loop's own step functions.
 """
 
 from __future__ import annotations
@@ -250,12 +250,14 @@ def _angle_table(arr: ArrayConfig, cfg: SageConfig) -> _kernels.AngleLattice:
 
 def _search_delays(caz: CazacConfig, w: np.ndarray, centers: Sequence[float],
                    cfg: SageConfig) -> List[float]:
-    """Delay searches around the finite ``centers``, each window rounded
-    outward to the lattice of :func:`_delay_table`."""
+    """Delay searches of the (B, L) statistics ``w``, row b around the finite
+    ``centers[b]``, each window rounded outward to the lattice of
+    :func:`_delay_table`."""
     lattice = _delay_table(caz, cfg)
-    lo, hi = zip(*(_kernels.lattice_window(*_tau_bounds(c, cfg, caz.length),
-                                           1.0 / lattice.density) for c in centers))
-    return [float(t) for t in _kernels.search_tau(w, lattice, lo, hi, cfg.refine_tol)]
+    step = 1.0 / lattice.density
+    return [float(_kernels.search_tau(row, lattice, *_kernels.lattice_window(
+                *_tau_bounds(c, cfg, caz.length), step), cfg.refine_tol))
+            for row, c in zip(w, centers)]
 
 
 def _delay_statistics(q: np.ndarray, mus: Sequence[float]) -> np.ndarray:
@@ -302,11 +304,10 @@ def _search_angles(arr: ArrayConfig, qt: np.ndarray, centers: Sequence[float],
     if moving:
         lattice = _angle_table(arr, cfg)
         half = _mu_half_window(cfg, arr.m)
-        lo, hi = zip(*(_kernels.lattice_window(c - half, c + half, lattice.step)
-                       for c in (mus[b] % (2.0 * np.pi) for b in moving)))
-        found = _kernels.search_mu(qt.take(moving, axis=0), lattice, lo, hi, cfg.refine_tol)
-        for b, mu in zip(moving, found):
-            mus[b] = mu
+        for b in moving:
+            c = mus[b] % (2.0 * np.pi)
+            mus[b] = _kernels.search_mu(qt[b], lattice, *_kernels.lattice_window(
+                c - half, c + half, lattice.step), cfg.refine_tol)
     return [float(mu) % (2.0 * np.pi) for mu in mus]
 
 

@@ -125,6 +125,12 @@ def test_detection_threshold_value():
     assert detection_threshold(2.0, 8, 1e-3, ell=16) == pytest.approx(32 * np.log(8000.0))
     with pytest.raises(ConfigurationError):
         detection_threshold(1.0, 16, 0.0)
+    # a noise variance that is no positive finite number is refused by name,
+    # with or without ell
+    for noise in (0.0, -1.0, np.nan, np.inf):
+        for ell in (None, 16):
+            with pytest.raises(ConfigurationError, match="noise variance"):
+                detection_threshold(noise, 16, ell=ell)
 
 
 def test_lut_endpoints_and_monotonicity():

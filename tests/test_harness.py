@@ -3,6 +3,7 @@ import json
 import math
 import os
 import platform
+import re
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +79,18 @@ def test_run_trial_noiseless_recovery():
         assert m["delay_ml_sym"] < 1e-8
         assert m["gain_ml_rel"] < 1e-12
     assert not rec.crlb_vars  # undefined without noise
+
+
+@pytest.mark.parametrize("snr_idx, trial, name", [
+    (-1, 0, "SNR index"), (2, 0, "SNR index"), (True, 0, "SNR index"), (1.0, 0, "SNR index"),
+    (0, 2.5, "trial"), (0, -1, "trial"), (0, False, "trial")])
+def test_trial_refuses_a_point_that_names_no_trial(snr_idx, trial, name):
+    # small_cfg sweeps two SNR points; both lone entries name the bad value
+    cfg = small_cfg()
+    bad = re.escape(repr(snr_idx if name == "SNR index" else trial))
+    for entry in (run_trial, harness.synthesize_trial):
+        with pytest.raises(ConfigurationError, match=rf"^{name} .* got {bad}$"):
+            entry(cfg, snr_idx, trial)
 
 
 def test_run_trial_deterministic():

@@ -150,6 +150,15 @@ def test_pilot_matrix_derivative_finite_difference(tau):
     assert np.linalg.norm(an - num) / np.linalg.norm(num) < 1e-5
 
 
+@pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf, 2.0 ** 52, -1e300, 1e300])
+def test_pilot_matrices_refuse_a_non_finite_or_huge_delay(tau):
+    # NaN and inf would come back as NaN matrices, and 1e300 would overflow
+    # the tap index into an all-zero pilot matrix
+    for build in (pilot_matrix, pilot_matrix_derivative):
+        with pytest.raises(ConfigurationError, match="delay must be a finite number"):
+            build(CFG, 16, tau)
+
+
 def test_pilot_matrix_derivative_nonzero():
     d = pilot_matrix_derivative(CFG, 16, 4.25)
     assert np.linalg.norm(d) > 1.0

@@ -460,13 +460,13 @@ LATTICE_CASES = {
 
 
 def first_rounds(monkeypatch, search, *args):
-    # the points and values a search's first round hands to the zoom, with no
-    # zoom round run
+    # the points and values each search's first round hands to the zoom, with
+    # no zoom round run
     seen = []
     monkeypatch.setattr(_kernels, "_zoom_max",
-                        lambda f, xs, fs, tol, settled: seen.append((xs, fs)) or [x[0] for x in xs])
+                        lambda f, x, fx, tol, settled: seen.append((x, fx)) or x[0])
     search(*args)
-    return seen[0]
+    return tuple(zip(*seen))
 
 
 @pytest.mark.parametrize("case", LATTICE_CASES)
@@ -818,12 +818,11 @@ def test_searches_need_few_objective_calls(monkeypatch, seed):
     assert abs((mu_hat - mu_ref + np.pi) % (2 * np.pi) - np.pi) <= 1e-6
 
 
-def zoom_from_grid(f, n, tol):
-    # n problems on [0, 1], whose first round is a 64-point grid evaluated,
-    # as the searches' is, in one call for all of them
-    xs = [np.linspace(0.0, 1.0, 64)] * n
-    return _kernels._zoom_max(f, xs, _kernels._per_problem(f, xs, list(range(n))), tol,
-                              _kernels._lattice_settled)
+def zoom_from_grid(f, tol):
+    # a search on [0, 1] whose first round is a 64-point grid, evaluated, as
+    # the searches' is, in one call
+    x = np.linspace(0.0, 1.0, 64)
+    return _kernels._zoom_max(f, x, f(x), tol, _kernels._lattice_settled)
 
 
 @pytest.mark.parametrize("c", [0.3, 0.123456789, 0.71])
@@ -840,7 +839,7 @@ def test_zoom_finds_peak_far_from_parabolic(c, left):
         return -np.where(d < 0, left, 1.0) * np.abs(d) ** 1.5
 
     tol = 1e-7
-    x = zoom_from_grid(lambda x, rows: f(x), 1, tol)[0]
+    x = zoom_from_grid(f, tol)
     assert abs(x - c) <= tol
     assert len(calls) <= 20
 
@@ -852,12 +851,12 @@ def test_zoom_stops_once_the_parabola_vertex_settles(c):
     # call after the grid's, long before its bracket shrinks to tol
     calls = []
 
-    def f(x, rows):
+    def f(x):
         calls.append(1)
         return -(x - c) ** 2
 
     tol = 1e-7
-    x = zoom_from_grid(f, 1, tol)[0]
+    x = zoom_from_grid(f, tol)
     assert abs(x - c) <= 1e-12
     assert len(calls) == 1
 
@@ -869,38 +868,8 @@ def test_lattice_round_needs_a_concave_interpolant():
     # zoom on to a peak, not return the point between them
     step = 1.0 / 63
     for c, a in ((20 * step, 0.3 * step), (41 * step, 0.2 * step)):
-        x = zoom_from_grid(lambda x, rows: -((x - c) ** 2 - a * a) ** 2, 1, 1e-7)[0]
+        x = zoom_from_grid(lambda x: -((x - c) ** 2 - a * a) ** 2, 1e-7)
         assert min(abs(x - c - a), abs(x - c + a)) <= 1e-7
-
-
-def test_lockstep_zoom_makes_one_call_per_round():
-    # problems at different stages (settled on the grid, zooming, done)
-    # share each round's call, and each ends where it ends alone
-    tol = 1e-7
-    centers = np.array([0.3, 0.123456789, 0.71, 0.55, 0.9])
-    slopes = np.array([1.0, 4.0, 50.0, 1.0, 2.0])
-    powers = np.array([1.5, 1.5, 1.5, 2.0, 2.0])
-
-    def objective(calls, problems):
-        # rows index ``problems``: an int when one problem is left, else (N, 1)
-        def f(x, rows):
-            calls.append(1)
-            b = problems[rows] if isinstance(rows, int) else problems[rows[:, 0]]
-            d = x - centers[b]
-            return -np.where(d < 0, slopes[b], 1.0) * np.abs(d) ** powers[b]
-        return f
-
-    n = centers.size
-    lone_calls, lone = [], []
-    for b in range(n):
-        calls = []
-        lone.append(zoom_from_grid(objective(calls, np.array([b])), 1, tol)[0])
-        lone_calls.append(len(calls))
-    calls = []
-    batch = zoom_from_grid(objective(calls, np.arange(n)), n, tol)
-    assert batch == lone
-    assert len(set(lone_calls)) > 1
-    assert len(calls) == max(lone_calls) < sum(lone_calls)
 
 
 # (true delay, search center, where): the center puts the window at [0, 1]
@@ -934,7 +903,7 @@ def test_delay_search_at_a_clipped_window_end_matches_dense_scan(monkeypatch):
     centers = [center for _, center, _ in WINDOW_END_CASES]
     batch = _search_delays(CAZ, np.concatenate(stats), centers, cfg)
     assert batch == lone
-    assert len(calls) - start == max(lone_calls)
+    assert len(calls) - start == sum(lone_calls)
     for tau, ref in zip(lone, refs):
         assert abs(tau - ref) <= cfg.refine_tol
     # a peak past the end closes on the lattice read, which calls no
@@ -998,31 +967,35 @@ def test_lattice_round_settles_within_tolerance_of_a_fine_search(monkeypatch, ca
     w_ends = delay_stats([[(1.0 + 0j, 2.2, tau)] for tau, _ in ends])
     w_ints = delay_stats([[(1.0 + 0j, 2.2, 8.0 + offset / 64), (0.3 + 0.2j, 1.1, 11.7)]
                           for offset, _ in INTEGER_CASES])
-    rounds = []
-    monkeypatch.setattr(_kernels, "_zoom_max", lambda f, xs, fs, tol, settled:
-                        rounds.append((f, xs, fs, settled)) or [x[0] for x in xs])
-    _search_delays(caz, _delay_statistics(q[:5], rng.uniform(0, 2 * np.pi, 5)),
-                   [0.0, 0.3, ell / 2 + 0.37, ell - 0.2, float(ell)], cfg)
-    _search_angles(arr, _angle_statistics(caz, q[5:], rng.uniform(0, ell, 6))[1],
-                   [0.0, 0.05, 3.0, 2 * np.pi - 0.02, 7.0, -0.3], cfg)
-    _search_delays(caz, w_ends, [center for _, center in ends], cfg)
-    _search_delays(caz, w_ints, [center for _, center in INTEGER_CASES], cfg)
+    # per batch of searches, each search's objective, first round and rule
+    batches = []
+    monkeypatch.setattr(_kernels, "_zoom_max", lambda f, x, fx, tol, settled:
+                        batches[-1].append((f, x, fx, settled)) or x[0])
+    for search, *args in (
+            (_search_delays, caz, _delay_statistics(q[:5], rng.uniform(0, 2 * np.pi, 5)),
+             [0.0, 0.3, ell / 2 + 0.37, ell - 0.2, float(ell)]),
+            (_search_angles, arr, _angle_statistics(caz, q[5:], rng.uniform(0, ell, 6))[1],
+             [0.0, 0.05, 3.0, 2 * np.pi - 0.02, 7.0, -0.3]),
+            (_search_delays, caz, w_ends, [center for _, center in ends]),
+            (_search_delays, caz, w_ints, [center for _, center in INTEGER_CASES])):
+        batches.append([])
+        search(*args, cfg)
     monkeypatch.undo()
 
     tol = cfg.refine_tol
     settled = {"interior": 0, "end": 0}
-    for r, (f, xs, fs, rule) in enumerate(rounds):
-        for b, (x, fx) in enumerate(zip(xs, fs)):
+    for r, searches in enumerate(batches):
+        for b, (f, x, fx, rule) in enumerate(searches):
             calls = []
 
-            def g(t, rows, b=b):
+            def g(t, f=f):
                 calls.append(1)
-                return f(t, b)
-            out = _kernels._zoom_max(g, [x], [fx], tol, rule)[0]
+                return f(t)
+            out = _kernels._zoom_max(g, x, fx, tol, rule)
             if calls:
                 continue
             settled["end" if out in (x[0], x[-1]) else "interior"] += 1
-            assert abs(out - _kernels._zoom_max(g, [x], [fx], 1e-13, rule)[0]) <= tol
+            assert abs(out - _kernels._zoom_max(g, x, fx, 1e-13, rule)) <= tol
             if r >= 2:
                 w = (w_ends, w_ints)[r - 2][b]
                 ref = dense_argmax(chunked(lambda t: _kernels.tau_objective(
@@ -1060,9 +1033,9 @@ def test_searches_stop_within_tolerance_of_a_fine_search(monkeypatch):
     zoom = _kernels._zoom_max
     gaps = []
 
-    def checked(f, xs, fs, tol, settled):
-        out = zoom(f, xs, fs, tol, settled)
-        gaps.extend(abs(a - b) for a, b in zip(out, zoom(f, xs, fs, 1e-13, settled)))
+    def checked(f, x, fx, tol, settled):
+        out = zoom(f, x, fx, tol, settled)
+        gaps.append(abs(out - zoom(f, x, fx, 1e-13, settled)))
         return out
     monkeypatch.setattr(_kernels, "_zoom_max", checked)
 
@@ -1104,10 +1077,14 @@ def _ragged_problems(rng):
     return ys, initials, orders
 
 
-@pytest.mark.parametrize("beta", [1.0, 0.6])
-def test_lockstep_batch_equals_lone_runs(beta):
+# at refine_tol = 1e-10 the lattice round settles few searches, so the
+# batch's searches also run through the zoom
+@pytest.mark.parametrize("beta, refine_tol", [
+    pytest.param(1.0, 1e-7, id="1.0"), pytest.param(0.6, 1e-7, id="0.6"),
+    pytest.param(1.0, 1e-10, id="1.0-tol1e-10"), pytest.param(0.6, 1e-10, id="0.6-tol1e-10")])
+def test_lockstep_batch_equals_lone_runs(beta, refine_tol):
     from beamest.sage import _lockstep
-    cfg = SageConfig(beta=beta, max_iterations=12)
+    cfg = SageConfig(beta=beta, max_iterations=12, refine_tol=refine_tol)
     ys, initials, orders = _ragged_problems(np.random.default_rng(17))
     lone = [run_sage_from(y, init, cfg, order) for y, init, order in zip(ys, initials, orders)]
     stack = ReceiveMatrix(y=np.stack([y.y for y in ys]), arr=ARR, caz=CAZ)
@@ -1122,11 +1099,11 @@ def test_lockstep_batch_equals_lone_runs(beta):
     assert zero.paths == tuple(initials[-1])
 
 
-def test_batch_of_copies_calls_each_objective_as_one_problem(monkeypatch):
-    # one objective call per search round for the whole batch: B copies of
-    # one problem make exactly the calls of one, where a per-problem loop
-    # would make B times as many.  At refine_tol = 1e-10 the lattice round
-    # settles few searches, so both searches zoom
+def test_batch_of_copies_calls_each_objective_as_its_copies_do(monkeypatch):
+    # each problem of a batch searches on its own: B copies of one problem
+    # make B times the objective calls of one, and each copy's result is the
+    # lone problem's.  At refine_tol = 1e-10 the lattice round settles few
+    # searches, so both searches zoom
     from beamest.sage import run_sage_batch
     rng = np.random.default_rng(8)
     real = draw_realization(ScenarioConfig(n_nlos=2), rng).with_snr_db(15.0)
@@ -1141,7 +1118,7 @@ def test_batch_of_copies_calls_each_objective_as_one_problem(monkeypatch):
     assert repr(batch) == repr([lone] * 4)
     assert lone.iterations >= 2 and n_tau > lone.iterations * len(lone.paths)
     assert n_mu > 0
-    assert (len(tau_calls) - n_tau, len(mu_calls) - n_mu) == (n_tau, n_mu)
+    assert (len(tau_calls) - n_tau, len(mu_calls) - n_mu) == (4 * n_tau, 4 * n_mu)
 
 
 def test_run_sage_batch_checks_its_stack():
